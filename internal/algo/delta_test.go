@@ -10,10 +10,11 @@ import (
 
 // TestKernelsMatchRefreezeUnderMutation is the algo half of the
 // delta-overlay equivalence coverage: every kernel run over a frozen
-// snapshot carrying a tail must produce byte-identical results to the
-// legacy refreeze lifecycle on an identical graph. The kernels walk the
-// frozen accessors exclusively, so this pins the merged base+tail
-// adjacency, endpoints, and vertex counts end to end.
+// snapshot carrying a tail must produce byte-identical results to an
+// identical graph that compacts after every mutation (a fresh base CSR
+// each time, what a refreeze would build). The kernels walk the frozen
+// accessors exclusively, so this pins the merged base+tail adjacency,
+// endpoints, and vertex counts end to end.
 func TestKernelsMatchRefreezeUnderMutation(t *testing.T) {
 	build := func() *graph.Graph {
 		rng := rand.New(rand.NewSource(31))
@@ -29,7 +30,7 @@ func TestKernelsMatchRefreezeUnderMutation(t *testing.T) {
 	}
 	gOv := build()
 	gRf := build()
-	gRf.SetDeltaOverlay(false)
+	gRf.SetCompactionThreshold(1)
 	gOv.Freeze()
 	gRf.Freeze()
 
@@ -47,8 +48,10 @@ func TestKernelsMatchRefreezeUnderMutation(t *testing.T) {
 	}
 	mutate(gOv)
 	mutate(gRf)
-	if gRf.CachedFrozen() != nil {
-		t.Fatal("refreeze baseline kept its snapshot; A/B exercises one lifecycle")
+	if f := gRf.CachedFrozen(); f == nil || gRf.Compactions() == 0 {
+		t.Fatal("reference graph did not compact")
+	} else if tv, te := f.TailSize(); tv+te != 0 {
+		t.Fatalf("reference graph kept a tail (%d, %d)", tv, te)
 	}
 
 	for _, src := range []graph.VertexID{0, 7, 55} {

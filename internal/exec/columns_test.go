@@ -145,7 +145,7 @@ func TestColumnsMatchMapOnAbsentValues(t *testing.T) {
 // predicate.
 func TestColumnPrefilterEngagement(t *testing.T) {
 	g := declaredLineage(t)
-	g.Freeze()
+	f := g.Freeze()
 	ex := &Executor{G: g}
 	match := func(src string) *gql.MatchQuery {
 		t.Helper()
@@ -164,7 +164,7 @@ func TestColumnPrefilterEngagement(t *testing.T) {
 		`MATCH (j:Job) WHERE j.CPU >= 20 AND j.name <> 'zzz' RETURN j`,
 		`MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.CPU >= 20 RETURN j, f`,
 	} {
-		pf := ex.columnPrefilter(match(src))
+		pf := ex.columnPrefilter(match(src), f)
 		if pf == nil {
 			t.Errorf("%q: prefilter did not engage", src)
 			continue
@@ -187,14 +187,14 @@ func TestColumnPrefilterEngagement(t *testing.T) {
 		{`MATCH (j:Job) WHERE j.name <> 'x' OR j.CPU = 1 RETURN j`, "top-level OR"},
 		{`MATCH (j:Job) WHERE j.CPU + 1 >= 21 RETURN j`, "computed left side"},
 	} {
-		if ex.columnPrefilter(match(tc.src)) != nil {
+		if ex.columnPrefilter(match(tc.src), f) != nil {
 			t.Errorf("%q: prefilter engaged (%s)", tc.src, tc.why)
 		}
 	}
 
 	// The A/B switch disables it outright.
 	exOff := &Executor{G: g, noColumns: true}
-	if exOff.columnPrefilter(match(`MATCH (j:Job) WHERE j.CPU >= 20 RETURN j`)) != nil {
+	if exOff.columnPrefilter(match(`MATCH (j:Job) WHERE j.CPU >= 20 RETURN j`), f) != nil {
 		t.Error("noColumns executor still prefilters")
 	}
 }

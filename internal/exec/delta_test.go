@@ -36,20 +36,36 @@ func assertSameRendered(t *testing.T, src string, want, got *Result, workers int
 	}
 }
 
-// TestDeltaOverlayMatchesRefreezeOnLineage is the delta-overlay A/B
+// compactEveryMutation freezes g with a compaction threshold of one, so
+// every later mutation folds a fresh base CSR: the snapshot a refreeze
+// after each mutation would build. It is the reference twin the overlay
+// suites compare a tail-carrying snapshot against.
+func compactEveryMutation(g *graph.Graph) {
+	g.SetCompactionThreshold(1)
+	g.Freeze()
+}
+
+// assertRefrozen fails unless g's snapshot was rebuilt and carries no
+// tail, i.e. the twin really is a compact-every-mutation reference.
+func assertRefrozen(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	if f := g.CachedFrozen(); f == nil {
+		t.Fatal("reference twin lost its snapshot")
+	} else if tv, te := f.TailSize(); tv+te != 0 || g.Compactions() == 0 {
+		t.Fatalf("reference twin did not compact: tail (%d, %d), %d compactions", tv, te, g.Compactions())
+	}
+}
+
+// TestDeltaOverlayMatchesRefreezeOnLineage is the delta-overlay
 // equivalence suite over every query shape: a graph mutating on
-// overlay storage (tail merged behind the frozen accessors, no
-// refreeze) must produce byte-identical results to the same graph on
-// the legacy freeze-after-every-mutation lifecycle, and to the
-// append-mode reference, sequential and parallel.
+// overlay storage (tail merged behind the frozen accessors) must
+// produce byte-identical results, sequential and parallel, to a twin
+// that compacts after every mutation.
 func TestDeltaOverlayMatchesRefreezeOnLineage(t *testing.T) {
 	gOv, idsOv := lineage(t)
 	gRf, idsRf := lineage(t)
-	gRf.SetDeltaOverlay(false)
-	// Prime the snapshots so subsequent mutations hit the overlay path
-	// on one graph and the invalidation path on the other.
 	gOv.Freeze()
-	gRf.Freeze()
+	compactEveryMutation(gRf)
 	mutate := func(g *graph.Graph, ids map[string]graph.VertexID, round int) {
 		j := g.MustAddVertex("Job", graph.Properties{
 			"name": fmt.Sprintf("jx%d", round), "CPU": int64(40 + round), "pipelineName": "px",
@@ -68,24 +84,20 @@ func TestDeltaOverlayMatchesRefreezeOnLineage(t *testing.T) {
 		if _, te := gOv.CachedFrozen().TailSize(); te == 0 {
 			t.Fatal("mutations did not land in the tail")
 		}
+		assertRefrozen(t, gRf)
 		for _, src := range equivalenceQueries {
-			// Each graph's append-mode run is its semantic reference;
-			// the two references are then pinned identical to each other.
-			refOv := runMode(t, gOv, src, 1, true)
-			refRf := runMode(t, gRf, src, 1, true)
-			assertSameRendered(t, src, refRf, refOv, 1)
+			ref := runWorkers(t, gRf, src, 1)
 			for _, workers := range []int{1, 4} {
-				assertSameResult(t, src, refOv, runMode(t, gOv, src, workers, false), workers)
-				assertSameResult(t, src, refRf, runMode(t, gRf, src, workers, false), workers)
+				assertSameRendered(t, src, ref, runWorkers(t, gOv, src, workers), workers)
 			}
 		}
 	}
 }
 
-// TestDeltaOverlayMatchesRefreezeWithColumns runs the same A/B with
-// declared properties, so tail vertices resolve through the columnar
-// path (tail column extensions, prefilter included) rather than the
-// property maps.
+// TestDeltaOverlayMatchesRefreezeWithColumns runs the same comparison
+// with declared properties, so tail vertices resolve through the
+// columnar path (tail column extensions, prefilter included) rather
+// than the property maps.
 func TestDeltaOverlayMatchesRefreezeWithColumns(t *testing.T) {
 	build := func() *graph.Graph {
 		g := graph.NewGraph(declaredSchema(t))
@@ -106,9 +118,8 @@ func TestDeltaOverlayMatchesRefreezeWithColumns(t *testing.T) {
 	}
 	gOv := build()
 	gRf := build()
-	gRf.SetDeltaOverlay(false)
 	gOv.Freeze()
-	gRf.Freeze()
+	compactEveryMutation(gRf)
 	queries := []string{
 		`MATCH (j:Job) WHERE j.CPU >= 35 RETURN j.name AS name`,
 		`MATCH (j:Job) RETURN SUM(j.CPU) AS total`,
@@ -128,13 +139,11 @@ func TestDeltaOverlayMatchesRefreezeWithColumns(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		mutate(gOv, round)
 		mutate(gRf, round)
+		assertRefrozen(t, gRf)
 		for _, src := range queries {
-			refOv := runMode(t, gOv, src, 1, true)
-			refRf := runMode(t, gRf, src, 1, true)
-			assertSameRendered(t, src, refRf, refOv, 1)
+			ref := runWorkers(t, gRf, src, 1)
 			for _, workers := range []int{1, 4} {
-				assertSameResult(t, src, refOv, runMode(t, gOv, src, workers, false), workers)
-				assertSameResult(t, src, refRf, runMode(t, gRf, src, workers, false), workers)
+				assertSameRendered(t, src, ref, runWorkers(t, gOv, src, workers), workers)
 			}
 		}
 	}
@@ -143,8 +152,9 @@ func TestDeltaOverlayMatchesRefreezeWithColumns(t *testing.T) {
 // TestDeltaOverlayInterleavedRandom drives a randomized interleaved
 // mutate/query sequence over a datagen provenance graph, in three
 // storage lifecycles at once: plain overlay, overlay with an aggressive
-// compaction threshold (folding every few mutations), and the refreeze
-// baseline. All three must agree on every query at workers {1,4}.
+// compaction threshold (folding every few mutations), and the
+// compact-every-mutation reference. All three must agree on every query
+// at workers {1,4}.
 func TestDeltaOverlayInterleavedRandom(t *testing.T) {
 	cfg := datagen.ProvConfig{
 		Jobs: 40, Files: 100, TasksPerJob: 2, Machines: 8, Users: 4,
@@ -161,11 +171,10 @@ func TestDeltaOverlayInterleavedRandom(t *testing.T) {
 	gCp := build()
 	gCp.SetCompactionThreshold(8)
 	gRf := build()
-	gRf.SetDeltaOverlay(false)
 	all := []*graph.Graph{gOv, gCp, gRf}
-	for _, g := range all {
-		g.Freeze()
-	}
+	gOv.Freeze()
+	gCp.Freeze()
+	compactEveryMutation(gRf)
 	rng := rand.New(rand.NewSource(99))
 	queries := datasetQueries["prov"]
 	for step := 0; step < 30; step++ {
@@ -189,12 +198,13 @@ func TestDeltaOverlayInterleavedRandom(t *testing.T) {
 			}
 		}
 		src := queries[rng.Intn(len(queries))]
-		ref := runMode(t, gRf, src, 1, false)
+		ref := runWorkers(t, gRf, src, 1)
 		for _, workers := range []int{1, 4} {
-			assertSameRendered(t, src, ref, runMode(t, gOv, src, workers, false), workers)
-			assertSameRendered(t, src, ref, runMode(t, gCp, src, workers, false), workers)
+			assertSameRendered(t, src, ref, runWorkers(t, gOv, src, workers), workers)
+			assertSameRendered(t, src, ref, runWorkers(t, gCp, src, workers), workers)
 		}
 	}
+	assertRefrozen(t, gRf)
 	if f := gOv.CachedFrozen(); f == nil {
 		t.Fatal("overlay graph lost its snapshot")
 	} else if tv, te := f.TailSize(); tv+te == 0 {

@@ -9,71 +9,25 @@ import (
 	"kaskade/internal/graph"
 )
 
-// runMode executes src on g with the given parallelism, on the frozen
-// CSR path or the append-mode reference.
-func runMode(t testing.TB, g *graph.Graph, src string, workers int, noFrozen bool) *Result {
-	t.Helper()
-	q := mustParse(t, src)
-	ex := &Executor{G: g, Workers: workers, noFrozen: noFrozen}
-	res, err := ex.Execute(q)
-	if err != nil {
-		t.Fatalf("Execute(%q, workers=%d, noFrozen=%v): %v", src, workers, noFrozen, err)
-	}
-	return res
-}
-
-// TestFrozenMatchesAppendOnLineage is the frozen-vs-append equivalence
-// suite over every exec_test query shape: the frozen CSR matcher must
-// produce byte-identical results (rows, order, group order, float bit
-// patterns) to the append-mode reference, sequential and parallel.
-func TestFrozenMatchesAppendOnLineage(t *testing.T) {
-	g, _ := lineage(t)
-	for _, src := range equivalenceQueries {
-		ref := runMode(t, g, src, 1, true) // append-mode sequential: the semantic reference
-		for _, workers := range []int{1, 4} {
-			frozen := runMode(t, g, src, workers, false)
-			assertSameResult(t, src, ref, frozen, workers)
-			append_ := runMode(t, g, src, workers, true)
-			assertSameResult(t, src, ref, append_, workers)
-		}
-	}
-}
-
-// TestFrozenMatchesAppendOnDatagen runs the same A/B over the randomized
-// synthetic datasets (skewed, cyclic, and grid-shaped graphs).
-func TestFrozenMatchesAppendOnDatagen(t *testing.T) {
-	for _, seed := range []int64{3, 11} {
-		graphs := datagenGraphs(t, seed)
-		for name, g := range graphs {
-			for _, src := range datasetQueries[name] {
-				ref := runMode(t, g, src, 1, true)
-				for _, workers := range []int{1, 4} {
-					assertSameResult(t, src, ref, runMode(t, g, src, workers, false), workers)
-				}
-			}
-		}
-	}
-}
-
 // TestFrozenErrorsMatchAppend pins error behavior (row limits included)
-// across the storage modes.
+// on the frozen matcher, sequential and parallel.
 func TestFrozenErrorsMatchAppend(t *testing.T) {
 	g, _ := lineage(t)
 	q := mustParse(t, `MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j, f`)
-	for _, noFrozen := range []bool{false, true} {
-		ex := &Executor{G: g, MaxRows: 2, noFrozen: noFrozen}
+	for _, workers := range []int{1, 4} {
+		ex := &Executor{G: g, MaxRows: 2, Workers: workers}
 		if _, err := ex.Execute(q); err != ErrRowLimit {
-			t.Errorf("noFrozen=%v: got %v, want ErrRowLimit", noFrozen, err)
+			t.Errorf("workers=%d: got %v, want ErrRowLimit", workers, err)
 		}
 	}
 	for _, src := range []string{
 		`MATCH (j:Job) RETURN unknown_var`,
 		`MATCH (j:Job) WHERE j.CPU RETURN j`,
 	} {
-		for _, noFrozen := range []bool{false, true} {
-			ex := &Executor{G: g, noFrozen: noFrozen}
+		for _, workers := range []int{1, 4} {
+			ex := &Executor{G: g, Workers: workers}
 			if _, err := ex.Execute(mustParse(t, src)); err == nil {
-				t.Errorf("query %q noFrozen=%v: want error", src, noFrozen)
+				t.Errorf("query %q workers=%d: want error", src, workers)
 			}
 		}
 	}
@@ -172,11 +126,12 @@ func TestDeclaredPropertyPartialEquivalence(t *testing.T) {
 
 // TestMisdeclaredPropertyFailsLoudly pins the lying-schema behavior: a
 // property declared PropInt whose stored values are float64 must fail
-// loudly, not silently produce wrong bits. The first line of defense is
-// the columnar freeze itself — FreezeChecked validates every stored
-// value against its declaration. The second (reachable with freezing
-// disabled, where no columns are built) is the partial SUM merge, which
-// refuses to fold float partial states the planner proved integer.
+// loudly, not silently produce wrong bits. The columnar freeze
+// validates every stored value against its declaration, and a MATCH
+// resolves its snapshot through FreezeChecked, so the query returns
+// the declared-kind error — at any worker count, without panicking.
+// (The partial SUM merge's own backstop is pinned directly by
+// TestSumMergeRejectsFloatPartial.)
 func TestMisdeclaredPropertyFailsLoudly(t *testing.T) {
 	s := declaredSchema(t)
 	g := graph.NewGraph(s)
@@ -185,7 +140,6 @@ func TestMisdeclaredPropertyFailsLoudly(t *testing.T) {
 		f := g.MustAddVertex("File", nil)
 		g.MustAddEdge(j, f, "WRITES_TO", nil)
 	}
-	// Freeze-time defense: the column build rejects the lying value.
 	if _, err := g.FreezeChecked(); err == nil ||
 		!strings.Contains(err.Error(), "declared int, holds float64") {
 		t.Fatalf("FreezeChecked err = %v, want declared-kind violation", err)
@@ -194,65 +148,57 @@ func TestMisdeclaredPropertyFailsLoudly(t *testing.T) {
 	if got := QueryAggModeFor(q, g.Schema()); got != AggModePartial {
 		t.Fatalf("mode = %v, want partial (declaration trusted at plan time)", got)
 	}
-	// Merge-time backstop: with freezing off (append-mode matcher, no
-	// columns, no freeze-time check) the partial merge still fails loudly
-	// instead of folding floats in chunk order (worker-count-dependent
-	// bits).
-	ex := &Executor{G: g, Workers: 4, noFrozen: true}
-	if _, err := ex.Execute(q); err == nil || !strings.Contains(err.Error(), "declared integer") {
-		t.Fatalf("err = %v, want loud mis-declaration error", err)
+	for _, workers := range []int{1, 4} {
+		ex := &Executor{G: g, Workers: workers}
+		if _, err := ex.Execute(q); err == nil || !strings.Contains(err.Error(), "declared int, holds float64") {
+			t.Fatalf("workers=%d: err = %v, want declared-kind violation", workers, err)
+		}
 	}
 }
 
-// BenchmarkFrozenPatternMatch prices the frozen CSR matcher against the
-// append-mode reference on the 2-hop typed lineage join — the matcher
-// hot path the tentpole optimizes (typed adjacency removes the per-edge
-// type filter and the Edge-record loads).
+// TestSumMergeRejectsFloatPartial pins the partial SUM merge backstop:
+// the planner only merges SUM states it proved integer, so a float
+// partial state means a lying declaration, and the merge fails instead
+// of folding floats in chunk order.
+func TestSumMergeRejectsFloatPartial(t *testing.T) {
+	acc, part := &sumAcc{}, &sumAcc{}
+	if err := acc.add(int64(2), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := part.add(1.5, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := acc.merge(part); err == nil || !strings.Contains(err.Error(), "declared integer") {
+		t.Fatalf("merge err = %v, want declared-integer error", err)
+	}
+}
+
+// BenchmarkFrozenPatternMatch prices the matcher on the 2-hop typed
+// lineage join (typed adjacency groups, flat endpoint arrays).
 func BenchmarkFrozenPatternMatch(b *testing.B) {
 	g := benchGraph(b)
 	q := gql.MustParse(`MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(c:Job) RETURN a, c`)
-	b.Run("append", func(b *testing.B) {
-		ex := &Executor{G: g, noFrozen: true}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ex.Execute(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("frozen", func(b *testing.B) {
-		ex := &Executor{G: g}
-		ex.G.Freeze()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ex.Execute(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	benchExecute(b, g, q)
 }
 
-// BenchmarkFrozenVarLength prices the storage modes on variable-length
-// traversal (untyped steps — flat CSR rows vs pointer-chased slices).
+// BenchmarkFrozenVarLength prices the matcher on variable-length
+// traversal (untyped steps over flat CSR rows).
 func BenchmarkFrozenVarLength(b *testing.B) {
 	g := benchGraph(b)
 	q := gql.MustParse(`MATCH (a:Job)-[r*1..3]->(v) RETURN COUNT(r) AS n`)
-	for _, mode := range []struct {
-		name     string
-		noFrozen bool
-	}{{"append", true}, {"frozen", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			ex := &Executor{G: g, noFrozen: mode.noFrozen}
-			g.Freeze()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ex.Execute(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	benchExecute(b, g, q)
+}
+
+// benchExecute times q on the sequential matcher over a pre-frozen g.
+func benchExecute(b *testing.B, g *graph.Graph, q gql.Query) {
+	ex := &Executor{G: g}
+	g.Freeze()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ex.Execute(q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

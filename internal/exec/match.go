@@ -14,16 +14,12 @@ import (
 // within one match of the whole clause (this is what makes variable-length
 // traversal over cyclic graphs terminate).
 //
-// When f is set (the default — the executor freezes its graph at query
-// start), traversal steps run on the frozen CSR view: a typed edge
-// pattern expands through OutOfType/InOfType, one contiguous
-// pre-filtered slice per step instead of a filter over the full
-// adjacency row, and endpoint/type lookups read flat arrays instead of
-// the Edge records. Enumeration order is identical either way (the
-// frozen view preserves insertion order within each type group), so
-// both modes produce byte-identical results; the append-mode path
-// (f == nil) is kept as the semantic reference for the equivalence
-// tests.
+// Traversal steps run on the query's frozen snapshot (base CSR plus
+// any delta tail): a typed edge pattern expands through
+// OutOfType/InOfType, one contiguous pre-filtered slice per step, and
+// endpoint/type lookups read flat arrays instead of the Edge records.
+// The snapshot preserves insertion order within each type group, so
+// enumeration order is the graph's insertion order.
 //
 // Bindings live in flat plan-time scratch, not a map: varNames holds
 // the pattern's variables (fixed at construction) and slots the bound
@@ -35,7 +31,7 @@ import (
 // exported at the escape boundary — see exportValue.
 type matcher struct {
 	g        *graph.Graph
-	f        *graph.Frozen // frozen CSR view; nil = append-mode traversal
+	f        *graph.Frozen // the query's snapshot of g
 	varNames []string      // pattern variables, deduped, construction order
 	slots    []Value       // bound value per variable; nil = unbound
 	usedEdge []bool        // edge-uniqueness set, indexed by EdgeID
@@ -58,15 +54,15 @@ type matcher struct {
 	mapReads  int64
 }
 
-// newMatcher builds a matcher for q over ex's graph, on the frozen CSR
-// path unless the executor's noFrozen escape hatch is set. The
-// edge-uniqueness set costs O(NumEdges) to allocate and zero, so it is
-// only built when the patterns actually contain edge steps — a
-// vertex-only point query pays nothing for it regardless of graph
-// size.
-func (ex *Executor) newMatcher(ctx context.Context, q *gql.MatchQuery) *matcher {
+// newMatcher builds a matcher for q over ex's graph, traversing f, the
+// snapshot the query resolved once at its start. The edge-uniqueness
+// set costs O(NumEdges) to allocate and zero, so it is only built when
+// the patterns actually contain edge steps — a vertex-only point query
+// pays nothing for it regardless of graph size.
+func (ex *Executor) newMatcher(ctx context.Context, q *gql.MatchQuery, f *graph.Frozen) *matcher {
 	m := &matcher{
 		g:         ex.G,
+		f:         f,
 		where:     q.Where,
 		ctx:       ctx,
 		noColumns: ex.noColumns,
@@ -85,9 +81,6 @@ func (ex *Executor) newMatcher(ctx context.Context, q *gql.MatchQuery) *matcher 
 			m.usedEdge = make([]bool, ex.G.NumEdges())
 			break
 		}
-	}
-	if !ex.noFrozen {
-		m.f = ex.G.Freeze()
 	}
 	return m
 }
@@ -164,59 +157,31 @@ func (m *matcher) flushPropReads(reg *metrics.Registry) {
 }
 
 // stepEdges returns the adjacency slice to scan for one edge-pattern
-// step at vertex v, and whether it is already restricted to the
-// pattern's edge type. On the frozen path a typed step gets the
-// contiguous (v, type) group; otherwise callers filter per edge.
-func (m *matcher) stepEdges(v graph.VertexID, etype string, reversed bool) (edges []graph.EdgeID, typed bool) {
-	if m.f != nil {
-		if etype != "" {
-			if reversed {
-				return m.f.InOfType(v, etype), true
-			}
-			return m.f.OutOfType(v, etype), true
-		}
-		if reversed {
-			return m.f.In(v), false
-		}
-		return m.f.Out(v), false
+// step at vertex v: the contiguous (v, type) group for a typed step,
+// the whole row for an untyped one.
+func (m *matcher) stepEdges(v graph.VertexID, etype string, reversed bool) []graph.EdgeID {
+	switch {
+	case etype != "" && reversed:
+		return m.f.InOfType(v, etype)
+	case etype != "":
+		return m.f.OutOfType(v, etype)
+	case reversed:
+		return m.f.In(v)
 	}
-	if reversed {
-		return m.g.In(v), false
-	}
-	return m.g.Out(v), false
+	return m.f.Out(v)
 }
 
 // edgeEndpoint returns the step's target endpoint of eid (the source
-// when reversed), from the frozen flat arrays when available.
+// when reversed), from the frozen flat arrays.
 func (m *matcher) edgeEndpoint(eid graph.EdgeID, reversed bool) graph.VertexID {
-	if m.f != nil {
-		if reversed {
-			return m.f.From(eid)
-		}
-		return m.f.To(eid)
-	}
-	e := m.g.Edge(eid)
 	if reversed {
-		return e.From
+		return m.f.From(eid)
 	}
-	return e.To
-}
-
-// edgeTypeOf returns eid's type label.
-func (m *matcher) edgeTypeOf(eid graph.EdgeID) string {
-	if m.f != nil {
-		return m.f.EdgeTypeOf(eid)
-	}
-	return m.g.Edge(eid).Type
+	return m.f.To(eid)
 }
 
 // vertexTypeOf returns v's type label.
-func (m *matcher) vertexTypeOf(v graph.VertexID) string {
-	if m.f != nil {
-		return m.f.VertexTypeOf(v)
-	}
-	return m.g.Vertex(v).Type
-}
+func (m *matcher) vertexTypeOf(v graph.VertexID) string { return m.f.VertexTypeOf(v) }
 
 // tickEvery is how many traversal steps pass between context polls: a
 // power of two so the check compiles to a mask, small enough that even a
@@ -380,7 +345,7 @@ func (m *matcher) checkAndBindTarget(toPat gql.NodePattern, target graph.VertexI
 }
 
 func (m *matcher) matchSingleEdge(from graph.VertexID, e gql.EdgePattern, toPat gql.NodePattern, cont func(graph.VertexID) error) error {
-	edges, typed := m.stepEdges(from, e.Type, e.Reversed)
+	edges := m.stepEdges(from, e.Type, e.Reversed)
 	ei := -1
 	if e.Var != "" {
 		ei = m.slot(e.Var)
@@ -390,9 +355,6 @@ func (m *matcher) matchSingleEdge(from graph.VertexID, e gql.EdgePattern, toPat 
 			return err
 		}
 		if m.usedEdge[eid] {
-			continue
-		}
-		if !typed && e.Type != "" && m.edgeTypeOf(eid) != e.Type {
 			continue
 		}
 		target := m.edgeEndpoint(eid, e.Reversed)
@@ -460,15 +422,11 @@ func (m *matcher) matchVarLength(from graph.VertexID, e gql.EdgePattern, toPat g
 		if max >= 0 && hops == max {
 			return nil
 		}
-		edges, typed := m.stepEdges(at, e.Type, e.Reversed)
-		for _, eid := range edges {
+		for _, eid := range m.stepEdges(at, e.Type, e.Reversed) {
 			if err := m.tick(); err != nil {
 				return err
 			}
 			if m.usedEdge[eid] {
-				continue
-			}
-			if !typed && e.Type != "" && m.edgeTypeOf(eid) != e.Type {
 				continue
 			}
 			next := m.edgeEndpoint(eid, e.Reversed)

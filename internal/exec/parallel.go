@@ -143,12 +143,12 @@ func firstNodeCandidates(g *graph.Graph, patterns []gql.PathPattern) ([]graph.Ve
 // when the query shape or candidate count does not benefit from
 // partitioning, in which case the caller falls through to the
 // sequential path.
-func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, workers int) ([]string, iter.Seq2[Row, error], bool) {
+func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, f *graph.Frozen, workers int) ([]string, iter.Seq2[Row, error], bool) {
 	cands, ok := firstNodeCandidates(ex.G, q.Patterns)
 	if !ok || len(cands) < 2 {
 		return nil, nil, false
 	}
-	if pf := ex.columnPrefilter(q); pf != nil {
+	if pf := ex.columnPrefilter(q, f); pf != nil {
 		// One flat column pass drops candidates whose leftmost WHERE
 		// conjunct is cleanly false before any chunk descends; survivors
 		// still evaluate the full WHERE (idempotent). Filtering the
@@ -211,7 +211,7 @@ func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, 
 				// drain back to empty between candidates, so the
 				// per-matcher state is reusable across chunks without
 				// cross-talk.
-				m := ex.newMatcher(wctx, q)
+				m := ex.newMatcher(wctx, q, f)
 				defer m.flushPropReads(ex.Metrics)
 				for {
 					ci, ok := next()

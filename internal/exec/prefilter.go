@@ -31,9 +31,9 @@ type colPrefilter struct {
 // columnPrefilter derives the prefilter for q, or nil when the shape
 // does not apply. The conditions are deliberately conservative: every
 // skipped candidate must be one the full pipeline would have produced
-// zero rows AND zero errors for.
-func (ex *Executor) columnPrefilter(q *gql.MatchQuery) *colPrefilter {
-	if ex.noColumns || ex.noFrozen || q.Where == nil || len(q.Patterns) == 0 {
+// zero rows AND zero errors for. f is the query's frozen snapshot.
+func (ex *Executor) columnPrefilter(q *gql.MatchQuery, f *graph.Frozen) *colPrefilter {
+	if ex.noColumns || q.Where == nil || len(q.Patterns) == 0 {
 		return nil
 	}
 	// Variable sanity: dropping a candidate suppresses every binding it
@@ -116,7 +116,7 @@ func (ex *Executor) columnPrefilter(q *gql.MatchQuery) *colPrefilter {
 	if pa.Base != first.Var {
 		return nil
 	}
-	col, ok := ex.G.Freeze().Column(first.Type, pa.Key)
+	col, ok := f.Column(first.Type, pa.Key)
 	if !ok {
 		return nil
 	}

@@ -59,12 +59,6 @@ type Executor struct {
 	// prove the two strategies byte-identical.
 	noPartialAgg bool
 
-	// noFrozen forces the matcher onto the append-mode adjacency
-	// (Graph.Out/In with per-edge type filtering) instead of the frozen
-	// CSR view — the A/B switch the frozen-vs-append equivalence suite
-	// and benchmarks use. Results are byte-identical either way.
-	noFrozen bool
-
 	// noColumns pins every property read to the per-vertex map and
 	// disables the column prefilter, leaving the frozen columns unused —
 	// the A/B switch the columnar equivalence suite and benchmarks use.
@@ -215,16 +209,22 @@ func (ex *Executor) observedStream(ctx context.Context, q gql.Query) ([]string, 
 // stream is the single execution core: it resolves a query to its
 // column names and a one-shot row sequence. The sequence yields
 // (row, nil) per result row and terminates after at most one
-// (nil, err). Both Execute and Stream consume it.
+// (nil, err). Both Execute and Stream consume it. A MATCH resolves the
+// graph's frozen snapshot once, here; a declared property holding the
+// wrong kind fails the query with FreezeChecked's error.
 func (ex *Executor) stream(ctx context.Context, q gql.Query) ([]string, iter.Seq2[Row, error], error) {
 	switch q := q.(type) {
 	case *gql.MatchQuery:
+		f, err := ex.G.FreezeChecked()
+		if err != nil {
+			return nil, nil, err
+		}
 		if w := ex.effectiveWorkers(); w > 1 {
-			if cols, body, ok := ex.streamMatchParallel(ctx, q, w); ok {
+			if cols, body, ok := ex.streamMatchParallel(ctx, q, f, w); ok {
 				return cols, body, nil
 			}
 		}
-		return ex.streamMatchSeq(ctx, q)
+		return ex.streamMatchSeq(ctx, q, f)
 	case *gql.SelectQuery:
 		return ex.streamSelect(ctx, q)
 	}
@@ -245,7 +245,7 @@ func returnCols(items []gql.ReturnItem) []string {
 // when aggregates appear (aggregation is blocking: grouped rows stream
 // only after the match completes). This is the semantic reference the
 // parallel path reproduces.
-func (ex *Executor) streamMatchSeq(ctx context.Context, q *gql.MatchQuery) ([]string, iter.Seq2[Row, error], error) {
+func (ex *Executor) streamMatchSeq(ctx context.Context, q *gql.MatchQuery, f *graph.Frozen) ([]string, iter.Seq2[Row, error], error) {
 	cols := returnCols(q.Return)
 	if ex.Prof != nil {
 		ex.Prof.Workers = 1
@@ -254,9 +254,9 @@ func (ex *Executor) streamMatchSeq(ctx context.Context, q *gql.MatchQuery) ([]st
 	body := func(yield func(Row, error) bool) {
 		matchStart := time.Now()
 		agg := newAggregator(q.Return, nil, ex.noColumns)
-		m := ex.newMatcher(ctx, q)
+		m := ex.newMatcher(ctx, q, f)
 		defer m.flushPropReads(ex.Metrics)
-		if pf := ex.columnPrefilter(q); pf != nil {
+		if pf := ex.columnPrefilter(q, f); pf != nil {
 			m.firstCands = pf.filter(ex.G.VerticesOfType(q.Patterns[0].Nodes[0].Type), ex.Metrics)
 		}
 		rows := 0

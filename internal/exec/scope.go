@@ -11,9 +11,9 @@ import (
 // map[string]Value per partition), and mapScope adapts the relational
 // paths (SELECT rows, aggregation representative rows) that genuinely
 // hold maps. prop is part of the interface so each scope decides how a
-// property access reads storage: the matcher routes vertex reads
-// through the frozen columns (and counts hits vs map fallbacks), a
-// noCols scope pins the map path for the A/B equivalence suites.
+// property access reads storage: vertex reads go through the frozen
+// columns (the matcher also counts hits vs map fallbacks), and a noCols
+// scope pins the map path for the columnar equivalence suites.
 type scope interface {
 	// lookup resolves a variable, reporting false when unbound.
 	lookup(name string) (Value, bool)

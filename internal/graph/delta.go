@@ -25,9 +25,9 @@ import (
 // atomic.Pointer, swapped by compaction) and the process-wide counters
 // below, which concurrent query workers do update.
 //
-// SetDeltaOverlay(false) restores the legacy invalidate-on-mutate
-// lifecycle; the equivalence suites in internal/exec pin the overlay
-// byte-identical to that refreeze baseline (see noDelta there).
+// Compaction is the only rebuild. The equivalence suites pin overlay
+// reads against a never-frozen twin graph (the plain Graph accessors)
+// and against a twin that compacts after every mutation.
 
 // Process-wide delta counters, mirroring csrBuilds/CSRBuilds: overlay-
 // resolved reads (a query touched the tail or a merged row), compaction
@@ -266,25 +266,6 @@ func (g *Graph) checkTailProps(vtype string, props Properties) error {
 	return badErr
 }
 
-// SetDeltaOverlay toggles delta-overlay storage for this graph. It is
-// on by default: post-freeze mutations land in the snapshot's tail.
-// Off, every mutation invalidates the cached Frozen (the legacy
-// freeze-after-every-mutation lifecycle), which is the A/B baseline the
-// overlay equivalence suites pin against. Turning it off drops any
-// snapshot that already carries a tail.
-func (g *Graph) SetDeltaOverlay(on bool) {
-	g.noDelta = !on
-	if !on {
-		if f := g.frozen.Load(); f != nil && f.ov != nil {
-			g.frozen.Store(nil)
-		}
-	}
-}
-
-// DeltaOverlayEnabled reports whether post-freeze mutations land in the
-// delta tail (true) or invalidate the cached Frozen (false).
-func (g *Graph) DeltaOverlayEnabled() bool { return !g.noDelta }
-
 // SetCompactionThreshold overrides the tail size (vertices + edges) at
 // which a mutation triggers compaction. n <= 0 restores the default:
 // a quarter of the base size, but at least 256.
@@ -323,8 +304,8 @@ func (g *Graph) maybeCompact(f *Frozen) {
 // swaps it in atomically. A no-op when there is no snapshot or no tail.
 // Tail data cannot fail the rebuild (mutation-time validation), but
 // post-freeze SetProp on a declared property can; in that case the
-// cached snapshot is dropped so the next Freeze surfaces the error the
-// way the legacy lifecycle did.
+// cached snapshot is dropped so the next FreezeChecked surfaces the
+// error.
 func (g *Graph) Compact() error {
 	f := g.frozen.Load()
 	if f == nil || f.ov == nil {

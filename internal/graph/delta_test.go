@@ -7,10 +7,10 @@ import (
 )
 
 // assertFrozenMatchesGraph compares every Frozen accessor against the
-// append-mode accessors of ref, which must hold identical content. It
-// is the overlay correctness oracle: ref is a never-frozen twin, so a
-// merged base+tail read that diverges from insertion-order truth fails
-// here.
+// plain Graph accessors of ref, which must hold identical content. It
+// is the frozen-storage correctness oracle: ref's per-vertex insertion-
+// order slices are the truth, so a CSR row, typed group or merged
+// base+tail read that diverges from them fails here.
 func assertFrozenMatchesGraph(t *testing.T, f *Frozen, ref *Graph) {
 	t.Helper()
 	if f.NumVertices() != ref.NumVertices() || f.NumEdges() != ref.NumEdges() {
@@ -315,40 +315,5 @@ func TestCompactNoops(t *testing.T) {
 	}
 	if g.Compactions() != 0 || g.Freeze() != f {
 		t.Fatal("compacted a tail-less snapshot")
-	}
-}
-
-// TestSetDeltaOverlayDropsTail pins the A/B switch: turning the overlay
-// off drops a snapshot that carries a tail, and subsequent mutations
-// invalidate instead of appending.
-func TestSetDeltaOverlayDropsTail(t *testing.T) {
-	g := NewGraph(nil)
-	a := g.MustAddVertex("V", nil)
-	b := g.MustAddVertex("V", nil)
-	f := g.Freeze()
-	g.MustAddEdge(a, b, "E", nil)
-	if g.CachedFrozen() != f {
-		t.Fatal("overlay mutation dropped the snapshot")
-	}
-	g.SetDeltaOverlay(false)
-	if g.CachedFrozen() != nil {
-		t.Fatal("disabling the overlay kept a tailed snapshot")
-	}
-	if g.DeltaOverlayEnabled() {
-		t.Fatal("DeltaOverlayEnabled after SetDeltaOverlay(false)")
-	}
-	f2 := g.Freeze()
-	g.MustAddEdge(b, a, "E", nil)
-	if g.CachedFrozen() != nil {
-		t.Fatal("noDelta mutation kept the snapshot")
-	}
-	if f2.NumEdges() != 1 {
-		t.Fatalf("noDelta snapshot mutated: |E|=%d", f2.NumEdges())
-	}
-	g.SetDeltaOverlay(true)
-	f3 := g.Freeze()
-	g.MustAddEdge(a, b, "E", nil)
-	if g.CachedFrozen() != f3 {
-		t.Fatal("re-enabled overlay did not append to the snapshot")
 	}
 }

@@ -8,7 +8,7 @@ import (
 // csrBuilds counts CSR index constructions process-wide — the freeze
 // events the metrics snapshot reports. Freeze memoizes, so this counts
 // distinct builds (base graph loads, views landing in a catalog,
-// post-mutation re-freezes), not Freeze calls; concurrent first-freeze
+// compactions), not Freeze calls; concurrent first-freeze
 // races may build twice and count both, which is honest — both builds
 // paid their O(V+E).
 var csrBuilds atomic.Int64
@@ -28,8 +28,7 @@ func CSRBuilds() int64 { return csrBuilds.Load() }
 // structure. All iteration orders are preserved exactly: Out/In return
 // edges in insertion order, OutOfType/InOfType return the insertion-
 // order subsequence of that type, and VerticesOfType matches
-// Graph.VerticesOfType — so an algorithm ported from the append-mode
-// accessors to the frozen ones produces byte-identical results.
+// Graph.VerticesOfType.
 //
 // Freeze memoizes: the first call builds the index in O(V+E) and caches
 // it on the graph; later calls return the cached value (one atomic
@@ -37,12 +36,10 @@ func CSRBuilds() int64 { return csrBuilds.Load() }
 // a delta overlay to the cached view (delta.go): the tail merges behind
 // every accessor here, so the snapshot tracks the live graph without a
 // rebuild, and compaction periodically folds the tail into a fresh base
-// CSR. With the overlay disabled (Graph.SetDeltaOverlay(false)),
-// mutation invalidates the cache instead. A graph still being loaded
-// may be frozen early at no correctness cost — but the intended
-// lifecycle is freeze-after-load: the loader (graph.Load), the catalog
-// (each landed view), and the executor all freeze once and then mostly
-// read.
+// CSR. A graph still being loaded may be frozen early at no correctness
+// cost — but the intended lifecycle is freeze-after-load: the loader
+// (graph.Load), the catalog (each landed view), and the executor all
+// freeze once and then mostly read.
 type Frozen struct {
 	g *Graph
 
@@ -138,8 +135,7 @@ func (g *Graph) FreezeChecked() (*Frozen, error) {
 // CachedFrozen returns the memoized frozen view if one has been built,
 // without building one. Read paths that are only opportunistically
 // columnar (the evaluator's property reads) use this so they never pay
-// an O(V+E) freeze mid-expression — and so an executor configured to
-// avoid Freeze entirely stays off the frozen structures.
+// an O(V+E) freeze mid-expression.
 func (g *Graph) CachedFrozen() *Frozen { return g.frozen.Load() }
 
 func buildFrozen(g *Graph) (*Frozen, error) {

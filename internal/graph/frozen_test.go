@@ -23,106 +23,111 @@ func randomFrozenGraph(t testing.TB, seed int64, nv, ne int) *Graph {
 }
 
 // TestFrozenPreservesAdjacencyOrder proves the CSR rows byte-identical
-// to the append-mode accessors: Out/In match Graph.Out/In exactly, and
-// OutOfType/InOfType are the insertion-order subsequences a per-edge
-// type filter would produce.
+// to the graph's own insertion-order accessors: Out/In match
+// Graph.Out/In exactly, and OutOfType/InOfType are the insertion-order
+// subsequences a per-edge type filter would produce.
 func TestFrozenPreservesAdjacencyOrder(t *testing.T) {
 	g := randomFrozenGraph(t, 1, 200, 1500)
-	f := g.Freeze()
-	if f.NumVertices() != g.NumVertices() || f.NumEdges() != g.NumEdges() {
-		t.Fatalf("sizes: frozen %d/%d, graph %d/%d",
-			f.NumVertices(), f.NumEdges(), g.NumVertices(), g.NumEdges())
+	assertFrozenMatchesGraph(t, g.Freeze(), g)
+}
+
+// twin is a graph under test plus a never-frozen copy receiving the
+// same mutations, the reference for assertFrozenMatchesGraph.
+type twin struct{ g, ref *Graph }
+
+func (tw twin) addVertex(vt string) VertexID {
+	tw.ref.MustAddVertex(vt, nil)
+	return tw.g.MustAddVertex(vt, nil)
+}
+
+func (tw twin) addEdge(from, to VertexID, et string) {
+	tw.g.MustAddEdge(from, to, et, nil)
+	tw.ref.MustAddEdge(from, to, et, nil)
+}
+
+// TestFrozenAccessorShapes runs the accessor oracle over the adjacency
+// shapes the CSR grouping and the overlay's merged runs special-case:
+// a hub row, self-loops, parallel edges between one pair, and a vertex
+// carrying every edge type. Each shape is checked on a fresh freeze,
+// after a mutation burst that extends it through the delta tail (with
+// a tail-only edge type), and after Compact.
+func TestFrozenAccessorShapes(t *testing.T) {
+	baseTypes := []string{"W", "R", "T"}
+	allTypes := []string{"W", "R", "T", "X"} // X: tail-only type
+	shapes := []struct {
+		name string
+		add  func(tw twin, c, p VertexID, n int, etypes []string)
+	}{
+		{"hub", func(tw twin, c, _ VertexID, n int, etypes []string) {
+			// c fans out n edges to a new target every 10 edges, types
+			// cycling, plus one edge back from the last target.
+			var to VertexID
+			for i := 0; i < n; i++ {
+				if i%10 == 0 {
+					to = tw.addVertex("File")
+				}
+				tw.addEdge(c, to, etypes[i%len(etypes)])
+			}
+			tw.addEdge(to, c, "R")
+		}},
+		{"self-loops", func(tw twin, c, _ VertexID, n int, etypes []string) {
+			for i := 0; i < n; i++ {
+				v := c
+				if i%2 == 1 {
+					v = tw.addVertex("Task")
+				}
+				tw.addEdge(v, v, etypes[i%len(etypes)])
+			}
+		}},
+		{"parallel", func(tw twin, c, p VertexID, n int, etypes []string) {
+			for i := 0; i < n; i++ {
+				tw.addEdge(c, p, etypes[i%2])
+				if i%3 == 0 {
+					tw.addEdge(p, c, etypes[len(etypes)-1])
+				}
+			}
+		}},
+		{"every-type", func(tw twin, c, p VertexID, n int, etypes []string) {
+			for i := 0; i < n; i++ {
+				et := etypes[i%len(etypes)]
+				tw.addEdge(c, p, et)
+				tw.addEdge(p, c, et)
+				tw.addEdge(c, c, et)
+			}
+		}},
 	}
-	for v := 0; v < g.NumVertices(); v++ {
-		id := VertexID(v)
-		for _, pair := range []struct {
-			name      string
-			want, got []EdgeID
-			wantDeg   int
-			gotDeg    int
-		}{
-			{"out", g.Out(id), f.Out(id), g.OutDegree(id), f.OutDegree(id)},
-			{"in", g.In(id), f.In(id), g.InDegree(id), f.InDegree(id)},
-		} {
-			if len(pair.want) != len(pair.got) || pair.wantDeg != pair.gotDeg {
-				t.Fatalf("v%d %s: len %d/%d deg %d/%d", v, pair.name,
-					len(pair.got), len(pair.want), pair.gotDeg, pair.wantDeg)
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			tw := twin{NewGraph(nil), NewGraph(nil)}
+			c, p := tw.addVertex("Job"), tw.addVertex("File")
+			sh.add(tw, c, p, 1000, baseTypes)
+			f := tw.g.Freeze()
+			assertFrozenMatchesGraph(t, f, tw.ref)
+
+			sh.add(tw, c, p, 40, allTypes)
+			if tw.g.CachedFrozen() != f {
+				t.Fatal("burst compacted; the tail path went unchecked")
 			}
-			for i := range pair.want {
-				if pair.want[i] != pair.got[i] {
-					t.Fatalf("v%d %s[%d] = %d, want %d", v, pair.name, i, pair.got[i], pair.want[i])
-				}
+			if _, te := f.TailSize(); te == 0 {
+				t.Fatal("burst left no tail")
 			}
-		}
-		// Typed groups == filtered insertion order.
-		for _, et := range []string{"W", "R", "T", "NOPE"} {
-			var want []EdgeID
-			for _, eid := range g.Out(id) {
-				if g.Edge(eid).Type == et {
-					want = append(want, eid)
-				}
+			assertFrozenMatchesGraph(t, f, tw.ref)
+
+			if err := tw.g.Compact(); err != nil {
+				t.Fatal(err)
 			}
-			got := f.OutOfType(id, et)
-			if len(want) != len(got) {
-				t.Fatalf("v%d OutOfType(%s): %d edges, want %d", v, et, len(got), len(want))
+			nf := tw.g.Freeze()
+			if nf == f {
+				t.Fatal("Compact did not swap in a fresh snapshot")
 			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("v%d OutOfType(%s)[%d] = %d, want %d", v, et, i, got[i], want[i])
-				}
-			}
-			var wantIn []EdgeID
-			for _, eid := range g.In(id) {
-				if g.Edge(eid).Type == et {
-					wantIn = append(wantIn, eid)
-				}
-			}
-			gotIn := f.InOfType(id, et)
-			if len(wantIn) != len(gotIn) {
-				t.Fatalf("v%d InOfType(%s): %d edges, want %d", v, et, len(gotIn), len(wantIn))
-			}
-			for i := range wantIn {
-				if wantIn[i] != gotIn[i] {
-					t.Fatalf("v%d InOfType(%s)[%d] = %d, want %d", v, et, i, gotIn[i], wantIn[i])
-				}
-			}
-		}
-	}
-	// Flat endpoint/type arrays match the records.
-	for e := 0; e < g.NumEdges(); e++ {
-		eid := EdgeID(e)
-		ed := g.Edge(eid)
-		if f.From(eid) != ed.From || f.To(eid) != ed.To || f.EdgeTypeOf(eid) != ed.Type {
-			t.Fatalf("edge %d: frozen (%d,%d,%s) != record (%d,%d,%s)",
-				e, f.From(eid), f.To(eid), f.EdgeTypeOf(eid), ed.From, ed.To, ed.Type)
-		}
-	}
-	// Vertex types and the per-type index.
-	for v := 0; v < g.NumVertices(); v++ {
-		if f.VertexTypeOf(VertexID(v)) != g.Vertex(VertexID(v)).Type {
-			t.Fatalf("vertex %d type mismatch", v)
-		}
-	}
-	for _, vt := range append(g.VertexTypes(), "NOPE") {
-		want := g.VerticesOfType(vt)
-		got := f.VerticesOfType(vt)
-		if len(want) != len(got) {
-			t.Fatalf("VerticesOfType(%s): %d, want %d", vt, len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("VerticesOfType(%s)[%d] mismatch", vt, i)
-			}
-		}
+			assertFrozenMatchesGraph(t, nf, tw.ref)
+		})
 	}
 }
 
-// TestFreezeMemoizesAndInvalidates pins both snapshot lifecycles. With
-// the delta overlay (the default), Freeze caches, mutation lands in the
-// cached snapshot's tail (same pointer, live counts), and no rebuild
-// happens. With the overlay disabled, mutation invalidates and refreeze
-// reflects the mutation — the legacy lifecycle the equivalence suites
-// use as their baseline.
+// TestFreezeMemoizesAndInvalidates pins the snapshot lifecycle: Freeze
+// caches, mutation lands in the cached snapshot's tail (same pointer,
+// live counts), and no rebuild happens.
 func TestFreezeMemoizesAndInvalidates(t *testing.T) {
 	t.Run("overlay", func(t *testing.T) {
 		g := NewGraph(nil)
@@ -147,29 +152,6 @@ func TestFreezeMemoizesAndInvalidates(t *testing.T) {
 		}
 		if got := CSRBuilds(); got != builds {
 			t.Fatalf("overlay mutation rebuilt the CSR (%d builds)", got-builds)
-		}
-	})
-	t.Run("noDelta", func(t *testing.T) {
-		g := NewGraph(nil)
-		g.SetDeltaOverlay(false)
-		a := g.MustAddVertex("V", nil)
-		b := g.MustAddVertex("V", nil)
-		g.MustAddEdge(a, b, "E", nil)
-		f1 := g.Freeze()
-		if f2 := g.Freeze(); f1 != f2 {
-			t.Fatal("Freeze did not memoize")
-		}
-		g.MustAddEdge(b, a, "E", nil)
-		f3 := g.Freeze()
-		if f3 == f1 {
-			t.Fatal("mutation did not invalidate the frozen cache")
-		}
-		if f3.NumEdges() != 2 || len(f3.In(a)) != 1 {
-			t.Fatalf("refrozen view stale: |E|=%d, in(a)=%d", f3.NumEdges(), len(f3.In(a)))
-		}
-		// The old view still describes the old state (immutably).
-		if f1.NumEdges() != 1 {
-			t.Fatalf("old frozen view changed: |E|=%d", f1.NumEdges())
 		}
 	})
 }

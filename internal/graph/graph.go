@@ -23,10 +23,8 @@
 // Post-freeze mutations land in the snapshot's delta overlay (delta.go):
 // AddVertex/AddEdge append to a per-type tail merged behind the Frozen
 // accessors, and a compaction threshold folds the tail into a fresh
-// base CSR — queries between mutations never pay an O(V+E) refreeze.
-// SetDeltaOverlay(false) restores the legacy invalidate-on-mutate
-// lifecycle. Either way, mutation must not run concurrently with
-// readers, as ever.
+// base CSR — queries between mutations never pay an O(V+E) rebuild.
+// Mutation must not run concurrently with readers, as ever.
 package graph
 
 import (
@@ -77,16 +75,10 @@ type Graph struct {
 	out      [][]EdgeID // out[v] = edges with From == v, in insertion order
 	in       [][]EdgeID // in[v] = edges with To == v
 	byType   map[string][]VertexID
-	// frozen caches the CSR view built by Freeze. With the delta
-	// overlay enabled (the default), post-freeze mutations land in the
-	// cached view's tail and compaction swaps in a fresh build; with it
-	// disabled (noDelta), any mutation clears the cache.
+	// frozen caches the CSR view built by Freeze. Post-freeze mutations
+	// land in the cached view's tail and compaction swaps in a fresh
+	// build.
 	frozen atomic.Pointer[Frozen]
-	// noDelta disables the delta overlay (delta.go): mutations
-	// invalidate the cached Frozen instead of landing in its tail. The
-	// overlay equivalence suites pin overlay results against this
-	// refreeze baseline.
-	noDelta bool
 	// compactAt overrides the tail-size compaction threshold (<= 0:
 	// default, see compactionThreshold).
 	compactAt int
@@ -117,7 +109,7 @@ func (g *Graph) AddVertex(vtype string, props Properties) (VertexID, error) {
 		return NoVertex, fmt.Errorf("graph: vertex type %q not in schema", vtype)
 	}
 	f := g.frozen.Load()
-	if f != nil && !g.noDelta {
+	if f != nil {
 		// Overlay-bound vertex: validate declared properties before
 		// mutating anything, so compaction can never fail on tail data
 		// (delta.go).
@@ -134,12 +126,8 @@ func (g *Graph) AddVertex(vtype string, props Properties) (VertexID, error) {
 	}
 	g.byType[vtype] = append(g.byType[vtype], id)
 	if f != nil {
-		if g.noDelta {
-			g.frozen.Store(nil)
-		} else {
-			f.overlayAddVertex(id)
-			g.maybeCompact(f)
-		}
+		f.overlayAddVertex(id)
+		g.maybeCompact(f)
 	}
 	return id, nil
 }
@@ -175,12 +163,8 @@ func (g *Graph) AddEdge(from, to VertexID, etype string, props Properties) (Edge
 	g.out[from] = append(g.out[from], id)
 	g.in[to] = append(g.in[to], id)
 	if f := g.frozen.Load(); f != nil {
-		if g.noDelta {
-			g.frozen.Store(nil)
-		} else {
-			f.overlayAddEdge(id)
-			g.maybeCompact(f)
-		}
+		f.overlayAddEdge(id)
+		g.maybeCompact(f)
 	}
 	return id, nil
 }

@@ -105,10 +105,11 @@
 // New freezes the base graph, LoadGraph freezes what it loads, and
 // every view landed in the catalog is frozen before it becomes
 // visible — and is memoized, so it costs one O(V+E) build per graph.
-// The frozen view preserves every iteration order, so results are
-// byte-identical to the append-mode accessors; Explain reports the
-// storage line of the plan's graph. Graphs must not be mutated after
-// freezing (the read-only-after-load contract, unchanged).
+// The frozen view preserves every iteration order of the graph it was
+// built from; Explain reports the storage line of the plan's graph. A
+// mutation after freezing lands in a delta tail merged behind the same
+// accessors, and compaction folds the tail into a fresh base. Mutation
+// must not run concurrently with queries.
 //
 // # Parallel execution
 //
