@@ -117,19 +117,3 @@ func (p *PreparedQuery) Plan() (*workload.Plan, error) {
 	_, plan, err := p.resolve(nil)
 	return plan, err
 }
-
-// AggMode reports the aggregation execution strategy the next execution
-// would use (rewriting first if the cached plan is stale): none for
-// pure projections, partial when every accumulator is order-insensitive
-// and merges per partition, buffered when an observable fold order
-// (float SUM, AVG) forces the parallel path to replay yields in
-// sequential order. The mode is a plan property — rewriting over a view
-// can change the query shape, so it is derived from the current plan,
-// not the prepared source.
-func (p *PreparedQuery) AggMode() (exec.AggMode, error) {
-	_, plan, err := p.resolve(nil)
-	if err != nil {
-		return exec.AggModeNone, err
-	}
-	return exec.QueryAggModeFor(plan.Query, plan.Graph.Schema()), nil
-}

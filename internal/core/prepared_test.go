@@ -173,34 +173,6 @@ func TestPreparedReplansAfterDropView(t *testing.T) {
 	}
 }
 
-// TestPreparedAggMode: the statement surfaces its plan's aggregation
-// strategy — the blast-radius workload bottoms out in a pure-projection
-// MATCH, while ad-hoc aggregate shapes report partial or buffered.
-func TestPreparedAggMode(t *testing.T) {
-	sys := testSystem(t)
-	cases := []struct {
-		src  string
-		want exec.AggMode
-	}{
-		{`MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j, f`, exec.AggModeNone},
-		{`MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j AS job, COUNT(f) AS n`, exec.AggModePartial},
-		{`MATCH (j:Job) RETURN AVG(j.CPU) AS a`, exec.AggModeBuffered},
-	}
-	for _, tc := range cases {
-		p, err := sys.Prepare(tc.src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mode, err := p.AggMode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mode != tc.want {
-			t.Errorf("AggMode(%q) = %v, want %v", tc.src, mode, tc.want)
-		}
-	}
-}
-
 // TestPreparedQueryOptions: per-execution options override prepare-time
 // defaults, which override System fields.
 func TestPreparedQueryOptions(t *testing.T) {

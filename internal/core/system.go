@@ -280,7 +280,7 @@ func (s *System) explainAnalyze(ctx context.Context, q gql.Query, label string, 
 	}
 	var b strings.Builder
 	b.WriteString(s.explainText(plan))
-	fmt.Fprintf(&b, "execution: workers=%d, agg mode=%s\n", ex.Prof.Workers, ex.Prof.Mode)
+	fmt.Fprintf(&b, "execution: workers=%d\n", ex.Prof.Workers)
 	b.WriteString(ex.Prof.String())
 	return b.String(), nil
 }
@@ -312,9 +312,6 @@ func (s *System) explainText(plan *workload.Plan) string {
 	if tv, te := fz.TailSize(); tv+te > 0 {
 		fmt.Fprintf(&b, "delta: overlay tail %d vertices, %d edges (compactions=%d)\n",
 			tv, te, plan.Graph.Compactions())
-	}
-	if mode := exec.QueryAggModeFor(plan.Query, plan.Graph.Schema()); mode != exec.AggModeNone {
-		fmt.Fprintf(&b, "aggregation: %s\n", mode)
 	}
 	fmt.Fprintf(&b, "query: %s\n", plan.Query.String())
 	return b.String()

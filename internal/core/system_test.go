@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -110,17 +111,13 @@ func TestSystemExplain(t *testing.T) {
 	if !strings.Contains(out, "columns=") {
 		t.Errorf("explain storage line missing column stats: %s", out)
 	}
-	// blastRadius bottoms out in a pure-projection MATCH, so no
-	// aggregation line; an aggregate query names its strategy.
-	if strings.Contains(out, "aggregation:") {
-		t.Errorf("explain printed an aggregation mode for a projection: %s", out)
-	}
-	out, err = sys.Explain(`MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j AS job, COUNT(f) AS n`)
+	// EXPLAIN ANALYZE reports the worker count it executed with.
+	out, err = sys.ExplainAnalyze(context.Background(), `MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j AS job, COUNT(f) AS n`, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "aggregation: partial") {
-		t.Errorf("explain missing partial aggregation mode: %s", out)
+	if !strings.Contains(out, "execution: workers=2\n") {
+		t.Errorf("explain analyze missing execution line: %s", out)
 	}
 }
 

@@ -111,8 +111,7 @@ func ProvSchema() *graph.Schema {
 		},
 	)
 	// Declared property kinds match what Prov generates exactly; the
-	// declarations both license integer partial aggregation at plan time
-	// and opt these properties into frozen columnar storage.
+	// declarations opt these properties into frozen columnar storage.
 	for _, d := range []struct {
 		typ, prop string
 		kind      graph.PropKind

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"kaskade/internal/gql"
-	"kaskade/internal/graph"
 )
 
 // aggregator implements grouped aggregation for both SELECT ... GROUP BY
@@ -23,8 +22,6 @@ type aggregator struct {
 	// feed-path scratch. feed is goroutine-confined (each chunk owns its
 	// aggregator; the sequential path has one), so the per-row key and
 	// argument slices are reused across rows instead of reallocated.
-	// prepare, by contrast, runs concurrently on the SHARED merge-target
-	// aggregator from buffered-mode workers and must keep allocating.
 	keyBuf []Value
 	argBuf []Value
 }
@@ -62,173 +59,6 @@ func newAggregator(items []gql.ReturnItem, groupBy []gql.Expr, noCols bool) *agg
 	return a
 }
 
-// AggMode is the aggregation execution strategy the executor selects at
-// plan time by inspecting a query's RETURN items (see QueryAggMode).
-type AggMode int
-
-const (
-	// AggModeNone: pure projection, no aggregation. The parallel path
-	// streams each chunk's row prefix eagerly as it is produced.
-	AggModeNone AggMode = iota
-	// AggModeBuffered: at least one accumulator's fold order is
-	// observable (float SUM, AVG), so the parallel path buffers each
-	// chunk's prepared yields and folds them at merge time, in exactly
-	// the sequential feed order — byte-identical float accumulation at
-	// the cost of materializing every yield.
-	AggModeBuffered
-	// AggModePartial: every accumulator is order-insensitive
-	// (COUNT/COUNT(*), MIN, MAX, integer SUM), so each chunk runs its
-	// own partial accumulators and the merge combines per-chunk states
-	// in partition order — no yield buffer, same bytes.
-	AggModePartial
-)
-
-// String names the mode for Explain-style display.
-func (m AggMode) String() string {
-	switch m {
-	case AggModeBuffered:
-		return "buffered"
-	case AggModePartial:
-		return "partial"
-	}
-	return "none"
-}
-
-// typeEnv is the static type context a MATCH block gives its RETURN
-// expressions: the graph's schema (property kind declarations) and the
-// type label each pattern variable is constrained to. It is what lets
-// intTyped prove SUM(j.CPU) integer-valued when the schema declares
-// Job.CPU as PropInt. A nil *typeEnv is valid and proves nothing —
-// the conservative pre-schema behavior.
-type typeEnv struct {
-	schema *graph.Schema
-	vars   map[string]string // pattern variable -> vertex/edge type label
-}
-
-// newTypeEnv derives the type context from a MATCH block's patterns:
-// node variables with an explicit type label, and single-edge variables
-// with an explicit edge type. A variable appearing with conflicting
-// labels (the match would be empty anyway) is dropped. Variable-length
-// path variables bind PathRefs, not elements, so they carry no type.
-func newTypeEnv(schema *graph.Schema, patterns []gql.PathPattern) *typeEnv {
-	if schema == nil {
-		return nil
-	}
-	vars := make(map[string]string)
-	conflict := make(map[string]bool)
-	note := func(name, label string) {
-		if name == "" || label == "" || conflict[name] {
-			return
-		}
-		if prev, ok := vars[name]; ok && prev != label {
-			delete(vars, name)
-			conflict[name] = true
-			return
-		}
-		vars[name] = label
-	}
-	for _, pat := range patterns {
-		for _, n := range pat.Nodes {
-			note(n.Var, n.Type)
-		}
-		for _, e := range pat.Edges {
-			if !e.VarLength {
-				note(e.Var, e.Type)
-			}
-		}
-	}
-	return &typeEnv{schema: schema, vars: vars}
-}
-
-// propKind resolves the declared kind of varName.prop, when the
-// variable's type label is known and the schema declares the property.
-func (te *typeEnv) propKind(varName, prop string) (graph.PropKind, bool) {
-	if te == nil {
-		return 0, false
-	}
-	label, ok := te.vars[varName]
-	if !ok {
-		return 0, false
-	}
-	return te.schema.PropertyKind(label, prop)
-}
-
-// aggModeOf classifies a RETURN item list. Partial merging requires
-// every aggregate to be insensitive to fold order: COUNT and MIN/MAX
-// always are (integer addition is associative; MIN/MAX keep the
-// first-seen best on ties, which partition-order merging preserves,
-// and ignore NaN outright — see minMaxAcc.add — so float ties are
-// genuine ties), SUM only when its argument provably folds in
-// integers, and AVG never (its sum accumulates in float64). te widens
-// the provably-integer class with schema property declarations.
-func aggModeOf(items []gql.ReturnItem, te *typeEnv) AggMode {
-	var aggNodes []*gql.FuncCall
-	for _, item := range items {
-		aggNodes = append(aggNodes, collectAggregates(item.Expr)...)
-	}
-	if len(aggNodes) == 0 {
-		return AggModeNone
-	}
-	for _, node := range aggNodes {
-		switch node.Name {
-		case "COUNT", "MIN", "MAX":
-		case "SUM":
-			if node.Star || len(node.Args) != 1 || !intTyped(node.Args[0], te) {
-				return AggModeBuffered
-			}
-		default: // AVG, and anything newAccumulator would reject
-			return AggModeBuffered
-		}
-	}
-	return AggModePartial
-}
-
-// intTyped reports whether e provably evaluates to int64 (or nil, which
-// accumulators skip) on every environment where it evaluates at all —
-// the static check that licenses partial SUM merging. Property accesses
-// are untyped in the data model unless the schema declares the property
-// (Schema.DeclareProperty) for the variable's type label; undeclared
-// accesses stay on the buffered path. A declaration is trusted at plan
-// time; if the stored values then contradict it (float64 under a
-// PropInt declaration), the partial merge fails loudly (sumAcc.merge)
-// rather than silently producing worker-count-dependent float folds.
-func intTyped(e gql.Expr, te *typeEnv) bool {
-	switch e := e.(type) {
-	case *gql.Lit:
-		_, ok := e.Value.(int64)
-		return ok
-	case *gql.PropAccess:
-		k, ok := te.propKind(e.Base, e.Key)
-		return ok && k == graph.PropInt
-	case *gql.UnaryExpr:
-		return e.Op == "-" && intTyped(e.Operand, te)
-	case *gql.BinaryExpr:
-		// Integer division can promote to float (7/2), so only + - *.
-		switch e.Op {
-		case "+", "-", "*":
-			return intTyped(e.Left, te) && intTyped(e.Right, te)
-		}
-		return false
-	case *gql.FuncCall:
-		switch e.Name {
-		case "ID", "LENGTH":
-			// Always int64 (or an error, which aborts either path).
-			return true
-		case "ABS":
-			return len(e.Args) == 1 && intTyped(e.Args[0], te)
-		case "COALESCE":
-			for _, a := range e.Args {
-				if !intTyped(a, te) {
-					return false
-				}
-			}
-			return len(e.Args) > 0
-		}
-		return false
-	}
-	return false
-}
-
 func collectAggregates(e gql.Expr) []*gql.FuncCall {
 	switch e := e.(type) {
 	case *gql.FuncCall:
@@ -248,15 +78,6 @@ func collectAggregates(e gql.Expr) []*gql.FuncCall {
 	return nil
 }
 
-// prepared holds one input row's evaluated aggregation inputs: the
-// group key and the aggregate argument values. Evaluating these is the
-// per-row work, so the parallel matcher runs prepare on its workers and
-// defers only the (order-sensitive) accumulation to the merge phase.
-type prepared struct {
-	key  string
-	args []Value // aligned with aggNodes; nil slots for COUNT(*)
-}
-
 // evalKey evaluates the grouping key expressions into buf and encodes
 // the group key. buf must have len(a.keyExprs).
 func (a *aggregator) evalKey(sc scope, buf []Value) (string, error) {
@@ -273,9 +94,8 @@ func (a *aggregator) evalKey(sc scope, buf []Value) (string, error) {
 // evalArgs evaluates the aggregate arguments into buf (len ==
 // len(a.aggNodes); nil slots for COUNT(*)). Arguments of every
 // aggregate except COUNT can be retained by the accumulator
-// (minMaxAcc keeps its best value; buffered yields hold them until the
-// merge), so they are exported here — COUNT only nil-checks its
-// argument and skips the copy.
+// (minMaxAcc keeps its best value), so they are exported here — COUNT
+// only nil-checks its argument and skips the copy.
 func (a *aggregator) evalArgs(sc scope, buf []Value) error {
 	for i, node := range a.aggNodes {
 		if node.Star {
@@ -297,63 +117,12 @@ func (a *aggregator) evalArgs(sc scope, buf []Value) error {
 	return nil
 }
 
-// prepare evaluates a row's grouping key and aggregate arguments. It
-// only reads the aggregator's immutable shape (items, keyExprs,
-// aggNodes), so concurrent calls are safe — which is also why it
-// allocates fresh slices instead of using the feed-path scratch:
-// buffered-mode workers call prepare on the shared merge-target
-// aggregator.
-func (a *aggregator) prepare(sc scope) (prepared, error) {
-	keyVals := make([]Value, len(a.keyExprs))
-	key, err := a.evalKey(sc, keyVals)
-	if err != nil {
-		return prepared{}, err
-	}
-	p := prepared{key: key}
-	if len(a.aggNodes) > 0 {
-		p.args = make([]Value, len(a.aggNodes))
-		if err := a.evalArgs(sc, p.args); err != nil {
-			return prepared{}, err
-		}
-	}
-	return p, nil
-}
-
-// route feeds one evaluated row (group key + aggregate arguments) into
-// its group, materializing the group on first sight with rep() as its
-// representative row. Calls mutate the group table and must stay on
-// one goroutine.
-func (a *aggregator) route(key string, args []Value, rep func() map[string]Value) error {
-	g, ok := a.groups[key]
-	if !ok {
-		g = &aggGroup{repEnv: rep(), accs: make([]accumulator, len(a.aggNodes))}
-		for i, node := range a.aggNodes {
-			g.accs[i] = newAccumulator(node.Name)
-		}
-		a.groups[key] = g
-		a.order = append(a.order, key)
-	}
-	for i, node := range a.aggNodes {
-		var v Value
-		if args != nil {
-			v = args[i]
-		}
-		if err := g.accs[i].add(v, node.Star); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// feedPrepared routes prepared inputs into their group.
-func (a *aggregator) feedPrepared(p prepared, rep func() map[string]Value) error {
-	return a.route(p.key, p.args, rep)
-}
-
-// feed routes one input row (as a scope) into its group. feed is
-// goroutine-confined, so it evaluates into the reusable scratch
-// buffers — the accumulators consume argument values immediately
-// (retained ones were exported by evalArgs), never the slice itself.
+// feed routes one input row (as a scope) into its group, materializing
+// the group on first sight with the row's bindings as its
+// representative. feed is goroutine-confined, so it evaluates into the
+// reusable scratch buffers — the accumulators consume argument values
+// immediately (retained ones were exported by evalArgs), never the
+// slice itself.
 func (a *aggregator) feed(sc scope) error {
 	key, err := a.evalKey(sc, a.keyBuf)
 	if err != nil {
@@ -362,17 +131,31 @@ func (a *aggregator) feed(sc scope) error {
 	if err := a.evalArgs(sc, a.argBuf); err != nil {
 		return err
 	}
-	return a.route(key, a.argBuf, sc.snapshot)
+	g, ok := a.groups[key]
+	if !ok {
+		g = &aggGroup{repEnv: sc.snapshot(), accs: make([]accumulator, len(a.aggNodes))}
+		for i, node := range a.aggNodes {
+			g.accs[i] = newAccumulator(node.Name)
+		}
+		a.groups[key] = g
+		a.order = append(a.order, key)
+	}
+	for i, node := range a.aggNodes {
+		if err := g.accs[i].add(a.argBuf[i], node.Star); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // mergeFrom folds a chunk-local aggregator of the same shape into a, in
 // the chunk's first-seen group order. A group unseen by a is adopted
 // wholesale (its representative row was the chunk's first — and, since
 // no earlier partition saw the key, the global first); a known group
-// merges accumulator states pairwise. Calling mergeFrom chunk by chunk
-// in partition order reproduces the sequential path's group order and,
-// for order-insensitive accumulators, its exact values. b must not be
-// used afterwards.
+// merges accumulator states pairwise. Every accumulator's merge is
+// exact and associative, so calling mergeFrom chunk by chunk in
+// partition order reproduces the sequential path's group order and
+// values. b must not be used afterwards.
 func (a *aggregator) mergeFrom(b *aggregator) error {
 	for _, key := range b.order {
 		bg := b.groups[key]
@@ -383,12 +166,7 @@ func (a *aggregator) mergeFrom(b *aggregator) error {
 			continue
 		}
 		for i := range g.accs {
-			m, ok := g.accs[i].(mergeable)
-			if !ok {
-				// Unreachable when the plan selected AggModePartial.
-				return fmt.Errorf("exec: %T cannot merge partial states", g.accs[i])
-			}
-			if err := m.merge(bg.accs[i]); err != nil {
+			if err := g.accs[i].merge(bg.accs[i]); err != nil {
 				return err
 			}
 		}
@@ -498,22 +276,18 @@ func evalWithAggs(e gql.Expr, sc scope, aggVals map[*gql.FuncCall]Value) (Value,
 
 // --- accumulators ---
 
+// accumulator folds one aggregate's inputs. Every fold is associative
+// and exact, so per-chunk partial states combined by merge in partition
+// order yield the same bytes as one sequential fold: COUNT (integer
+// addition), MIN/MAX (comparison keeps the earlier partition's value on
+// ties, matching the sequential first-seen-wins rule), and SUM/AVG (an
+// exact running sum, see exactSum). merge's argument is always the same
+// concrete type as the receiver — both were built by newAccumulator for
+// the same aggregate node.
 type accumulator interface {
 	add(v Value, star bool) error
-	result() Value
-}
-
-// mergeable is implemented by accumulators whose fold is associative,
-// so per-chunk partial states combined in partition order yield the
-// same bytes as one sequential fold: COUNT (integer addition), MIN/MAX
-// (comparison keeps the earlier partition's value on ties, matching the
-// sequential first-seen-wins rule), and SUM while it stays in integers
-// (the plan-time AggModePartial check guarantees it does). other is
-// always the same concrete type as the receiver — both were built by
-// newAccumulator for the same aggregate node.
-type mergeable interface {
-	accumulator
 	merge(other accumulator) error
+	result() Value
 }
 
 func newAccumulator(name string) accumulator {
@@ -547,88 +321,52 @@ func (a *countAcc) merge(o accumulator) error {
 	return nil
 }
 
-type sumAcc struct {
-	isFloat bool
-	i       int64
-	f       float64
-	seen    bool
-}
+// sumAcc is SUM: int64 while every input is int64 (wrapping like int64
+// addition), otherwise the correctly rounded exact sum.
+type sumAcc struct{ s exactSum }
 
 func (a *sumAcc) add(v Value, _ bool) error {
-	switch v := v.(type) {
-	case nil:
-		return nil
-	case int64:
-		a.seen = true
-		if a.isFloat {
-			a.f += float64(v)
-		} else {
-			a.i += v
-		}
-	case float64:
-		a.seen = true
-		if !a.isFloat {
-			a.isFloat = true
-			a.f = float64(a.i)
-		}
-		a.f += v
-	default:
+	if v != nil && !a.s.add(v) {
 		return fmt.Errorf("exec: SUM over %T", v)
 	}
 	return nil
 }
 
-func (a *sumAcc) result() Value {
-	if !a.seen {
-		return nil
-	}
-	if a.isFloat {
-		return a.f
-	}
-	return a.i
-}
-
 func (a *sumAcc) merge(o accumulator) error {
-	b := o.(*sumAcc)
-	if !b.seen {
-		return nil
-	}
-	if b.isFloat {
-		// merge only runs on the partial path, which the planner selects
-		// only after proving the argument folds in integers — so a float
-		// here means the proof was wrong, i.e. a schema property
-		// declaration (Schema.DeclareProperty(..., PropInt)) lied about
-		// the stored values. Folding partial float sums would silently
-		// produce worker-count-dependent bits; fail loudly instead so
-		// the mis-declaration is found.
-		return fmt.Errorf("exec: SUM argument declared integer (schema PropInt) produced float64 values; fix the property declaration")
-	}
-	return a.add(b.i, false)
+	a.s.merge(&o.(*sumAcc).s)
+	return nil
 }
 
-type avgAcc struct {
-	sum float64
-	n   int64
+func (a *sumAcc) result() Value {
+	switch {
+	case a.s.n == 0:
+		return nil
+	case a.s.fl == nil:
+		return int64(a.s.lo)
+	}
+	return a.s.float()
 }
+
+// avgAcc is AVG: the correctly rounded exact sum divided by the count.
+type avgAcc struct{ s exactSum }
 
 func (a *avgAcc) add(v Value, _ bool) error {
-	f, ok := toFloat(v)
-	if v == nil {
-		return nil
-	}
-	if !ok {
+	if v != nil && !a.s.add(v) {
 		return fmt.Errorf("exec: AVG over %T", v)
 	}
-	a.sum += f
-	a.n++
+	return nil
+}
+
+func (a *avgAcc) merge(o accumulator) error {
+	a.s.merge(&o.(*avgAcc).s)
 	return nil
 }
 
 func (a *avgAcc) result() Value {
-	if a.n == 0 {
+	if a.s.n == 0 {
 		return nil
 	}
-	return a.sum / float64(a.n)
+	return a.s.float() / float64(a.s.n)
 }
 
 type minMaxAcc struct {

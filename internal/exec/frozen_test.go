@@ -52,49 +52,9 @@ func declaredSchema(t *testing.T) *graph.Schema {
 	return s
 }
 
-// TestAggModeSchemaDeclaredProperty pins the ROADMAP item: SUM over a
-// property is unprovable without type information and buffers, but a
-// schema declaration (Job.CPU is PropInt) licenses the
-// partial-aggregation path — and only for matching variables and
-// properties.
-func TestAggModeSchemaDeclaredProperty(t *testing.T) {
-	sumCPU := mustParse(t, `MATCH (j:Job) RETURN SUM(j.CPU) AS total`)
-	// Without a schema, property SUM is unprovable: buffered.
-	if got := QueryAggModeFor(sumCPU, nil); got != AggModeBuffered {
-		t.Errorf("no schema: mode = %v, want buffered", got)
-	}
-	s := declaredSchema(t)
-	cases := []struct {
-		src  string
-		want AggMode
-	}{
-		// The declaration proves integer SUM: partial.
-		{`MATCH (j:Job) RETURN SUM(j.CPU) AS total`, AggModePartial},
-		// Composed integer arithmetic over the declared property.
-		{`MATCH (j:Job) RETURN SUM(j.CPU * 2 + 1) AS total`, AggModePartial},
-		// Undeclared property on the same variable: buffered.
-		{`MATCH (j:Job) RETURN SUM(j.mem) AS total`, AggModeBuffered},
-		// Untyped variable (no label in the pattern): buffered.
-		{`MATCH (j) RETURN SUM(j.CPU) AS total`, AggModeBuffered},
-		// AVG stays buffered regardless of declarations.
-		{`MATCH (j:Job) RETURN AVG(j.CPU) AS a`, AggModeBuffered},
-	}
-	for _, tc := range cases {
-		if got := QueryAggModeFor(mustParse(t, tc.src), s); got != tc.want {
-			t.Errorf("%q: mode = %v, want %v", tc.src, got, tc.want)
-		}
-	}
-	// A float declaration must not license partial.
-	if err := s.DeclareProperty("Job", "load", graph.PropFloat); err != nil {
-		t.Fatal(err)
-	}
-	if got := QueryAggModeFor(mustParse(t, `MATCH (j:Job) RETURN SUM(j.load) AS l`), s); got != AggModeBuffered {
-		t.Errorf("float-declared property: mode = %v, want buffered", got)
-	}
-}
-
-// TestDeclaredPropertyPartialEquivalence proves the schema-widened
-// partial path byte-identical to buffered and sequential on real data.
+// TestDeclaredPropertyPartialEquivalence proves SUM over a declared
+// (columnar) property byte-identical between sequential and parallel
+// execution on real data.
 func TestDeclaredPropertyPartialEquivalence(t *testing.T) {
 	s := declaredSchema(t)
 	g := graph.NewGraph(s)
@@ -107,20 +67,9 @@ func TestDeclaredPropertyPartialEquivalence(t *testing.T) {
 		}
 	}
 	src := `MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN SUM(j.CPU) AS total`
-	q := mustParse(t, src)
-	if got := QueryAggModeFor(q, g.Schema()); got != AggModePartial {
-		t.Fatalf("mode = %v, want partial", got)
-	}
 	seq := runWorkers(t, g, src, 1)
 	for _, workers := range []int{2, 4} {
-		// Partial (default) and buffered (noPartialAgg) must both match.
 		assertSameResult(t, src, seq, runWorkers(t, g, src, workers), workers)
-		ex := &Executor{G: g, Workers: workers, noPartialAgg: true}
-		res, err := ex.Execute(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResult(t, src, seq, res, workers)
 	}
 }
 
@@ -130,8 +79,6 @@ func TestDeclaredPropertyPartialEquivalence(t *testing.T) {
 // validates every stored value against its declaration, and a MATCH
 // resolves its snapshot through FreezeChecked, so the query returns
 // the declared-kind error — at any worker count, without panicking.
-// (The partial SUM merge's own backstop is pinned directly by
-// TestSumMergeRejectsFloatPartial.)
 func TestMisdeclaredPropertyFailsLoudly(t *testing.T) {
 	s := declaredSchema(t)
 	g := graph.NewGraph(s)
@@ -145,31 +92,11 @@ func TestMisdeclaredPropertyFailsLoudly(t *testing.T) {
 		t.Fatalf("FreezeChecked err = %v, want declared-kind violation", err)
 	}
 	q := mustParse(t, `MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN SUM(j.CPU) AS total`)
-	if got := QueryAggModeFor(q, g.Schema()); got != AggModePartial {
-		t.Fatalf("mode = %v, want partial (declaration trusted at plan time)", got)
-	}
 	for _, workers := range []int{1, 4} {
 		ex := &Executor{G: g, Workers: workers}
 		if _, err := ex.Execute(q); err == nil || !strings.Contains(err.Error(), "declared int, holds float64") {
 			t.Fatalf("workers=%d: err = %v, want declared-kind violation", workers, err)
 		}
-	}
-}
-
-// TestSumMergeRejectsFloatPartial pins the partial SUM merge backstop:
-// the planner only merges SUM states it proved integer, so a float
-// partial state means a lying declaration, and the merge fails instead
-// of folding floats in chunk order.
-func TestSumMergeRejectsFloatPartial(t *testing.T) {
-	acc, part := &sumAcc{}, &sumAcc{}
-	if err := acc.add(int64(2), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := part.add(1.5, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := acc.merge(part); err == nil || !strings.Contains(err.Error(), "declared integer") {
-		t.Fatalf("merge err = %v, want declared-integer error", err)
 	}
 }
 

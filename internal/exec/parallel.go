@@ -23,24 +23,19 @@ import (
 // behavior are identical to the sequential path: workers=N is a pure
 // speedup, never a semantic change.
 //
-// How a chunk's yields travel to the merge depends on the query's
-// aggregation mode, chosen at plan time from the RETURN items
-// (aggModeOf):
+// How a chunk's yields travel to the merge depends on whether the
+// RETURN items aggregate:
 //
-//   - AggModeNone (pure projection): workers publish each projected row
-//     as it is produced, and the merge streams the front partition's
-//     prefix while the chunk is still matching — a streaming consumer
-//     sees chunk 0's first row long before chunk 0 (or the full binding
+//   - Pure projection: workers publish each projected row as it is
+//     produced, and the merge streams the front partition's prefix
+//     while the chunk is still matching — a streaming consumer sees
+//     chunk 0's first row long before chunk 0 (or the full binding
 //     space) completes.
-//   - AggModePartial (COUNT/MIN/MAX/integer SUM): each chunk feeds its
-//     own partial accumulators, and the merge combines per-chunk states
-//     in partition order. Order-insensitive folds make the combined
-//     result byte-identical to the sequential feed, with no per-yield
-//     buffer at all.
-//   - AggModeBuffered (float SUM, AVG — observable fold order): workers
-//     buffer prepared yields (group key + evaluated aggregate
-//     arguments) and the merge replays them in sequential order, so
-//     even float accumulation order matches the sequential path.
+//   - Aggregation: each chunk feeds its own partial accumulators, and
+//     the merge combines per-chunk states in partition order. Every
+//     accumulator merges exactly (SUM and AVG keep an exact running
+//     sum), so the combined result is byte-identical to the sequential
+//     feed, with no per-yield buffer at all.
 //
 // Cancellation flows through three layers — the pool stops handing out
 // chunks (par.DoContext), each in-flight matcher polls the context
@@ -58,40 +53,29 @@ import (
 // in a few candidates.
 const chunkTarget = 16
 
-// aggYield is one buffered-mode yield: the worker-evaluated group key
-// and aggregate arguments, plus — only for the first occurrence of a
-// group key within the chunk — a copy of the bindings, in case the
-// merge phase discovers this yield opens a new group and needs its
-// representative row.
-type aggYield struct {
-	p   prepared
-	env map[string]Value
-}
-
-// matchChunk holds one partition's yields. Exactly one of rows/aggs/agg
-// is populated, by aggregation mode: projected rows (AggModeNone),
-// buffered prepared inputs (AggModeBuffered), or a chunk-local partial
-// aggregator (AggModePartial). yields counts yield *events*, which can
-// exceed the recorded entries by one when the last yield's evaluation
-// errored — the merge phase needs the event position to reproduce the
-// sequential path's check-limit-then-evaluate order.
+// matchChunk holds one partition's yields: projected rows for a pure
+// projection, or a chunk-local partial aggregator (agg) for an
+// aggregate query. yields counts yield *events*, which can exceed the
+// recorded rows by one when the last yield's evaluation errored — the
+// merge phase needs the event position to reproduce the sequential
+// path's check-limit-then-evaluate order.
 //
-// In AggModeNone the worker publishes rows under mu and nudges wake, so
-// the merge can stream the chunk's row prefix while the chunk is still
-// matching — but only while the chunk is the merge *front* (the atomic
-// front index): rows of chunks the merge has not reached yet buffer
-// lock-free in the worker and flush when the front arrives or the chunk
-// completes, so trailing chunks pay no per-row synchronization. The
-// aggregation modes write the fields unlocked and publish once, at
-// chunk completion (the done flag is always set under mu, which orders
-// those writes before the merge's reads). err is the chunk's terminal
-// error, written by the claim loop before its completion hook runs.
+// For a projection the worker publishes rows under mu and nudges wake,
+// so the merge can stream the chunk's row prefix while the chunk is
+// still matching — but only while the chunk is the merge *front* (the
+// atomic front index): rows of chunks the merge has not reached yet
+// buffer lock-free in the worker and flush when the front arrives or
+// the chunk completes, so trailing chunks pay no per-row
+// synchronization. An aggregating chunk writes its fields unlocked and
+// publishes once, at chunk completion (the done flag is always set
+// under mu, which orders those writes before the merge's reads). err is
+// the chunk's terminal error, written by the claim loop before its
+// completion hook runs.
 type matchChunk struct {
 	mu     sync.Mutex
 	wake   chan struct{} // cap 1; nudged on publish and completion
 	yields int
 	rows   []Row
-	aggs   []aggYield
 	agg    *aggregator
 	done   bool
 	err    error
@@ -163,11 +147,6 @@ func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, 
 		workers = len(cands)
 	}
 
-	mode := aggModeOf(q.Return, newTypeEnv(ex.G.Schema(), q.Patterns))
-	if mode == AggModePartial && ex.noPartialAgg {
-		mode = AggModeBuffered
-	}
-
 	// Contiguous chunks in candidate order; concatenating chunk results
 	// in chunk-index order reproduces the sequential enumeration.
 	chunkSize, numChunks := par.Chunks(len(cands), workers, chunkTarget)
@@ -175,7 +154,6 @@ func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, 
 	cols := returnCols(q.Return)
 	if ex.Prof != nil {
 		ex.Prof.Workers = workers
-		ex.Prof.Mode = mode
 	}
 	body := func(yield func(Row, error) bool) {
 		matchStart := time.Now()
@@ -190,15 +168,11 @@ func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, 
 		for i := range chunks {
 			chunks[i].wake = make(chan struct{}, 1)
 		}
-		// The global aggregator: the buffered mode shares it with the
-		// workers (they call only its immutable prepare), the partial
-		// mode uses it purely as the merge target.
-		var agg *aggregator
-		if mode != AggModeNone {
-			agg = newAggregator(q.Return, nil, ex.noColumns)
-		}
+		// The merge target; nil for a pure projection. Workers never
+		// touch it — each aggregating chunk folds into its own.
+		agg := newAggregator(q.Return, nil, ex.noColumns)
 		firstNode := q.Patterns[0].Nodes[0]
-		// front is the partition the merge currently consumes. Row-mode
+		// front is the partition the merge currently consumes. Projecting
 		// workers publish per row only while their chunk is the front;
 		// it starts at 0, so chunk 0's first row is visible immediately.
 		var front atomic.Int64
@@ -224,7 +198,7 @@ func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, 
 					if hi > len(cands) {
 						hi = len(cands)
 					}
-					ch.err = ex.matchChunkRange(m, q, mode, agg, cands[lo:hi], firstNode, ch, ci, &front)
+					ch.err = ex.matchChunkRange(m, q, agg != nil, cands[lo:hi], firstNode, ch, ci, &front)
 				}
 			}, func(ci int) {
 				// Chunk-completion hook: the merge loop rendezvouses on
@@ -237,29 +211,29 @@ func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, 
 		// Merge: consume the chunks in partition order, reproducing the
 		// sequential path's row order, aggregation feed order, row-limit
 		// check, and first-error position. Only the front partition is
-		// ever waited on; in row mode its published prefix streams out
-		// while the chunk is still matching.
+		// ever waited on; for a projection its published prefix streams
+		// out while the chunk is still matching.
 		rows := 0
 		for ci := range numChunks {
 			ch := &chunks[ci]
 			front.Store(int64(ci))
-			consumed := 0 // row entries already yielded (row mode)
+			consumed := 0 // row entries already yielded (projection)
 			for {
-				// Under mu, read only what the mode publishes
-				// incrementally: the done flag always, the row prefix in
-				// row mode. The aggregation modes write their fields
-				// unlocked and order them before the merge's reads via
-				// complete()'s critical section, so they must not be
-				// touched until done is observed.
+				// Under mu, read only what is published incrementally:
+				// the done flag always, the row prefix of a projection.
+				// An aggregating chunk writes its fields unlocked and
+				// orders them before the merge's reads via complete()'s
+				// critical section, so they must not be touched until
+				// done is observed.
 				ch.mu.Lock()
 				done := ch.done
 				var published []Row
-				if mode == AggModeNone {
+				if agg == nil {
 					published = ch.rows // entries are immutable once appended
 				}
 				ch.mu.Unlock()
 
-				if mode == AggModeNone {
+				if agg == nil {
 					// Stream the freshly published prefix. The global
 					// row count and limit check advance at the position
 					// the sequential path would check them — before
@@ -281,7 +255,7 @@ func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, 
 					// A done observed under mu happened after the
 					// chunk's final publish, so consumed covers every
 					// recorded row and the remaining fields are frozen.
-					if err := ex.mergeChunk(mode, agg, ch, consumed, &rows, yield); err != nil {
+					if err := ex.mergeChunk(agg, ch, consumed, &rows, yield); err != nil {
 						return // mergeChunk already yielded the terminal error
 					}
 					break
@@ -331,10 +305,9 @@ var errMergeStop = errors.New("exec: merge stopped")
 // which point every field is frozen. It returns nil when the merge
 // should advance to the next partition, errMergeStop when the stream is
 // over (terminal error already yielded, or consumer stopped).
-func (ex *Executor) mergeChunk(mode AggMode, agg *aggregator, ch *matchChunk, consumed int, rows *int, yield func(Row, error) bool) error {
+func (ex *Executor) mergeChunk(agg *aggregator, ch *matchChunk, consumed int, rows *int, yield func(Row, error) bool) error {
 	yields, chErr := ch.yields, ch.err
-	switch mode {
-	case AggModeNone:
+	if agg == nil {
 		// The streaming loop above already yielded every recorded row;
 		// what remains are trailing entry-less events — at most the one
 		// whose evaluation errored, or the local-limit overflow event —
@@ -351,67 +324,27 @@ func (ex *Executor) mergeChunk(mode AggMode, agg *aggregator, ch *matchChunk, co
 			yield(nil, chErr)
 			return errMergeStop
 		}
-	case AggModeBuffered:
-		// Replay yield *events*, not just recorded entries: the global
-		// row count and limit check advance at the position the
-		// sequential path would check them — before evaluation — so a
-		// yield whose evaluation errored (yields == recorded+1) first
-		// passes through the same limit gate.
-		for i := 0; i < yields; i++ {
-			*rows++
-			if ex.MaxRows > 0 && *rows > ex.MaxRows {
-				yield(nil, ErrRowLimit)
-				return errMergeStop
-			}
-			if i >= len(ch.aggs) {
-				// This yield event produced no entry: its evaluation
-				// errored in the worker. The sequential path fails with
-				// that error at exactly this row.
-				yield(nil, chErr)
-				return errMergeStop
-			}
-			y := ch.aggs[i]
-			env := y.env
-			// A group is only ever opened at the global first
-			// occurrence of its key, which is also the first local
-			// occurrence within its chunk — the one yield that carries
-			// the bindings copy.
-			if err := agg.feedPrepared(y.p, func() map[string]Value { return env }); err != nil {
-				yield(nil, err)
-				return errMergeStop
-			}
-		}
-		if chErr != nil {
-			// An error outside a yield (WHERE evaluation, malformed
-			// pattern, cancellation) aborted the chunk after its
-			// recorded yields; errPartitionLimit cannot reach here —
-			// its chunk carries MaxRows+1 yield events, so the limit
-			// gate above tripped.
-			yield(nil, chErr)
+		return nil
+	}
+	// The chunk's yields were folded into its partial accumulators as
+	// they happened; only the event count travels here. The limit gate
+	// trips iff the sequential path would have checked rows > MaxRows at
+	// one of this chunk's events — and since a chunk error is positioned
+	// at (or after) the chunk's last event, the gate wins exactly when
+	// sequential's earlier limit-before-evaluate check would.
+	if ex.MaxRows > 0 && *rows+yields > ex.MaxRows {
+		yield(nil, ErrRowLimit)
+		return errMergeStop
+	}
+	*rows += yields
+	if chErr != nil {
+		yield(nil, chErr)
+		return errMergeStop
+	}
+	if ch.agg != nil {
+		if err := agg.mergeFrom(ch.agg); err != nil {
+			yield(nil, err)
 			return errMergeStop
-		}
-	case AggModePartial:
-		// The chunk's yields were folded into its partial accumulators
-		// as they happened; only the event count travels here. The
-		// limit gate trips iff the sequential path would have checked
-		// rows > MaxRows at one of this chunk's events — and since a
-		// chunk error is positioned at (or after) the chunk's last
-		// event, the gate wins exactly when sequential's earlier
-		// limit-before-evaluate check would.
-		if ex.MaxRows > 0 && *rows+yields > ex.MaxRows {
-			yield(nil, ErrRowLimit)
-			return errMergeStop
-		}
-		*rows += yields
-		if chErr != nil {
-			yield(nil, chErr)
-			return errMergeStop
-		}
-		if ch.agg != nil {
-			if err := agg.mergeFrom(ch.agg); err != nil {
-				yield(nil, err)
-				return errMergeStop
-			}
 		}
 	}
 	return nil
@@ -427,31 +360,28 @@ type partitionLimitError struct{}
 func (*partitionLimitError) Error() string { return "exec: partition row limit" }
 
 // matchChunkRange runs the full backtracking match with the first node
-// pinned to each candidate in turn, recording yields into ch according
-// to the aggregation mode. Aggregate queries evaluate their group keys
-// and argument expressions here, on the worker; agg.prepare only reads
-// the aggregator's immutable shape, so sharing one aggregator across
-// workers is safe. In partial mode the chunk accumulates into its own
-// aggregator (ch.agg), untouched by anyone else until the merge.
+// pinned to each candidate in turn, recording yields into ch. An
+// aggregate query evaluates its group keys and argument expressions
+// here, on the worker, and accumulates into the chunk's own aggregator
+// (ch.agg), untouched by anyone else until the merge.
 //
-// Yield-event accounting mirrors the sequential path's order in every
-// mode: count the row and check the limit BEFORE evaluating any
+// Yield-event accounting mirrors the sequential path's order either
+// way: count the row and check the limit BEFORE evaluating any
 // expression, so an evaluation error beyond the row limit surfaces as
 // ErrRowLimit, not as the eval error the sequential path never reaches.
 // The worker can only apply its local limit (its count is a lower bound
 // on the global one); the merge phase re-checks globally.
 //
-// Row mode checks the merge front (one atomic load per yield): while
-// this chunk IS the front, each row is appended to ch.rows under the
-// mutex and the merge woken — eager streaming; otherwise rows pile up
-// in a worker-local pending buffer that is flushed under the mutex when
-// the front catches up (at the next yield) or, at the latest, by the
-// finalize before the chunk completes. The merge reads ch.yields and
-// ch.err only after done, so they need no per-yield synchronization in
-// any mode.
-func (ex *Executor) matchChunkRange(m *matcher, q *gql.MatchQuery, mode AggMode, agg *aggregator, cands []graph.VertexID, firstNode gql.NodePattern, ch *matchChunk, ci int, front *atomic.Int64) error {
-	switch mode {
-	case AggModePartial:
+// A projection checks the merge front (one atomic load per yield):
+// while this chunk IS the front, each row is appended to ch.rows under
+// the mutex and the merge woken — eager streaming; otherwise rows pile
+// up in a worker-local pending buffer that is flushed under the mutex
+// when the front catches up (at the next yield) or, at the latest, by
+// the finalize before the chunk completes. The merge reads ch.yields
+// and ch.err only after done, so they need no per-yield
+// synchronization.
+func (ex *Executor) matchChunkRange(m *matcher, q *gql.MatchQuery, aggregate bool, cands []graph.VertexID, firstNode gql.NodePattern, ch *matchChunk, ci int, front *atomic.Int64) error {
+	if aggregate {
 		ch.agg = newAggregator(q.Return, nil, ex.noColumns)
 		m.yield = func() error {
 			ch.yields++
@@ -460,26 +390,7 @@ func (ex *Executor) matchChunkRange(m *matcher, q *gql.MatchQuery, mode AggMode,
 			}
 			return ch.agg.feed(m)
 		}
-	case AggModeBuffered:
-		localGroups := make(map[string]bool)
-		m.yield = func() error {
-			ch.yields++
-			if ex.MaxRows > 0 && ch.yields > ex.MaxRows {
-				return errPartitionLimit
-			}
-			p, err := agg.prepare(m)
-			if err != nil {
-				return err
-			}
-			y := aggYield{p: p}
-			if !localGroups[p.key] {
-				localGroups[p.key] = true
-				y.env = m.snapshot()
-			}
-			ch.aggs = append(ch.aggs, y)
-			return nil
-		}
-	default: // AggModeNone
+	} else {
 		events := 0
 		var pending []Row
 		// finalize lands everything the merge has not seen yet — pending

@@ -12,12 +12,9 @@ import (
 // sequential-equivalent overhead: on a single-CPU host, the parallel
 // path at workers=N cannot beat the sequential matcher, so any gap
 // between "seq" and the worker variants is pure coordination cost. The
-// buffered strategy pays for materializing every prepared yield and
-// replaying it at merge time (~30% on these shapes before partial
-// merging existed); the partial strategy folds yields into per-chunk
-// accumulators as they happen and must stay within a few percent of
-// sequential. On multi-core hosts the same variants show the speedup
-// instead.
+// parallel path folds yields into per-chunk accumulators as they happen
+// and must stay within a few percent of sequential. On multi-core hosts
+// the same variants show the speedup instead.
 
 func partialBenchGraph(b *testing.B) *graph.Graph {
 	b.Helper()
@@ -30,14 +27,11 @@ func partialBenchGraph(b *testing.B) *graph.Graph {
 	return g
 }
 
-// benchAggVariants runs src sequentially, then on the parallel path in
-// both aggregation strategies at each worker count.
-func benchAggVariants(b *testing.B, src string, wantMode AggMode) {
+// benchAggVariants runs src sequentially, then on the parallel path at
+// each worker count.
+func benchAggVariants(b *testing.B, src string) {
 	g := partialBenchGraph(b)
 	q := mustParse(b, src)
-	if got := QueryAggMode(q); got != wantMode {
-		b.Fatalf("QueryAggMode(%q) = %v, want %v", src, got, wantMode)
-	}
 	run := func(ex *Executor) func(*testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
@@ -50,35 +44,28 @@ func benchAggVariants(b *testing.B, src string, wantMode AggMode) {
 	}
 	b.Run("seq", run(&Executor{G: g, Workers: 1}))
 	for _, workers := range []int{2, 4} {
-		if wantMode == AggModePartial {
-			b.Run(fmt.Sprintf("partial/w%d", workers),
-				run(&Executor{G: g, Workers: workers}))
-		}
-		b.Run(fmt.Sprintf("buffered/w%d", workers),
-			run(&Executor{G: g, Workers: workers, noPartialAgg: true}))
+		b.Run(fmt.Sprintf("partial/w%d", workers), run(&Executor{G: g, Workers: workers}))
 	}
 }
 
-// BenchmarkPartialAggCount: grouped COUNT over a skewed social graph —
-// the canonical order-insensitive shape.
+// BenchmarkPartialAggCount: grouped COUNT over a skewed social graph.
 func BenchmarkPartialAggCount(b *testing.B) {
-	benchAggVariants(b, `MATCH (a:User)-[:FOLLOWS]->(b:User) RETURN a AS u, COUNT(b) AS n`, AggModePartial)
+	benchAggVariants(b, `MATCH (a:User)-[:FOLLOWS]->(b:User) RETURN a AS u, COUNT(b) AS n`)
 }
 
 // BenchmarkPartialAggMinMax: MIN/MAX over vertex properties, grouped.
 func BenchmarkPartialAggMinMax(b *testing.B) {
-	benchAggVariants(b, `MATCH (a:User)-[:FOLLOWS]->(b:User) RETURN a AS u, MIN(ID(b)) AS lo, MAX(ID(b)) AS hi`, AggModePartial)
+	benchAggVariants(b, `MATCH (a:User)-[:FOLLOWS]->(b:User) RETURN a AS u, MIN(ID(b)) AS lo, MAX(ID(b)) AS hi`)
 }
 
-// BenchmarkPartialAggSumInt: SUM over a provably-integer expression
-// (path length) on variable-length matches.
+// BenchmarkPartialAggSumInt: SUM over an integer expression (path
+// length) on variable-length matches.
 func BenchmarkPartialAggSumInt(b *testing.B) {
-	benchAggVariants(b, `MATCH (a:User)-[r*1..2]->(b:User) RETURN a AS u, SUM(LENGTH(r)) AS hops`, AggModePartial)
+	benchAggVariants(b, `MATCH (a:User)-[r*1..2]->(b:User) RETURN a AS u, SUM(LENGTH(r)) AS hops`)
 }
 
-// BenchmarkPartialAggFloatStaysBuffered: the AVG control — an
-// order-sensitive accumulator never selects the partial mode, so only
-// the buffered variants exist for it.
-func BenchmarkPartialAggFloatStaysBuffered(b *testing.B) {
-	benchAggVariants(b, `MATCH (a:User)-[:FOLLOWS]->(b:User) RETURN a AS u, AVG(ID(b)) AS avg`, AggModeBuffered)
+// BenchmarkPartialAggAvg: grouped AVG, whose exact running sum merges
+// per chunk like every other accumulator.
+func BenchmarkPartialAggAvg(b *testing.B) {
+	benchAggVariants(b, `MATCH (a:User)-[:FOLLOWS]->(b:User) RETURN a AS u, AVG(ID(b)) AS avg`)
 }

@@ -3,16 +3,17 @@ package exec
 import (
 	"context"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"kaskade/internal/graph"
 )
 
-// partialAggQueries are aggregate shapes whose accumulators are all
-// order-insensitive, so the planner must select AggModePartial for
-// them: COUNT/COUNT(*), MIN/MAX over arbitrary comparables, and SUM
-// over provably-integer expressions.
+// partialAggQueries are aggregate shapes over every accumulator:
+// COUNT/COUNT(*), MIN/MAX over arbitrary comparables, integer SUM, and
+// SUM/AVG over float-valued expressions.
 var partialAggQueries = []string{
 	`MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j.name AS name, COUNT(f) AS nfiles`,
 	`MATCH ()-[r]->() RETURN COUNT(*) AS n`,
@@ -22,80 +23,20 @@ var partialAggQueries = []string{
 	`MATCH (j:Job) RETURN MAX(ID(j)) AS maxid, SUM(ID(j)) AS sumid`,
 	`MATCH (j:Job) WHERE j.CPU > 1000 RETURN COUNT(*) AS n, MIN(j.CPU) AS lo`,
 	`MATCH (j:Job) RETURN LABEL(j) AS kind, SUM(2*ID(j) + 1) AS s, MAX(j.name) AS last`,
+	`MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j.name AS name, SUM(j.CPU / 3.0) AS s, AVG(j.CPU) AS a`,
+	`MATCH (a:Job)-[r*1..3]->(v) RETURN a, AVG(LENGTH(r)) AS hops, SUM(ID(v) * 0.1) AS w`,
 }
 
-// TestQueryAggModeSelection pins the plan-time strategy choice — in
-// particular that float SUM and AVG (any accumulator whose fold order
-// is observable) never select the partial mode.
-func TestQueryAggModeSelection(t *testing.T) {
-	cases := []struct {
-		src  string
-		want AggMode
-	}{
-		{`MATCH (j:Job) RETURN j.name AS name`, AggModeNone},
-		{`MATCH (j:Job) RETURN COUNT(*) AS n`, AggModePartial},
-		{`MATCH (j:Job) RETURN MIN(j.CPU) AS lo, MAX(j.name) AS hi`, AggModePartial},
-		{`MATCH (a:Job)-[r*1..2]->(b) RETURN SUM(LENGTH(r)) AS s`, AggModePartial},
-		{`MATCH (j:Job) RETURN SUM(ID(j) + 1) AS s`, AggModePartial},
-		// SUM over a property is not provably integer: buffered.
-		{`MATCH (j:Job) RETURN SUM(j.CPU) AS s`, AggModeBuffered},
-		// AVG accumulates in float64: always buffered.
-		{`MATCH (j:Job) RETURN AVG(j.CPU) AS a`, AggModeBuffered},
-		{`MATCH (j:Job) RETURN j.name AS name, AVG(ID(j)) AS a`, AggModeBuffered},
-		// A float literal anywhere in SUM's argument: buffered.
-		{`MATCH (j:Job) RETURN SUM(ID(j) + 0.5) AS s`, AggModeBuffered},
-		// Division can promote to float even on integers: buffered.
-		{`MATCH (j:Job) RETURN SUM(ID(j) / 2) AS s`, AggModeBuffered},
-		// One order-sensitive aggregate poisons the whole query.
-		{`MATCH (j:Job) RETURN COUNT(*) AS n, AVG(j.CPU) AS a`, AggModeBuffered},
-		// The innermost MATCH decides: its COUNT is partial even under a
-		// SELECT whose own (blocking) aggregation is an AVG.
-		{`SELECT AVG(n) AS a FROM (MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j AS job, COUNT(f) AS n) GROUP BY a`, AggModePartial},
-		{`SELECT name FROM (MATCH (j:Job) RETURN j.name AS name, SUM(j.CPU) AS s)`, AggModeBuffered},
-	}
-	for _, tc := range cases {
-		if got := QueryAggMode(mustParse(t, tc.src)); got != tc.want {
-			t.Errorf("QueryAggMode(%q) = %v, want %v", tc.src, got, tc.want)
-		}
-	}
-}
-
-// TestPartialAggSuiteSelectsPartial guards the suite itself: every
-// query in partialAggQueries must actually exercise the partial mode.
-func TestPartialAggSuiteSelectsPartial(t *testing.T) {
-	for _, src := range partialAggQueries {
-		if got := QueryAggMode(mustParse(t, src)); got != AggModePartial {
-			t.Errorf("QueryAggMode(%q) = %v, want partial", src, got)
-		}
-	}
-}
-
-// runBuffered executes src with the partial mode disabled — the A/B
-// switch proving the two aggregation strategies byte-identical.
-func runBuffered(t testing.TB, g *graph.Graph, src string, workers int) *Result {
-	t.Helper()
-	q := mustParse(t, src)
-	ex := &Executor{G: g, Workers: workers, noPartialAgg: true}
-	res, err := ex.Execute(q)
-	if err != nil {
-		t.Fatalf("buffered(%q, workers=%d): %v", src, workers, err)
-	}
-	return res
-}
-
-// TestPartialAggMatchesBufferedOnLineage: for every partial-mode shape,
-// sequential, buffered-parallel, and partial-parallel execution must
-// agree byte for byte (rows, group order, values) at every worker
-// count, streamed or buffered.
-func TestPartialAggMatchesBufferedOnLineage(t *testing.T) {
+// TestPartialAggMatchesSeqOnLineage: for every aggregate shape,
+// sequential and parallel execution must agree byte for byte (rows,
+// group order, float bits) at every worker count, streamed or
+// buffered.
+func TestPartialAggMatchesSeqOnLineage(t *testing.T) {
 	g, _ := lineage(t)
 	for _, src := range partialAggQueries {
 		seq := runWorkers(t, g, src, 1)
 		for _, workers := range []int{2, 4, 8, -1} {
-			partial := runWorkers(t, g, src, workers)
-			assertSameResult(t, src, seq, partial, workers)
-			buffered := runBuffered(t, g, src, workers)
-			assertSameResult(t, src, seq, buffered, workers)
+			assertSameResult(t, src, seq, runWorkers(t, g, src, workers), workers)
 		}
 		// The streaming cursor consumes the same partial-merge core.
 		for _, workers := range []int{1, 4} {
@@ -108,43 +49,94 @@ func TestPartialAggMatchesBufferedOnLineage(t *testing.T) {
 	}
 }
 
-// partialDatasetQueries are partial-mode shapes per synthetic dataset
+// partialDatasetQueries are aggregate shapes per synthetic dataset
 // (schema-appropriate), run on randomized graphs.
 var partialDatasetQueries = map[string][]string{
 	"prov": {
 		`MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j.pipelineName AS p, COUNT(f) AS n, MAX(f.size) AS biggest`,
 		`MATCH (v) RETURN LABEL(v) AS kind, COUNT(*) AS n, MIN(ID(v)) AS first`,
 		`MATCH (j:Job)-[r*1..2]->(v) RETURN j, SUM(LENGTH(r)) AS hops`,
+		`MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j.pipelineName AS p, SUM(f.size / 7.0) AS s, AVG(f.size) AS a`,
 	},
 	"dblp": {
 		`MATCH (p:Paper)-[:PUBLISHED_IN]->(v:Venue) RETURN v, COUNT(p) AS papers, MIN(p.year) AS oldest`,
 		`MATCH (a:Author)-[r*2..2]->(b:Author) RETURN COUNT(r) AS n`,
+		`MATCH (p:Paper)-[:PUBLISHED_IN]->(v:Venue) RETURN v, AVG(p.year) AS meanyear, SUM(p.year * 0.001) AS s`,
 	},
 	"roadnet": {
 		`MATCH (a)-[r*1..2]->(b) RETURN COUNT(r) AS n, MAX(LENGTH(r)) AS longest`,
+		`MATCH (a)-[r*1..2]->(b) RETURN AVG(ID(b) / 3.0) AS a`,
 	},
 	"soc": {
 		`MATCH (a:User)-[:FOLLOWS]->(b:User) RETURN a, COUNT(b) AS out, MAX(ID(b)) AS hub`,
 		`MATCH (a)-[r*1..2]->(b) RETURN SUM(LENGTH(r)) AS hops, COUNT(*) AS n`,
+		`MATCH (a:User)-[:FOLLOWS]->(b:User) RETURN a, AVG(ID(b) * 1.1) AS avg`,
 	},
 }
 
-// TestPartialAggMatchesBufferedOnDatagen repeats the three-way
+// TestPartialAggMatchesSeqOnDatagen repeats the seq-vs-parallel
 // equivalence on randomized skewed, cyclic, and grid-shaped data.
-func TestPartialAggMatchesBufferedOnDatagen(t *testing.T) {
+func TestPartialAggMatchesSeqOnDatagen(t *testing.T) {
 	for _, seed := range []int64{5, 23} {
 		graphs := datagenGraphs(t, seed)
 		for name, g := range graphs {
 			for _, src := range partialDatasetQueries[name] {
-				if got := QueryAggMode(mustParse(t, src)); got != AggModePartial {
-					t.Fatalf("%s query %q selects %v, want partial", name, src, got)
-				}
 				seq := runWorkers(t, g, src, 1)
-				for _, workers := range []int{4} {
-					assertSameResult(t, src, seq, runWorkers(t, g, src, workers), workers)
-					assertSameResult(t, src, seq, runBuffered(t, g, src, workers), workers)
-				}
+				assertSameResult(t, src, seq, runWorkers(t, g, src, 4), 4)
 			}
+		}
+	}
+}
+
+// TestPartialAggFloatSumOrderIndependent: SUM and AVG over one multiset
+// inserted in two orders return the exact answer (s = 1, a = 1/3) in
+// both, sequentially and in parallel. Naive left-to-right float
+// addition gives 0 for the first order and 1 for the second.
+func TestPartialAggFloatSumOrderIndependent(t *testing.T) {
+	const src = `SELECT SUM(x) AS s, AVG(x) AS a FROM (MATCH (v:V) RETURN v.x AS x)`
+	for _, xs := range [][]float64{{1e17, 1, -1e17}, {1e17, -1e17, 1}} {
+		g := graph.NewGraph(nil)
+		for _, x := range xs {
+			g.MustAddVertex("V", graph.Properties{"x": x})
+		}
+		for _, workers := range []int{1, 4} {
+			res := runWorkers(t, g, src, workers)
+			if s, a := res.Rows[0][0], res.Rows[0][1]; s != 1.0 || a != 1.0/3 {
+				t.Errorf("rows %v workers=%d: s, a = %v, %v; want 1, 1/3", xs, workers, s, a)
+			}
+		}
+	}
+}
+
+// TestPartialAggFloatBitsAcrossWorkers: grouped float SUM/AVG over
+// random magnitudes and signs returns identical bits at every worker
+// count and through the streaming cursor.
+func TestPartialAggFloatBitsAcrossWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := graph.NewGraph(nil)
+	for i := 0; i < 500; i++ {
+		x := (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(30)-10))
+		g.MustAddVertex("V", graph.Properties{"g": int64(i % 7), "x": x})
+	}
+	const src = `MATCH (v:V) RETURN v.g AS g, SUM(v.x) AS s, AVG(v.x) AS a`
+	bitsOf := func(res *Result) [][3]uint64 {
+		out := make([][3]uint64, len(res.Rows))
+		for i, row := range res.Rows {
+			out[i] = [3]uint64{uint64(row[0].(int64)), math.Float64bits(row[1].(float64)), math.Float64bits(row[2].(float64))}
+		}
+		return out
+	}
+	want := bitsOf(runWorkers(t, g, src, 1))
+	for _, workers := range []int{1, 2, 4, 8} {
+		if got := bitsOf(runWorkers(t, g, src, workers)); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: bits %x, want %x", workers, got, want)
+		}
+		streamed, err := streamWorkers(t, g, src, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bitsOf(streamed); !reflect.DeepEqual(got, want) {
+			t.Errorf("stream workers=%d: bits %x, want %x", workers, got, want)
 		}
 	}
 }
@@ -166,11 +158,7 @@ func TestPartialAggRowLimitShadowsLaterEvalError(t *testing.T) {
 		f := g.MustAddVertex("File", graph.Properties{"v": v})
 		g.MustAddEdge(j, f, "WRITES_TO", nil)
 	}
-	src := `MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN SUM(LENGTH(f.v)) AS s`
-	if got := QueryAggMode(mustParse(t, src)); got != AggModePartial {
-		t.Fatalf("mode = %v, want partial", got)
-	}
-	q := mustParse(t, src)
+	q := mustParse(t, `MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN SUM(LENGTH(f.v)) AS s`)
 	for _, workers := range []int{1, 2, 8, -1} {
 		// Limit before the bad row: both paths must say ErrRowLimit.
 		ex := &Executor{G: g, MaxRows: 4, Workers: workers}
@@ -220,16 +208,12 @@ func TestPartialAggMinMaxIgnoresNaN(t *testing.T) {
 		g.MustAddVertex("V", graph.Properties{"x": x})
 	}
 	src := `MATCH (a:V) RETURN MAX(a.x) AS hi, MIN(a.x) AS lo`
-	if got := QueryAggMode(mustParse(t, src)); got != AggModePartial {
-		t.Fatalf("mode = %v, want partial", got)
-	}
 	seq := runWorkers(t, g, src, 1)
 	if seq.Rows[0][0] != float64(100000) || seq.Rows[0][1] != float64(10) {
 		t.Fatalf("sequential row = %v, want [100000 10]", seq.Rows[0])
 	}
 	for _, workers := range []int{2, 4, 8, -1} {
 		assertSameResult(t, src, seq, runWorkers(t, g, src, workers), workers)
-		assertSameResult(t, src, seq, runBuffered(t, g, src, workers), workers)
 	}
 }
 

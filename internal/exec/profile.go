@@ -33,7 +33,6 @@ type StageProfile struct {
 // buffered Execute path holds.
 type Profile struct {
 	Workers int
-	Mode    AggMode
 	Stages  []StageProfile
 	// Rows is the number of result rows the execution returned; Total
 	// is its end-to-end wall time (including stream consumption).

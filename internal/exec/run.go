@@ -23,12 +23,11 @@ import (
 // sequential matcher, N>1 partitions the first-node binding space
 // across N goroutines, and any negative value uses one worker per
 // available CPU. The parallel path merges partitions deterministically,
-// so results are identical to the sequential path row for row; how a
-// partition's yields reach the merge is chosen per query at plan time
-// (AggMode: eager row streaming, per-chunk partial accumulators, or
-// buffered yield replay — see parallel.go). The graph must not be
-// mutated during execution — after load, a graph.Graph is read-only
-// and safe for concurrent traversal.
+// so results are identical to the sequential path row for row: a
+// projection streams each partition's rows eagerly, an aggregate query
+// merges per-chunk partial accumulators (see parallel.go). The graph
+// must not be mutated during execution — after load, a graph.Graph is
+// read-only and safe for concurrent traversal.
 //
 // Execution comes in two forms built on one streaming core:
 // ExecuteContext buffers every row into a Result; Stream returns a Rows
@@ -54,40 +53,12 @@ type Executor struct {
 	// single-use: attach a fresh one per execution.
 	Prof *Profile
 
-	// noPartialAgg forces AggModePartial queries onto the buffered
-	// path — the A/B switch the equivalence tests and benchmarks use to
-	// prove the two strategies byte-identical.
-	noPartialAgg bool
-
 	// noColumns pins every property read to the per-vertex map and
 	// disables the column prefilter, leaving the frozen columns unused —
 	// the A/B switch the columnar equivalence suite and benchmarks use.
 	// Results are byte-identical either way (freeze-time validation
 	// guarantees a column holds exactly what the map holds).
 	noColumns bool
-}
-
-// QueryAggMode reports the aggregation execution strategy the parallel
-// path selects at plan time for q — the mode of its innermost MATCH
-// block's RETURN items, since that is the block the worker pool
-// executes (a wrapping SELECT's own aggregation is a blocking
-// relational operator either way). See AggMode for the strategies.
-// It assumes no schema; QueryAggModeFor additionally consults schema
-// property declarations.
-func QueryAggMode(q gql.Query) AggMode {
-	return QueryAggModeFor(q, nil)
-}
-
-// QueryAggModeFor is QueryAggMode with the schema of the graph the
-// query will run against: schema-declared property kinds
-// (Schema.DeclareProperty) let the plan-time analysis prove integer SUM
-// over properties like j.CPU, widening the partial-aggregation class.
-func QueryAggModeFor(q gql.Query, schema *graph.Schema) AggMode {
-	m := gql.InnermostMatch(q)
-	if m == nil {
-		return AggModeNone
-	}
-	return aggModeOf(m.Return, newTypeEnv(schema, m.Patterns))
 }
 
 // ErrRowLimit is returned when a query exceeds the executor's MaxRows.
@@ -249,7 +220,6 @@ func (ex *Executor) streamMatchSeq(ctx context.Context, q *gql.MatchQuery, f *gr
 	cols := returnCols(q.Return)
 	if ex.Prof != nil {
 		ex.Prof.Workers = 1
-		ex.Prof.Mode = aggModeOf(q.Return, newTypeEnv(ex.G.Schema(), q.Patterns))
 	}
 	body := func(yield func(Row, error) bool) {
 		matchStart := time.Now()

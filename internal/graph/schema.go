@@ -17,9 +17,9 @@ type EdgeType struct {
 }
 
 // PropKind is a schema-declared property value type. Declarations are
-// optional metadata layered on the otherwise-untyped property bags; the
-// executor's plan-time analysis trusts them (e.g. a PropInt declaration
-// licenses the partial-aggregation path for SUM over that property).
+// optional metadata layered on the otherwise-untyped property bags;
+// freezing compiles each declared vertex property into a typed column
+// and validates the stored values against the declaration.
 type PropKind int
 
 // Declarable property kinds, mirroring the query language's value types.
@@ -52,8 +52,8 @@ type propKey struct{ typeName, prop string }
 // Schema is a property-graph schema: the set of vertex types and the set
 // of typed, direction-constrained edge types between them. It is the
 // source of the schemaVertex/schemaEdge facts of §IV-A1. Optionally it
-// also declares property value types (DeclareProperty), which the
-// executor consults at plan time.
+// also declares property value types (DeclareProperty), which freezing
+// turns into typed columns.
 type Schema struct {
 	vertexTypes map[string]bool
 	edgeTypes   []EdgeType
@@ -107,11 +107,10 @@ func MustSchema(vertexTypes []string, edgeTypes []EdgeType) *Schema {
 func (s *Schema) HasVertexType(vtype string) bool { return s.vertexTypes[vtype] }
 
 // DeclareProperty declares the value type of property `prop` on the
-// given vertex type (or edge type name). The declaration is trusted
-// metadata: the executor uses it to prove, at plan time, that an
-// expression like SUM(j.CPU) folds in integers and may therefore run on
-// the parallel partial-aggregation path. Declare properties during
-// setup, before the schema is shared across goroutines. It returns an
+// given vertex type (or edge type name). A declared vertex property is
+// frozen into a typed column, and a stored value of another kind fails
+// the freeze (FreezeChecked). Declare properties during setup, before
+// the schema is shared across goroutines. It returns an
 // error when the type name is neither a declared vertex type nor an
 // edge type name, or when kind is invalid.
 func (s *Schema) DeclareProperty(typeName, prop string, kind PropKind) error {

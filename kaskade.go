@@ -123,17 +123,13 @@
 // The pattern matcher partitions the binding space of a query's first
 // node across workers and merges partition results in partition order,
 // so parallel execution is deterministic: results — row order, group
-// order, even float accumulation order — are byte-identical to the
-// sequential path, which remains the semantic reference. How a
-// partition's results travel is chosen per query at plan time (see
-// AggMode): pure projections stream each partition's row prefix
-// eagerly (low time-to-first-row at any worker count),
-// order-insensitive aggregates (COUNT/MIN/MAX, and SUM over
-// provably-integer expressions — property accesses are untyped, so
-// SUM over a property buffers) run as per-partition partial
-// accumulators merged in partition order, and AVG, float SUM, and
-// unprovable SUM fall back to buffering yields for exact sequential
-// fold order.
+// order, float bits — are byte-identical to the sequential path, which
+// remains the semantic reference. Pure projections stream each
+// partition's row prefix eagerly (low time-to-first-row at any worker
+// count); aggregates run as per-partition partial accumulators merged
+// in partition order. Float SUM and AVG keep an exact running sum and
+// round once, so they return the correctly rounded sum whatever the
+// row order, worker count, or view rewrite.
 // AdoptSelection materializes independent selected views concurrently
 // (spare workers fan out inside each connector's per-source path
 // search), preserving catalog order. Graphs are read-only once loaded
@@ -196,9 +192,8 @@ type (
 	Schema = graph.Schema
 	// EdgeType declares one typed edge with its endpoint vertex types.
 	EdgeType = graph.EdgeType
-	// PropKind is a schema-declared property value type; declaring a
-	// property PropInt lets the planner prove integer SUM over it and
-	// select the partial-aggregation path.
+	// PropKind is a schema-declared property value type; freezing
+	// compiles each declared vertex property into a typed column.
 	PropKind = graph.PropKind
 	// Properties is a key-value bag on a vertex or edge.
 	Properties = graph.Properties
@@ -281,23 +276,6 @@ func DefineView(v View) ViewDef { return views.Define(v) }
 // execution; it re-rewrites transparently when the catalog changes
 // (views adopted or dropped).
 type PreparedQuery = core.PreparedQuery
-
-// AggMode is the aggregation execution strategy the parallel path
-// selects at plan time: AggModePartial runs order-insensitive
-// accumulators (COUNT, MIN, MAX, integer SUM) as per-chunk partials
-// merged in partition order; AggModeBuffered replays yields in
-// sequential order for accumulators whose fold order is observable
-// (float SUM, AVG); AggModeNone streams pure projections eagerly.
-// Either way results are byte-identical to sequential execution.
-// Inspect a statement's strategy with PreparedQuery.AggMode.
-type AggMode = exec.AggMode
-
-// Aggregation execution strategies (see AggMode).
-const (
-	AggModeNone     = exec.AggModeNone
-	AggModeBuffered = exec.AggModeBuffered
-	AggModePartial  = exec.AggModePartial
-)
 
 // QueryOption tunes one query execution (or one prepared query's
 // defaults).
