@@ -246,7 +246,7 @@ func BenchmarkPatternMatch2Hop(b *testing.B) {
 }
 
 // benchWorkerCounts are the parallelism levels the parallel-executor
-// benchmarks sweep: sequential baseline, 2, 4, and every CPU.
+// benchmarks sweep: one-worker baseline, 2, 4, and every CPU.
 func benchWorkerCounts() []int {
 	counts := []int{1, 2, 4}
 	if n := runtime.GOMAXPROCS(0); n > 4 {
@@ -257,8 +257,9 @@ func benchWorkerCounts() []int {
 
 // BenchmarkParallelPatternMatch measures the worker-pool matcher on the
 // multi-core datagen workload: the 2-hop lineage join over the filtered
-// provenance graph. workers=1 is the sequential path; higher counts
-// partition the Job candidate list (results are identical either way).
+// provenance graph. workers=1 walks the Job candidates inline; higher
+// counts split them into chunks on a pool (results are identical
+// either way).
 func BenchmarkParallelPatternMatch(b *testing.B) {
 	g := filteredProvBench(b)
 	q := gql.MustParse(`MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(c:Job) RETURN a, c`)

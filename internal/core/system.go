@@ -51,9 +51,9 @@ type System struct {
 	MaxRows int
 	// Parallelism controls both pattern-match workers during query
 	// execution and concurrent view materialization in AdoptSelection:
-	// 0 or 1 = sequential, N>1 = that many workers, negative = one per
+	// 0 or 1 = one worker, N>1 = that many workers, negative = one per
 	// available CPU. Parallel execution is deterministic — results are
-	// identical to the sequential path (see internal/exec).
+	// identical at every worker count (see internal/exec).
 	Parallelism int
 }
 

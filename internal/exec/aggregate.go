@@ -20,7 +20,7 @@ type aggregator struct {
 	noCols   bool     // propagate the column A/B switch into finish()
 
 	// feed-path scratch. feed is goroutine-confined (each chunk owns its
-	// aggregator; the sequential path has one), so the per-row key and
+	// aggregator; an inline match has one), so the per-row key and
 	// argument slices are reused across rows instead of reallocated.
 	keyBuf []Value
 	argBuf []Value
@@ -154,8 +154,8 @@ func (a *aggregator) feed(sc scope) error {
 // no earlier partition saw the key, the global first); a known group
 // merges accumulator states pairwise. Every accumulator's merge is
 // exact and associative, so calling mergeFrom chunk by chunk in
-// partition order reproduces the sequential path's group order and
-// values. b must not be used afterwards.
+// partition order reproduces the group order and values of one worker
+// feeding every row. b must not be used afterwards.
 func (a *aggregator) mergeFrom(b *aggregator) error {
 	for _, key := range b.order {
 		bg := b.groups[key]

@@ -105,11 +105,10 @@ func TestColumnsMatchMapOnDatagen(t *testing.T) {
 	}
 }
 
-// TestColumnsMatchMapOnAbsentValues pins the prefilter's nil semantics:
-// a vertex lacking the declared property compares like the map path —
-// "=" is cleanly false, "<>" is cleanly true, and orderings error — on
-// both storage modes.
-func TestColumnsMatchMapOnAbsentValues(t *testing.T) {
+// absentValuesGraph has three declared-CPU Jobs, the middle one lacking
+// the property.
+func absentValuesGraph(t testing.TB) *graph.Graph {
+	t.Helper()
 	s := graph.MustSchema([]string{"Job"}, nil)
 	if err := s.DeclareProperty("Job", "CPU", graph.PropInt); err != nil {
 		t.Fatal(err)
@@ -118,11 +117,25 @@ func TestColumnsMatchMapOnAbsentValues(t *testing.T) {
 	g.MustAddVertex("Job", graph.Properties{"CPU": int64(10)})
 	g.MustAddVertex("Job", nil) // no CPU
 	g.MustAddVertex("Job", graph.Properties{"CPU": int64(20)})
+	return g
+}
 
-	for _, src := range []string{
-		`MATCH (j:Job) WHERE j.CPU = 10 RETURN ID(j) AS id`,
-		`MATCH (j:Job) WHERE j.CPU <> 10 RETURN ID(j) AS id`,
-	} {
+// absentValueQueries compare against the absent value cleanly ("=" is
+// false, "<>" is true); absentValueOrdering errors on it.
+var absentValueQueries = []string{
+	`MATCH (j:Job) WHERE j.CPU = 10 RETURN ID(j) AS id`,
+	`MATCH (j:Job) WHERE j.CPU <> 10 RETURN ID(j) AS id`,
+}
+
+const absentValueOrdering = `MATCH (j:Job) WHERE j.CPU >= 10 RETURN ID(j) AS id`
+
+// TestColumnsMatchMapOnAbsentValues pins the prefilter's nil semantics:
+// a vertex lacking the declared property compares like the map path —
+// "=" is cleanly false, "<>" is cleanly true, and orderings error — on
+// both storage modes.
+func TestColumnsMatchMapOnAbsentValues(t *testing.T) {
+	g := absentValuesGraph(t)
+	for _, src := range absentValueQueries {
 		ref := runColumnMode(t, g, src, 1, true)
 		for _, workers := range []int{1, 4} {
 			assertSameResult(t, src, ref, runColumnMode(t, g, src, workers, false), workers)
@@ -130,7 +143,7 @@ func TestColumnsMatchMapOnAbsentValues(t *testing.T) {
 	}
 	// An ordering against the absent value errors identically: the
 	// prefilter must keep the candidate so the error still surfaces.
-	src := `MATCH (j:Job) WHERE j.CPU >= 10 RETURN ID(j) AS id`
+	src := absentValueOrdering
 	for _, noColumns := range []bool{false, true} {
 		ex := &Executor{G: g, noColumns: noColumns}
 		if _, err := ex.Execute(mustParse(t, src)); err == nil ||
@@ -138,6 +151,29 @@ func TestColumnsMatchMapOnAbsentValues(t *testing.T) {
 			t.Errorf("noColumns=%v: err = %v, want incomparable error", noColumns, err)
 		}
 	}
+}
+
+// prefilterEngages are declaredLineage shapes the prefilter accepts:
+// first-var property vs literal, leftmost AND conjunct, flipped operand
+// order. Each keeps exactly j2 and j3.
+var prefilterEngages = []string{
+	`MATCH (j:Job) WHERE j.CPU >= 20 RETURN j`,
+	`MATCH (j:Job) WHERE 20 <= j.CPU RETURN j`,
+	`MATCH (j:Job) WHERE j.CPU >= 20 AND j.name <> 'zzz' RETURN j`,
+	`MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.CPU >= 20 RETURN j, f`,
+}
+
+// prefilterStaysOut are shapes where skipping a candidate could change
+// results or suppress errors.
+var prefilterStaysOut = []struct {
+	src, why string
+}{
+	{`MATCH (j:Job) WHERE j.undeclared = 1 RETURN j`, "no column"},
+	{`MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE f.name = 'f1' RETURN j`, "property on a later variable"},
+	{`MATCH (j) WHERE j.CPU >= 20 RETURN j`, "untyped first node"},
+	{`MATCH (j:Job) WHERE j.CPU = 'ten' RETURN j`, "literal kind mismatch"},
+	{`MATCH (j:Job) WHERE j.name <> 'x' OR j.CPU = 1 RETURN j`, "top-level OR"},
+	{`MATCH (j:Job) WHERE j.CPU + 1 >= 21 RETURN j`, "computed left side"},
 }
 
 // TestColumnPrefilterEngagement pins which WHERE shapes the plan-time
@@ -156,14 +192,7 @@ func TestColumnPrefilterEngagement(t *testing.T) {
 		return q
 	}
 
-	// Engages: first-var property vs literal, leftmost AND conjunct,
-	// flipped operand order.
-	for _, src := range []string{
-		`MATCH (j:Job) WHERE j.CPU >= 20 RETURN j`,
-		`MATCH (j:Job) WHERE 20 <= j.CPU RETURN j`,
-		`MATCH (j:Job) WHERE j.CPU >= 20 AND j.name <> 'zzz' RETURN j`,
-		`MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.CPU >= 20 RETURN j, f`,
-	} {
+	for _, src := range prefilterEngages {
 		pf := ex.columnPrefilter(match(src), f)
 		if pf == nil {
 			t.Errorf("%q: prefilter did not engage", src)
@@ -175,18 +204,7 @@ func TestColumnPrefilterEngagement(t *testing.T) {
 		}
 	}
 
-	// Stays out: shapes where skipping a candidate could change results
-	// or suppress errors.
-	for _, tc := range []struct {
-		src, why string
-	}{
-		{`MATCH (j:Job) WHERE j.undeclared = 1 RETURN j`, "no column"},
-		{`MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE f.name = 'f1' RETURN j`, "property on a later variable"},
-		{`MATCH (j) WHERE j.CPU >= 20 RETURN j`, "untyped first node"},
-		{`MATCH (j:Job) WHERE j.CPU = 'ten' RETURN j`, "literal kind mismatch"},
-		{`MATCH (j:Job) WHERE j.name <> 'x' OR j.CPU = 1 RETURN j`, "top-level OR"},
-		{`MATCH (j:Job) WHERE j.CPU + 1 >= 21 RETURN j`, "computed left side"},
-	} {
+	for _, tc := range prefilterStaysOut {
 		if ex.columnPrefilter(match(tc.src), f) != nil {
 			t.Errorf("%q: prefilter engaged (%s)", tc.src, tc.why)
 		}
@@ -228,6 +246,25 @@ func TestColumnMetricsCounters(t *testing.T) {
 		}
 		if reg.PropMapFallbacks.Load() == 0 {
 			t.Errorf("workers=%d noColumns: PropMapFallbacks = 0, want > 0", workers)
+		}
+	}
+}
+
+// TestColumnScansCountedOnce pins that the prefilter's candidate pass
+// is counted once whatever the worker count: three Job candidates
+// scanned plus the survivor's WHERE read, including when more workers
+// were asked for than the one survivor can use.
+func TestColumnScansCountedOnce(t *testing.T) {
+	g := declaredLineage(t)
+	q := mustParse(t, `MATCH (j:Job) WHERE j.name = 'j1' RETURN j`)
+	for _, workers := range []int{1, 4} {
+		reg := metrics.NewRegistry()
+		ex := &Executor{G: g, Workers: workers, Metrics: reg}
+		if _, err := ex.Execute(q); err != nil {
+			t.Fatal(err)
+		}
+		if n := reg.ColumnScans.Load(); n != 4 {
+			t.Errorf("workers=%d: ColumnScans = %d, want 4", workers, n)
 		}
 	}
 }

@@ -116,7 +116,7 @@ func BenchmarkFrozenVarLength(b *testing.B) {
 	benchExecute(b, g, q)
 }
 
-// benchExecute times q on the sequential matcher over a pre-frozen g.
+// benchExecute times q on one match worker over a pre-frozen g.
 func benchExecute(b *testing.B, g *graph.Graph, q gql.Query) {
 	ex := &Executor{G: g}
 	g.Freeze()

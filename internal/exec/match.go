@@ -40,12 +40,6 @@ type matcher struct {
 	ctx      context.Context
 	steps    int // tick counter amortizing ctx polls
 
-	// firstCands, when non-nil, replaces the first pattern's first-node
-	// enumeration: the column prefilter's surviving candidate list
-	// (sequential path; the parallel path filters its chunk input
-	// instead).
-	firstCands []graph.VertexID
-
 	// noColumns pins property reads to the map path (the columnar A/B
 	// switch); colReads/mapReads count covered column reads vs vertex
 	// map fallbacks, flushed coarsely via flushPropReads.
@@ -204,10 +198,37 @@ func (m *matcher) tick() error {
 	return m.ctx.Err()
 }
 
-// matchPatterns enumerates all matches of the given patterns and calls
-// yield with the matcher's slots populated.
-func (m *matcher) matchPatterns(patterns []gql.PathPattern) error {
-	return m.startPattern(patterns, 0)
+// matchCands enumerates every match whose first node (of the first
+// pattern) binds one of the candidates, in candidate order, calling
+// yield with the matcher's slots populated. The candidates are
+// ids[lo:hi], or the vertex IDs lo..hi-1 themselves when ids is nil
+// (see firstNodeCandidates). Both match schedules run this loop: the
+// inline one over every candidate, the chunked one per chunk.
+func (m *matcher) matchCands(patterns []gql.PathPattern, ids []graph.VertexID, lo, hi int) error {
+	fs := -1
+	if v := patterns[0].Nodes[0].Var; v != "" {
+		fs = m.slot(v)
+	}
+	for i := lo; i < hi; i++ {
+		if err := m.tick(); err != nil {
+			return err
+		}
+		id := graph.VertexID(i)
+		if ids != nil {
+			id = ids[i]
+		}
+		if fs >= 0 {
+			m.slots[fs] = VertexRef{G: m.g, ID: id}
+		}
+		err := m.walkChain(patterns, 0, 1, id)
+		if fs >= 0 {
+			m.slots[fs] = nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // startPattern begins matching pattern pi by binding its first node, then
@@ -229,25 +250,6 @@ func (m *matcher) startPattern(patterns []gql.PathPattern, pi int) error {
 	pat := patterns[pi]
 	if len(pat.Nodes) == 0 {
 		return fmt.Errorf("exec: empty pattern")
-	}
-	if pi == 0 && m.firstCands != nil {
-		// Column-prefiltered first-node enumeration: the surviving
-		// candidates, in the original order. The prefilter only engages
-		// on shapes where the first node has a fresh variable (see
-		// columnPrefilter), so this is a plain bind-walk-unbind loop.
-		si := m.slot(pat.Nodes[0].Var)
-		for _, id := range m.firstCands {
-			if err := m.tick(); err != nil {
-				return err
-			}
-			m.slots[si] = VertexRef{G: m.g, ID: id}
-			err := m.walkChain(patterns, 0, 1, id)
-			m.slots[si] = nil
-			if err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	return m.bindNode(pat.Nodes[0], func(at graph.VertexID) error {
 		return m.walkChain(patterns, pi, 1, at)

@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"errors"
-	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,14 +13,16 @@ import (
 	"kaskade/internal/par"
 )
 
-// The parallel matcher partitions the binding space of the first node of
-// the first pattern — the candidate vertex list that the sequential
-// matcher's bindNode would scan — into contiguous chunks, and runs an
-// independent matcher (own bindings map, own edge-uniqueness set) over
-// each chunk on a bounded worker pool. Chunks are merged in partition
-// order, so the result rows, aggregation group order, and row-limit
-// behavior are identical to the sequential path: workers=N is a pure
-// speedup, never a semantic change.
+// The chunked core is streamMatch's schedule for more than one worker.
+// It partitions the first node's candidates (firstNodeCandidates, after
+// the column prefilter) into contiguous chunks, and runs the same
+// candidate loop the inline schedule runs (matcher.matchCands) over
+// each chunk, one independent matcher (own binding slots, own
+// edge-uniqueness set) per pooled worker. Chunks are merged in
+// partition order, so the result rows, aggregation group order, and
+// row-limit behavior are identical to one worker walking every
+// candidate inline: workers=N is a pure speedup, never a semantic
+// change.
 //
 // How a chunk's yields travel to the merge depends on whether the
 // RETURN items aggregate:
@@ -34,7 +35,7 @@ import (
 //   - Aggregation: each chunk feeds its own partial accumulators, and
 //     the merge combines per-chunk states in partition order. Every
 //     accumulator merges exactly (SUM and AVG keep an exact running
-//     sum), so the combined result is byte-identical to the sequential
+//     sum), so the combined result is byte-identical to one inline
 //     feed, with no per-yield buffer at all.
 //
 // Cancellation flows through three layers — the pool stops handing out
@@ -57,8 +58,8 @@ const chunkTarget = 16
 // projection, or a chunk-local partial aggregator (agg) for an
 // aggregate query. yields counts yield *events*, which can exceed the
 // recorded rows by one when the last yield's evaluation errored — the
-// merge phase needs the event position to reproduce the sequential
-// path's check-limit-then-evaluate order.
+// merge phase needs the event position to reproduce the inline
+// schedule's check-limit-then-evaluate order.
 //
 // For a projection the worker publishes rows under mu and nudges wake,
 // so the merge can stream the chunk's row prefix while the chunk is
@@ -102,198 +103,146 @@ func (ch *matchChunk) complete() {
 	ch.nudge()
 }
 
-// firstNodeCandidates reproduces bindNode's enumeration order for the
-// first node of the first pattern: the type-restricted vertex list when
-// the node is typed, every vertex otherwise. The second result is false
-// when the query shape is not partitionable (no patterns or an empty
-// pattern — the sequential path reports those errors).
-func firstNodeCandidates(g *graph.Graph, patterns []gql.PathPattern) ([]graph.VertexID, bool) {
+// firstNodeCandidates resolves the binding space of the first node of
+// the first pattern in bindNode's enumeration order: the typed vertex
+// list when the node is typed (n = len(ids)), every vertex otherwise
+// (ids nil: the candidates are the IDs 0..n-1 themselves, so an untyped
+// scan allocates nothing). ok is false when there is no first node (no
+// patterns, or an empty first pattern); startPattern handles those.
+func firstNodeCandidates(g *graph.Graph, patterns []gql.PathPattern) (ids []graph.VertexID, n int, ok bool) {
 	if len(patterns) == 0 || len(patterns[0].Nodes) == 0 {
-		return nil, false
+		return nil, 0, false
 	}
-	n := patterns[0].Nodes[0]
-	if n.Type != "" {
-		return g.VerticesOfType(n.Type), true
+	if t := patterns[0].Nodes[0].Type; t != "" {
+		ids = g.VerticesOfType(t)
+		return ids, len(ids), true
 	}
-	ids := make([]graph.VertexID, g.NumVertices())
-	for i := range ids {
-		ids[i] = graph.VertexID(i)
-	}
-	return ids, true
+	return nil, g.NumVertices(), true
 }
 
-// streamMatchParallel is streamMatchSeq with the first-node binding
-// space fanned out across `workers` goroutines. It returns ok=false
-// when the query shape or candidate count does not benefit from
-// partitioning, in which case the caller falls through to the
-// sequential path.
-func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, f *graph.Frozen, workers int) ([]string, iter.Seq2[Row, error], bool) {
-	cands, ok := firstNodeCandidates(ex.G, q.Patterns)
-	if !ok || len(cands) < 2 {
-		return nil, nil, false
-	}
-	if pf := ex.columnPrefilter(q, f); pf != nil {
-		// One flat column pass drops candidates whose leftmost WHERE
-		// conjunct is cleanly false before any chunk descends; survivors
-		// still evaluate the full WHERE (idempotent). Filtering the
-		// candidate list keeps a subsequence, so partition-order merging
-		// is unchanged.
-		cands = pf.filter(cands, ex.Metrics)
-		if len(cands) < 2 {
-			return nil, nil, false // sequential path re-filters
-		}
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-
+// matchChunked is the chunked schedule: the n candidates (see
+// matcher.matchCands for ids) fanned out across `workers` goroutines and
+// merged back into yield in candidate order. matchStart times the match
+// stage from candidate resolution on.
+func (ex *Executor) matchChunked(ctx context.Context, q *gql.MatchQuery, f *graph.Frozen, ids []graph.VertexID, n, workers int, matchStart time.Time, yield func(Row, error) bool) {
 	// Contiguous chunks in candidate order; concatenating chunk results
-	// in chunk-index order reproduces the sequential enumeration.
-	chunkSize, numChunks := par.Chunks(len(cands), workers, chunkTarget)
+	// in chunk-index order reproduces the inline enumeration.
+	chunkSize, numChunks := par.Chunks(n, workers, chunkTarget)
+	// wctx scopes the workers to this consumption: when the
+	// consumer stops early (Rows.Close, broken range loop), the
+	// deferred cancel reels the pool back in before the stream
+	// returns, so no goroutine outlives the query.
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 
-	cols := returnCols(q.Return)
-	if ex.Prof != nil {
-		ex.Prof.Workers = workers
+	chunks := make([]matchChunk, numChunks)
+	for i := range chunks {
+		chunks[i].wake = make(chan struct{}, 1)
 	}
-	body := func(yield func(Row, error) bool) {
-		matchStart := time.Now()
-		// wctx scopes the workers to this consumption: when the
-		// consumer stops early (Rows.Close, broken range loop), the
-		// deferred cancel reels the pool back in before the stream
-		// returns, so no goroutine outlives the query.
-		wctx, cancel := context.WithCancel(ctx)
-		defer cancel()
+	// The merge target; nil for a pure projection. Workers never
+	// touch it — each aggregating chunk folds into its own.
+	agg := newAggregator(q.Return, nil, ex.noColumns)
+	// front is the partition the merge currently consumes. Projecting
+	// workers publish per row only while their chunk is the front;
+	// it starts at 0, so chunk 0's first row is visible immediately.
+	var front atomic.Int64
 
-		chunks := make([]matchChunk, numChunks)
-		for i := range chunks {
-			chunks[i].wake = make(chan struct{}, 1)
-		}
-		// The merge target; nil for a pure projection. Workers never
-		// touch it — each aggregating chunk folds into its own.
-		agg := newAggregator(q.Return, nil, ex.noColumns)
-		firstNode := q.Patterns[0].Nodes[0]
-		// front is the partition the merge currently consumes. Projecting
-		// workers publish per row only while their chunk is the front;
-		// it starts at 0, so chunk 0's first row is visible immediately.
-		var front atomic.Int64
+	poolDone := make(chan struct{})
+	go func() {
+		defer close(poolDone)
+		par.DoContextDone(wctx, numChunks, workers, func(next func() (int, bool)) {
+			// One matcher per worker: binding slots and usedEdge
+			// drain back to empty between candidates, so the
+			// per-matcher state is reusable across chunks without
+			// cross-talk.
+			m := ex.newMatcher(wctx, q, f)
+			defer m.flushPropReads(ex.Metrics)
+			for {
+				ci, ok := next()
+				if !ok {
+					return
+				}
+				lo := ci * chunkSize
+				hi := min(lo+chunkSize, n)
+				chunks[ci].err = ex.matchChunkRange(m, q, agg != nil, ids, lo, hi, &chunks[ci], ci, &front)
+			}
+		}, func(ci int) {
+			// Chunk-completion hook: the merge loop rendezvouses on
+			// this, in partition order.
+			chunks[ci].complete()
+		})
+	}()
+	defer func() { cancel(); <-poolDone }()
 
-		poolDone := make(chan struct{})
-		go func() {
-			defer close(poolDone)
-			par.DoContextDone(wctx, numChunks, workers, func(next func() (int, bool)) {
-				// One matcher per worker: binding slots and usedEdge
-				// drain back to empty between candidates, so the
-				// per-matcher state is reusable across chunks without
-				// cross-talk.
-				m := ex.newMatcher(wctx, q, f)
-				defer m.flushPropReads(ex.Metrics)
-				for {
-					ci, ok := next()
-					if !ok {
+	// Merge: consume the chunks in partition order, reproducing the
+	// inline schedule's row order, aggregation feed order, row-limit
+	// check, and first-error position. Only the front partition is
+	// ever waited on; for a projection its published prefix streams
+	// out while the chunk is still matching.
+	rows := 0
+	for ci := range numChunks {
+		ch := &chunks[ci]
+		front.Store(int64(ci))
+		consumed := 0 // row entries already yielded (projection)
+		for {
+			// Under mu, read only what is published incrementally:
+			// the done flag always, the row prefix of a projection.
+			// An aggregating chunk writes its fields unlocked and
+			// orders them before the merge's reads via complete()'s
+			// critical section, so they must not be touched until
+			// done is observed.
+			ch.mu.Lock()
+			done := ch.done
+			var published []Row
+			if agg == nil {
+				published = ch.rows // entries are immutable once appended
+			}
+			ch.mu.Unlock()
+
+			if agg == nil {
+				// Stream the freshly published prefix. The global
+				// row count and limit check advance at the position
+				// the inline schedule checks them — before
+				// evaluation.
+				for consumed < len(published) {
+					rows++
+					if ex.MaxRows > 0 && rows > ex.MaxRows {
+						yield(nil, ErrRowLimit)
 						return
 					}
-					ch := &chunks[ci]
-					lo := ci * chunkSize
-					hi := lo + chunkSize
-					if hi > len(cands) {
-						hi = len(cands)
+					if !yield(published[consumed], nil) {
+						return
 					}
-					ch.err = ex.matchChunkRange(m, q, agg != nil, cands[lo:hi], firstNode, ch, ci, &front)
-				}
-			}, func(ci int) {
-				// Chunk-completion hook: the merge loop rendezvouses on
-				// this, in partition order.
-				chunks[ci].complete()
-			})
-		}()
-		defer func() { cancel(); <-poolDone }()
-
-		// Merge: consume the chunks in partition order, reproducing the
-		// sequential path's row order, aggregation feed order, row-limit
-		// check, and first-error position. Only the front partition is
-		// ever waited on; for a projection its published prefix streams
-		// out while the chunk is still matching.
-		rows := 0
-		for ci := range numChunks {
-			ch := &chunks[ci]
-			front.Store(int64(ci))
-			consumed := 0 // row entries already yielded (projection)
-			for {
-				// Under mu, read only what is published incrementally:
-				// the done flag always, the row prefix of a projection.
-				// An aggregating chunk writes its fields unlocked and
-				// orders them before the merge's reads via complete()'s
-				// critical section, so they must not be touched until
-				// done is observed.
-				ch.mu.Lock()
-				done := ch.done
-				var published []Row
-				if agg == nil {
-					published = ch.rows // entries are immutable once appended
-				}
-				ch.mu.Unlock()
-
-				if agg == nil {
-					// Stream the freshly published prefix. The global
-					// row count and limit check advance at the position
-					// the sequential path would check them — before
-					// evaluation.
-					for consumed < len(published) {
-						rows++
-						if ex.MaxRows > 0 && rows > ex.MaxRows {
-							yield(nil, ErrRowLimit)
-							return
-						}
-						if !yield(published[consumed], nil) {
-							return
-						}
-						consumed++
-					}
-				}
-
-				if done {
-					// A done observed under mu happened after the
-					// chunk's final publish, so consumed covers every
-					// recorded row and the remaining fields are frozen.
-					if err := ex.mergeChunk(agg, ch, consumed, &rows, yield); err != nil {
-						return // mergeChunk already yielded the terminal error
-					}
-					break
-				}
-				select {
-				case <-ch.wake:
-				case <-wctx.Done():
-					// Cancelled while a partition was still matching
-					// (the pool may never claim it once the context is
-					// done).
-					yield(nil, wctx.Err())
-					return
+					consumed++
 				}
 			}
-		}
-		if ex.Prof != nil {
-			// rows counts yield events merged across every partition —
-			// the sequential path's pre-aggregation row count.
-			ex.Prof.add("match", int64(rows), numChunks, time.Since(matchStart))
-		}
-		if agg != nil {
-			finStart := time.Now()
-			out, err := agg.finish()
-			if err != nil {
-				yield(nil, err)
+
+			if done {
+				// A done observed under mu happened after the
+				// chunk's final publish, so consumed covers every
+				// recorded row and the remaining fields are frozen.
+				if err := ex.mergeChunk(agg, ch, consumed, &rows, yield); err != nil {
+					return // mergeChunk already yielded the terminal error
+				}
+				break
+			}
+			select {
+			case <-ch.wake:
+			case <-wctx.Done():
+				// Cancelled while a partition was still matching
+				// (the pool may never claim it once the context is
+				// done).
+				yield(nil, wctx.Err())
 				return
-			}
-			if ex.Prof != nil {
-				ex.Prof.add("aggregate", int64(len(out)), 0, time.Since(finStart))
-			}
-			for _, row := range out {
-				if !yield(row, nil) {
-					return
-				}
 			}
 		}
 	}
-	return cols, body, true
+	if ex.Prof != nil {
+		// rows counts yield events merged across every partition —
+		// the inline schedule's pre-aggregation row count.
+		ex.Prof.add("match", int64(rows), numChunks, time.Since(matchStart))
+	}
+	ex.finishAgg(agg, yield)
 }
 
 // errMergeStop signals mergeChunk's caller that the stream terminated
@@ -328,10 +277,10 @@ func (ex *Executor) mergeChunk(agg *aggregator, ch *matchChunk, consumed int, ro
 	}
 	// The chunk's yields were folded into its partial accumulators as
 	// they happened; only the event count travels here. The limit gate
-	// trips iff the sequential path would have checked rows > MaxRows at
+	// trips iff the inline schedule would have checked rows > MaxRows at
 	// one of this chunk's events — and since a chunk error is positioned
 	// at (or after) the chunk's last event, the gate wins exactly when
-	// sequential's earlier limit-before-evaluate check would.
+	// the inline schedule's earlier limit-before-evaluate check would.
 	if ex.MaxRows > 0 && *rows+yields > ex.MaxRows {
 		yield(nil, ErrRowLimit)
 		return errMergeStop
@@ -351,24 +300,24 @@ func (ex *Executor) mergeChunk(agg *aggregator, ch *matchChunk, consumed int, ro
 }
 
 // errPartitionLimit aborts a worker whose local yield count alone
-// already exceeds MaxRows; the merge loop converts it into the
-// sequential path's ErrRowLimit at the equivalent global row.
+// already exceeds MaxRows; the merge loop converts it into the inline
+// schedule's ErrRowLimit at the equivalent global row.
 var errPartitionLimit = &partitionLimitError{}
 
 type partitionLimitError struct{}
 
 func (*partitionLimitError) Error() string { return "exec: partition row limit" }
 
-// matchChunkRange runs the full backtracking match with the first node
-// pinned to each candidate in turn, recording yields into ch. An
-// aggregate query evaluates its group keys and argument expressions
-// here, on the worker, and accumulates into the chunk's own aggregator
-// (ch.agg), untouched by anyone else until the merge.
+// matchChunkRange runs the candidate loop over chunk ci's candidates
+// [lo, hi), recording yields into ch. An aggregate query evaluates its
+// group keys and argument expressions here, on the worker, and
+// accumulates into the chunk's own aggregator (ch.agg), untouched by
+// anyone else until the merge.
 //
-// Yield-event accounting mirrors the sequential path's order either
+// Yield-event accounting mirrors the inline schedule's order either
 // way: count the row and check the limit BEFORE evaluating any
 // expression, so an evaluation error beyond the row limit surfaces as
-// ErrRowLimit, not as the eval error the sequential path never reaches.
+// ErrRowLimit, not as the eval error the inline schedule never reaches.
 // The worker can only apply its local limit (its count is a lower bound
 // on the global one); the merge phase re-checks globally.
 //
@@ -380,7 +329,7 @@ func (*partitionLimitError) Error() string { return "exec: partition row limit" 
 // the finalize before the chunk completes. The merge reads ch.yields
 // and ch.err only after done, so they need no per-yield
 // synchronization.
-func (ex *Executor) matchChunkRange(m *matcher, q *gql.MatchQuery, aggregate bool, cands []graph.VertexID, firstNode gql.NodePattern, ch *matchChunk, ci int, front *atomic.Int64) error {
+func (ex *Executor) matchChunkRange(m *matcher, q *gql.MatchQuery, aggregate bool, ids []graph.VertexID, lo, hi int, ch *matchChunk, ci int, front *atomic.Int64) error {
 	if aggregate {
 		ch.agg = newAggregator(q.Return, nil, ex.noColumns)
 		m.yield = func() error {
@@ -409,13 +358,9 @@ func (ex *Executor) matchChunkRange(m *matcher, q *gql.MatchQuery, aggregate boo
 			if ex.MaxRows > 0 && events > ex.MaxRows {
 				return errPartitionLimit
 			}
-			row := make(Row, len(q.Return))
-			for i, item := range q.Return {
-				v, err := evalExpr(item.Expr, m)
-				if err != nil {
-					return err
-				}
-				row[i] = exportValue(v)
+			row, err := project(q.Return, m)
+			if err != nil {
+				return err
 			}
 			if front.Load() != int64(ci) {
 				pending = append(pending, row)
@@ -432,29 +377,10 @@ func (ex *Executor) matchChunkRange(m *matcher, q *gql.MatchQuery, aggregate boo
 			return nil
 		}
 	}
-	fs := -1
-	if firstNode.Var != "" {
-		fs = m.slot(firstNode.Var)
-	}
-	for _, id := range cands {
-		if err := m.tick(); err != nil {
-			return err
-		}
-		if fs >= 0 {
-			m.slots[fs] = VertexRef{G: m.g, ID: id}
-		}
-		err := m.walkChain(q.Patterns, 0, 1, id)
-		if fs >= 0 {
-			m.slots[fs] = nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.matchCands(q.Patterns, ids, lo, hi)
 }
 
-// effectiveWorkers resolves the Workers knob: 0 and 1 mean sequential,
+// effectiveWorkers resolves the Workers knob: 0 and 1 mean one worker,
 // negative means one worker per available CPU.
 func (ex *Executor) effectiveWorkers() int {
 	if ex.Workers < 0 {

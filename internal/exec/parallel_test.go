@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"context"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"kaskade/internal/datagen"
@@ -191,10 +194,10 @@ func TestParallelRowLimitMatchesSequential(t *testing.T) {
 }
 
 // TestParallelRowLimitShadowsLaterEvalError pins the check-then-evaluate
-// order: when an evaluation error sits beyond MaxRows, the sequential
-// path never reaches it — it fails with ErrRowLimit first — and the
-// parallel path must report the same error even though its workers,
-// blind to the global row count, already tripped over the bad row.
+// order: when an evaluation error sits beyond MaxRows, one worker never
+// reaches it — it fails with ErrRowLimit first — and the chunked
+// schedule must report the same error even though its workers, blind to
+// the global row count, already tripped over the bad row.
 func TestParallelRowLimitShadowsLaterEvalError(t *testing.T) {
 	g := graph.NewGraph(nil)
 	for i := 0; i < 5; i++ {
@@ -236,16 +239,82 @@ func TestParallelErrorsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestParallelSingleCandidateFallsBack pins the fallback: one candidate
-// start vertex leaves nothing to partition, so the parallel path defers
-// to the sequential matcher rather than spinning up a pool.
-func TestParallelSingleCandidateFallsBack(t *testing.T) {
-	g := graph.NewGraph(nil)
-	a := g.MustAddVertex("Only", nil)
-	b := g.MustAddVertex("V", nil)
-	g.MustAddEdge(a, b, "E", nil)
-	res := runWorkers(t, g, `MATCH (x:Only)-[:E]->(y) RETURN x, y`, 8)
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d, want 1", len(res.Rows))
+// inlineGraph has one Only vertex and three Start vertices (declared
+// int k = 0, 1, 2), each with an edge into a ring of V vertices dense
+// enough that variable-length matches from it explode combinatorially.
+func inlineGraph(t testing.TB) *graph.Graph {
+	t.Helper()
+	s := graph.MustSchema([]string{"Only", "Start", "V"}, []graph.EdgeType{
+		{From: "Only", To: "V", Name: "E"},
+		{From: "Start", To: "V", Name: "E"},
+		{From: "V", To: "V", Name: "E"},
+	})
+	if err := s.DeclareProperty("Start", "k", graph.PropInt); err != nil {
+		t.Fatal(err)
+	}
+	g := graph.NewGraph(s)
+	const n = 24
+	ring := make([]graph.VertexID, n)
+	for i := range ring {
+		ring[i] = g.MustAddVertex("V", nil)
+	}
+	for i := range ring {
+		for d := 1; d <= 6; d++ {
+			g.MustAddEdge(ring[i], ring[(i+d)%n], "E", nil)
+		}
+	}
+	g.MustAddEdge(g.MustAddVertex("Only", nil), ring[0], "E", nil)
+	for k := range 3 {
+		g.MustAddEdge(g.MustAddVertex("Start", graph.Properties{"k": int64(k)}), ring[0], "E", nil)
+	}
+	return g
+}
+
+// TestOneWorkerRunsInline pins the one-worker schedule: whether one
+// worker was asked for, or more were but only one candidate exists or
+// survives the column prefilter, the match runs inline on the consuming
+// goroutine — one worker in the profile, no chunks, and no goroutine
+// started while a cursor sits mid-stream in an explosive match (a pool
+// would still be matching there).
+func TestOneWorkerRunsInline(t *testing.T) {
+	g := inlineGraph(t)
+	for _, tc := range []struct {
+		name    string
+		workers int
+		match   string // %d is the variable-length bound
+	}{
+		{"workers=0", 0, `MATCH (a:Start)-[r*1..%d]->(b) RETURN a, b`},
+		{"workers=1", 1, `MATCH (a:Start)-[r*1..%d]->(b) RETURN a, b`},
+		{"one candidate", 8, `MATCH (a:Only)-[r*1..%d]->(b) RETURN a, b`},
+		{"one prefiltered candidate", 8, `MATCH (a:Start)-[r*1..%d]->(b) WHERE a.k = 1 RETURN a, b`},
+	} {
+		prof := &Profile{}
+		ex := &Executor{G: g, Workers: tc.workers, Prof: prof}
+		if _, err := ex.Execute(mustParse(t, fmt.Sprintf(tc.match, 2))); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if prof.Workers != 1 {
+			t.Errorf("%s: profile workers = %d, want 1", tc.name, prof.Workers)
+		}
+		if len(prof.Stages) == 0 || prof.Stages[0].Stage != "match" || prof.Stages[0].Chunks != 0 {
+			t.Errorf("%s: stages = %+v, want an unchunked match stage first", tc.name, prof.Stages)
+		}
+
+		ex = &Executor{G: g, Workers: tc.workers}
+		rows, err := ex.Stream(context.Background(), mustParse(t, fmt.Sprintf(tc.match, 12)))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		before := runtime.NumGoroutine()
+		if !rows.Next() {
+			t.Fatalf("%s: no first row: %v", tc.name, rows.Err())
+		}
+		during := runtime.NumGoroutine()
+		if err := rows.Close(); err != nil {
+			t.Fatalf("%s: Close = %v", tc.name, err)
+		}
+		if during != before {
+			t.Errorf("%s: goroutines %d before the first row, %d mid-stream; want unchanged", tc.name, before, during)
+		}
 	}
 }

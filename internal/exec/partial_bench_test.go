@@ -8,13 +8,13 @@ import (
 	"kaskade/internal/graph"
 )
 
-// The BenchmarkPartialAgg* family measures the aggregate path's
-// sequential-equivalent overhead: on a single-CPU host, the parallel
-// path at workers=N cannot beat the sequential matcher, so any gap
-// between "seq" and the worker variants is pure coordination cost. The
-// parallel path folds yields into per-chunk accumulators as they happen
-// and must stay within a few percent of sequential. On multi-core hosts
-// the same variants show the speedup instead.
+// The BenchmarkPartialAgg* family measures what the chunked schedule's
+// aggregation costs over one worker: on a single-CPU host, workers=N
+// cannot beat one worker walking the candidates inline, so any gap
+// between "w1" and the partial variants is pure coordination cost. The
+// chunked schedule folds yields into per-chunk accumulators as they
+// happen and must stay within a few percent of "w1". On multi-core
+// hosts the same variants show the speedup instead.
 
 func partialBenchGraph(b *testing.B) *graph.Graph {
 	b.Helper()
@@ -27,8 +27,8 @@ func partialBenchGraph(b *testing.B) *graph.Graph {
 	return g
 }
 
-// benchAggVariants runs src sequentially, then on the parallel path at
-// each worker count.
+// benchAggVariants runs src on one worker, then on the chunked schedule
+// at each larger worker count.
 func benchAggVariants(b *testing.B, src string) {
 	g := partialBenchGraph(b)
 	q := mustParse(b, src)
@@ -42,7 +42,7 @@ func benchAggVariants(b *testing.B, src string) {
 			}
 		}
 	}
-	b.Run("seq", run(&Executor{G: g, Workers: 1}))
+	b.Run("w1", run(&Executor{G: g, Workers: 1}))
 	for _, workers := range []int{2, 4} {
 		b.Run(fmt.Sprintf("partial/w%d", workers), run(&Executor{G: g, Workers: workers}))
 	}

@@ -144,7 +144,7 @@ func TestPartialAggFloatBitsAcrossWorkers(t *testing.T) {
 // TestPartialAggRowLimitShadowsLaterEvalError is the partial-mode
 // counterpart of TestParallelRowLimitShadowsLaterEvalError: the limit
 // gate must trip at the exact global yield position — before the
-// aggregate-argument evaluation the sequential path never reaches —
+// aggregate-argument evaluation one worker never reaches —
 // even though the chunk only ships an event count, not per-yield
 // entries.
 func TestPartialAggRowLimitShadowsLaterEvalError(t *testing.T) {

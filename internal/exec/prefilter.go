@@ -221,9 +221,7 @@ func cmpFloat(a, b float64) int {
 }
 
 // filter returns the candidates that survive the conjunct, in order.
-// The result is non-nil even when empty — callers use it as an
-// "override the candidate source" sentinel. Scanned candidates are
-// counted as column scans.
+// Scanned candidates are counted as column scans.
 func (pf *colPrefilter) filter(cands []graph.VertexID, reg *metrics.Registry) []graph.VertexID {
 	out := make([]graph.VertexID, 0, len(cands))
 	for _, v := range cands {

@@ -7,8 +7,8 @@ import (
 )
 
 // StageProfile is one executed stage's actuals: rows it emitted,
-// parallel chunks it merged (0 for sequential stages), and the wall
-// time attributed to it.
+// parallel chunks it merged (0 for a stage that ran inline), and the
+// wall time attributed to it.
 type StageProfile struct {
 	Stage  string
 	Rows   int64

@@ -19,15 +19,16 @@ import (
 // intractable pattern matches — the very thing Kaskade's views exist to
 // avoid).
 //
-// Workers controls pattern-match parallelism: 0 or 1 runs the
-// sequential matcher, N>1 partitions the first-node binding space
-// across N goroutines, and any negative value uses one worker per
-// available CPU. The parallel path merges partitions deterministically,
-// so results are identical to the sequential path row for row: a
-// projection streams each partition's rows eagerly, an aggregate query
-// merges per-chunk partial accumulators (see parallel.go). The graph
-// must not be mutated during execution — after load, a graph.Graph is
-// read-only and safe for concurrent traversal.
+// Workers controls pattern-match parallelism: the matcher enumerates
+// the first node's candidates on min(Workers, candidates) workers, where
+// 0 or 1 means one and any negative value means one per available CPU.
+// One worker walks the candidates inline on the consuming goroutine;
+// more split them into chunks on a worker pool and merge the chunks in
+// candidate order, so results are identical at every worker count row
+// for row: a projection streams each chunk's rows eagerly, an aggregate
+// query merges per-chunk partial accumulators (see parallel.go). The
+// graph must not be mutated during execution — after load, a
+// graph.Graph is read-only and safe for concurrent traversal.
 //
 // Execution comes in two forms built on one streaming core:
 // ExecuteContext buffers every row into a Result; Stream returns a Rows
@@ -69,7 +70,7 @@ var ErrRowLimit = fmt.Errorf("exec: row limit exceeded")
 // escapes the streaming core.
 var errStreamStop = errors.New("exec: stream consumer stopped")
 
-// Run executes a query string against g on the sequential matcher.
+// Run executes a query string against g on one match worker.
 func Run(g *graph.Graph, src string) (*Result, error) {
 	return RunParallel(g, src, 1)
 }
@@ -180,22 +181,11 @@ func (ex *Executor) observedStream(ctx context.Context, q gql.Query) ([]string, 
 // stream is the single execution core: it resolves a query to its
 // column names and a one-shot row sequence. The sequence yields
 // (row, nil) per result row and terminates after at most one
-// (nil, err). Both Execute and Stream consume it. A MATCH resolves the
-// graph's frozen snapshot once, here; a declared property holding the
-// wrong kind fails the query with FreezeChecked's error.
+// (nil, err). Both Execute and Stream consume it.
 func (ex *Executor) stream(ctx context.Context, q gql.Query) ([]string, iter.Seq2[Row, error], error) {
 	switch q := q.(type) {
 	case *gql.MatchQuery:
-		f, err := ex.G.FreezeChecked()
-		if err != nil {
-			return nil, nil, err
-		}
-		if w := ex.effectiveWorkers(); w > 1 {
-			if cols, body, ok := ex.streamMatchParallel(ctx, q, f, w); ok {
-				return cols, body, nil
-			}
-		}
-		return ex.streamMatchSeq(ctx, q, f)
+		return ex.streamMatch(ctx, q)
 	case *gql.SelectQuery:
 		return ex.streamSelect(ctx, q)
 	}
@@ -211,26 +201,49 @@ func returnCols(items []gql.ReturnItem) []string {
 	return cols
 }
 
-// streamMatchSeq enumerates pattern matches on the sequential matcher
+// streamMatch is the one MATCH driver: it enumerates pattern matches
 // and streams the projected rows, with Cypher-style implicit grouping
 // when aggregates appear (aggregation is blocking: grouped rows stream
-// only after the match completes). This is the semantic reference the
-// parallel path reproduces.
-func (ex *Executor) streamMatchSeq(ctx context.Context, q *gql.MatchQuery, f *graph.Frozen) ([]string, iter.Seq2[Row, error], error) {
-	cols := returnCols(q.Return)
-	if ex.Prof != nil {
-		ex.Prof.Workers = 1
+// only after the match completes). The frozen snapshot is resolved up
+// front, so a declared property holding the wrong kind fails the query
+// with FreezeChecked's error. When the rows are consumed, the first
+// node's candidates are resolved once and the worker count picks the
+// schedule: one worker walks them inline on the consuming goroutine,
+// with no goroutine, chunk or row buffer; more run the chunked core
+// (parallel.go). Both run matcher.matchCands, and the chunked merge
+// reproduces the inline order.
+func (ex *Executor) streamMatch(ctx context.Context, q *gql.MatchQuery) ([]string, iter.Seq2[Row, error], error) {
+	f, err := ex.G.FreezeChecked()
+	if err != nil {
+		return nil, nil, err
 	}
 	body := func(yield func(Row, error) bool) {
 		matchStart := time.Now()
+		ids, n, ok := firstNodeCandidates(ex.G, q.Patterns)
+		if pf := ex.columnPrefilter(q, f); pf != nil {
+			// One flat column pass drops candidates whose leftmost WHERE
+			// conjunct is cleanly false before the matcher descends;
+			// survivors still evaluate the full WHERE (idempotent). The
+			// survivors keep their order, so every schedule enumerates
+			// the same matches in the same order.
+			ids = pf.filter(ids, ex.Metrics)
+			n = len(ids)
+		}
+		workers := max(1, min(ex.effectiveWorkers(), n))
+		if ex.Prof != nil {
+			ex.Prof.Workers = workers
+		}
+		if workers > 1 {
+			ex.matchChunked(ctx, q, f, ids, n, workers, matchStart, yield)
+			return
+		}
 		agg := newAggregator(q.Return, nil, ex.noColumns)
 		m := ex.newMatcher(ctx, q, f)
 		defer m.flushPropReads(ex.Metrics)
-		if pf := ex.columnPrefilter(q, f); pf != nil {
-			m.firstCands = pf.filter(ex.G.VerticesOfType(q.Patterns[0].Nodes[0].Type), ex.Metrics)
-		}
 		rows := 0
 		m.yield = func() error {
+			// Count, then check the limit, then evaluate: an evaluation
+			// error beyond MaxRows surfaces as ErrRowLimit.
 			rows++
 			if ex.MaxRows > 0 && rows > ex.MaxRows {
 				return ErrRowLimit
@@ -238,20 +251,24 @@ func (ex *Executor) streamMatchSeq(ctx context.Context, q *gql.MatchQuery, f *gr
 			if agg != nil {
 				return agg.feed(m)
 			}
-			row := make(Row, len(q.Return))
-			for i, item := range q.Return {
-				v, err := evalExpr(item.Expr, m)
-				if err != nil {
-					return err
-				}
-				row[i] = exportValue(v)
+			row, err := project(q.Return, m)
+			if err != nil {
+				return err
 			}
 			if !yield(row, nil) {
 				return errStreamStop
 			}
 			return nil
 		}
-		if err := m.matchPatterns(q.Patterns); err != nil {
+		var err error
+		if ok {
+			err = m.matchCands(q.Patterns, ids, 0, n)
+		} else {
+			// No first node to enumerate: zero patterns match once, an
+			// empty pattern reports its error.
+			err = m.startPattern(q.Patterns, 0)
+		}
+		if err != nil {
 			if err != errStreamStop {
 				yield(nil, err)
 			}
@@ -260,24 +277,45 @@ func (ex *Executor) streamMatchSeq(ctx context.Context, q *gql.MatchQuery, f *gr
 		if ex.Prof != nil {
 			ex.Prof.add("match", int64(rows), 0, time.Since(matchStart))
 		}
-		if agg != nil {
-			finStart := time.Now()
-			out, err := agg.finish()
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			if ex.Prof != nil {
-				ex.Prof.add("aggregate", int64(len(out)), 0, time.Since(finStart))
-			}
-			for _, row := range out {
-				if !yield(row, nil) {
-					return
-				}
-			}
+		ex.finishAgg(agg, yield)
+	}
+	return returnCols(q.Return), body, nil
+}
+
+// project evaluates the RETURN items over the current match into a row
+// whose values outlive it.
+func project(items []gql.ReturnItem, sc scope) (Row, error) {
+	row := make(Row, len(items))
+	for i, item := range items {
+		v, err := evalExpr(item.Expr, sc)
+		if err != nil {
+			return nil, err
+		}
+		row[i] = exportValue(v)
+	}
+	return row, nil
+}
+
+// finishAgg finishes a completed match's aggregation, if any, and
+// streams its groups — the tail both match schedules share.
+func (ex *Executor) finishAgg(agg *aggregator, yield func(Row, error) bool) {
+	if agg == nil {
+		return
+	}
+	start := time.Now()
+	out, err := agg.finish()
+	if err != nil {
+		yield(nil, err)
+		return
+	}
+	if ex.Prof != nil {
+		ex.Prof.add("aggregate", int64(len(out)), 0, time.Since(start))
+	}
+	for _, row := range out {
+		if !yield(row, nil) {
+			return
 		}
 	}
-	return cols, body, nil
 }
 
 // streamSelect evaluates the subquery, then filter/group/order/limit.

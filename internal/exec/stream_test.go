@@ -221,7 +221,7 @@ func denseGraph(t testing.TB) *graph.Graph {
 const pathologicalQuery = `MATCH (a:V)-[r*1..12]->(b:V) RETURN COUNT(r) AS n`
 
 // TestCancelSequentialMatch: a context cancelled mid-match terminates a
-// sequential pathological query promptly with ctx.Err().
+// one-worker (inline) pathological query promptly with ctx.Err().
 func TestCancelSequentialMatch(t *testing.T) {
 	testCancelMidMatch(t, 1)
 }

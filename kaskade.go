@@ -114,7 +114,7 @@
 // # Parallel execution
 //
 // Query execution and view materialization run on worker pools when
-// System.Parallelism is set (0 or 1 = sequential, N>1 = N workers,
+// System.Parallelism is set (0 or 1 = one worker, N>1 = N workers,
 // negative = one per available CPU):
 //
 //	sys := kaskade.New(g)
@@ -123,10 +123,10 @@
 // The pattern matcher partitions the binding space of a query's first
 // node across workers and merges partition results in partition order,
 // so parallel execution is deterministic: results — row order, group
-// order, float bits — are byte-identical to the sequential path, which
-// remains the semantic reference. Pure projections stream each
-// partition's row prefix eagerly (low time-to-first-row at any worker
-// count); aggregates run as per-partition partial accumulators merged
+// order, float bits — are byte-identical to one worker walking every
+// candidate inline, which is the semantic reference. Pure projections
+// stream each partition's row prefix eagerly (low time-to-first-row at
+// any worker count); aggregates run as per-partition partial accumulators merged
 // in partition order. Float SUM and AVG keep an exact running sum and
 // round once, so they return the correctly rounded sum whatever the
 // row order, worker count, or view rewrite.
