@@ -17,7 +17,6 @@ type aggregator struct {
 	aggNodes []*gql.FuncCall // aggregate calls across all items
 	groups   map[string]*aggGroup
 	order    []string // group keys in first-seen order
-	noCols   bool     // propagate the column A/B switch into finish()
 
 	// feed-path scratch. feed is goroutine-confined (each chunk owns its
 	// aggregator; an inline match has one), so the per-row key and
@@ -31,7 +30,7 @@ type aggGroup struct {
 	accs   []accumulator
 }
 
-func newAggregator(items []gql.ReturnItem, groupBy []gql.Expr, noCols bool) *aggregator {
+func newAggregator(items []gql.ReturnItem, groupBy []gql.Expr) *aggregator {
 	var aggNodes []*gql.FuncCall
 	for _, item := range items {
 		aggNodes = append(aggNodes, collectAggregates(item.Expr)...)
@@ -44,7 +43,6 @@ func newAggregator(items []gql.ReturnItem, groupBy []gql.Expr, noCols bool) *agg
 		keyExprs: groupBy,
 		aggNodes: aggNodes,
 		groups:   make(map[string]*aggGroup),
-		noCols:   noCols,
 	}
 	if len(groupBy) == 0 {
 		// Implicit grouping: key on the aggregate-free items.
@@ -196,7 +194,7 @@ func (a *aggregator) finish() ([]Row, error) {
 		}
 		row := make(Row, len(a.items))
 		for i, item := range a.items {
-			v, err := evalWithAggs(item.Expr, mapScope{env: g.repEnv, noCols: a.noCols}, aggVals)
+			v, err := evalWithAggs(item.Expr, mapScope(g.repEnv), aggVals)
 			if err != nil {
 				return nil, err
 			}

@@ -60,46 +60,88 @@ func declaredLineage(t testing.TB) *graph.Graph {
 	return g
 }
 
-// runColumnMode executes src with the columnar path on or off.
-func runColumnMode(t testing.TB, g *graph.Graph, src string, workers int, noColumns bool) *Result {
-	t.Helper()
-	q := mustParse(t, src)
-	ex := &Executor{G: g, Workers: workers, noColumns: noColumns}
-	res, err := ex.Execute(q)
-	if err != nil {
-		t.Fatalf("Execute(%q, workers=%d, noColumns=%v): %v", src, workers, noColumns, err)
+// undeclaredTwin copies g — same vertices, edges, IDs and property bags
+// — into a graph with no schema, so no property is declared, no column
+// is built and the executor reads every property from the vertex maps.
+// It is the map reference the columnar suites compare against.
+func undeclaredTwin(g *graph.Graph) *graph.Graph {
+	tw := graph.NewGraph(nil)
+	for v := 0; v < g.NumVertices(); v++ {
+		x := g.Vertex(graph.VertexID(v))
+		tw.MustAddVertex(x.Type, x.Props)
 	}
-	return res
+	for e := 0; e < g.NumEdges(); e++ {
+		x := g.Edge(graph.EdgeID(e))
+		tw.MustAddEdge(x.From, x.To, x.Type, x.Props)
+	}
+	return tw
+}
+
+// rebind returns a copy of res whose VertexRef, EdgeRef and PathRef
+// values bound in from point at to instead. The twin keeps g's IDs, so
+// a rebound twin result is reflect.DeepEqual to g's when the rows agree
+// in every value, its Go type included.
+func rebind(res *Result, from, to *graph.Graph) *Result {
+	out := &Result{Cols: res.Cols, Rows: make([]Row, len(res.Rows))}
+	for i, r := range res.Rows {
+		row := make(Row, len(r))
+		for j, v := range r {
+			switch x := v.(type) {
+			case VertexRef:
+				if x.G == from {
+					x.G = to
+				}
+				v = x
+			case EdgeRef:
+				if x.G == from {
+					x.G = to
+				}
+				v = x
+			case PathRef:
+				if x.G == from {
+					x.G = to
+				}
+				v = x
+			}
+			row[j] = v
+		}
+		out.Rows[i] = row
+	}
+	return out
+}
+
+// assertColumnsMatchMap runs src on g at workers 1 and 4 and requires
+// the rows the undeclared twin gives on one worker: rows, order, group
+// order, value types and float bits.
+func assertColumnsMatchMap(t *testing.T, g, twin *graph.Graph, src string) {
+	t.Helper()
+	ref := rebind(runWorkers(t, twin, src, 1), twin, g)
+	for _, workers := range []int{1, 4} {
+		assertSameResult(t, src, ref, runWorkers(t, g, src, workers), workers)
+	}
 }
 
 // TestColumnsMatchMapOnLineage is the columnar-vs-map equivalence suite
 // over every exec_test query shape: with every property declared, the
 // columnar reads and the predicate prefilter must produce byte-identical
-// results (rows, order, group order, float bit patterns) to the
-// property-map path, sequential and parallel.
+// results to the property maps of the undeclared twin.
 func TestColumnsMatchMapOnLineage(t *testing.T) {
 	g := declaredLineage(t)
+	twin := undeclaredTwin(g)
 	for _, src := range equivalenceQueries {
-		ref := runColumnMode(t, g, src, 1, true) // map path sequential: the reference
-		for _, workers := range []int{1, 4} {
-			assertSameResult(t, src, ref, runColumnMode(t, g, src, workers, false), workers)
-			assertSameResult(t, src, ref, runColumnMode(t, g, src, workers, true), workers)
-		}
+		assertColumnsMatchMap(t, g, twin, src)
 	}
 }
 
-// TestColumnsMatchMapOnDatagen runs the same A/B over the randomized
-// synthetic datasets (prov declares properties; the others exercise the
-// column-less fallback).
+// TestColumnsMatchMapOnDatagen runs the same comparison over the
+// randomized synthetic datasets (prov declares properties; the others
+// exercise the column-less path on both sides).
 func TestColumnsMatchMapOnDatagen(t *testing.T) {
 	for _, seed := range []int64{5, 19} {
-		graphs := datagenGraphs(t, seed)
-		for name, g := range graphs {
+		for name, g := range datagenGraphs(t, seed) {
+			twin := undeclaredTwin(g)
 			for _, src := range datasetQueries[name] {
-				ref := runColumnMode(t, g, src, 1, true)
-				for _, workers := range []int{1, 4} {
-					assertSameResult(t, src, ref, runColumnMode(t, g, src, workers, false), workers)
-				}
+				assertColumnsMatchMap(t, g, twin, src)
 			}
 		}
 	}
@@ -130,25 +172,22 @@ var absentValueQueries = []string{
 const absentValueOrdering = `MATCH (j:Job) WHERE j.CPU >= 10 RETURN ID(j) AS id`
 
 // TestColumnsMatchMapOnAbsentValues pins the prefilter's nil semantics:
-// a vertex lacking the declared property compares like the map path —
-// "=" is cleanly false, "<>" is cleanly true, and orderings error — on
-// both storage modes.
+// a vertex lacking the declared property compares like a map read —
+// "=" is cleanly false, "<>" is cleanly true, and orderings error.
 func TestColumnsMatchMapOnAbsentValues(t *testing.T) {
 	g := absentValuesGraph(t)
+	twin := undeclaredTwin(g)
 	for _, src := range absentValueQueries {
-		ref := runColumnMode(t, g, src, 1, true)
-		for _, workers := range []int{1, 4} {
-			assertSameResult(t, src, ref, runColumnMode(t, g, src, workers, false), workers)
-		}
+		assertColumnsMatchMap(t, g, twin, src)
 	}
 	// An ordering against the absent value errors identically: the
 	// prefilter must keep the candidate so the error still surfaces.
 	src := absentValueOrdering
-	for _, noColumns := range []bool{false, true} {
-		ex := &Executor{G: g, noColumns: noColumns}
+	for _, gr := range []*graph.Graph{g, twin} {
+		ex := &Executor{G: gr}
 		if _, err := ex.Execute(mustParse(t, src)); err == nil ||
 			!strings.Contains(err.Error(), "cannot compare") {
-			t.Errorf("noColumns=%v: err = %v, want incomparable error", noColumns, err)
+			t.Errorf("declared=%v: err = %v, want incomparable error", gr == g, err)
 		}
 	}
 }
@@ -210,18 +249,19 @@ func TestColumnPrefilterEngagement(t *testing.T) {
 		}
 	}
 
-	// The A/B switch disables it outright.
-	exOff := &Executor{G: g, noColumns: true}
-	if exOff.columnPrefilter(match(`MATCH (j:Job) WHERE j.CPU >= 20 RETURN j`), f) != nil {
-		t.Error("noColumns executor still prefilters")
+	// The map reference has no column to prefilter.
+	twin := undeclaredTwin(g)
+	if (&Executor{G: twin}).columnPrefilter(match(prefilterEngages[0]), twin.Freeze()) != nil {
+		t.Error("undeclared twin prefilters")
 	}
 }
 
 // TestColumnMetricsCounters pins the columnar-usage counters: a fully
-// declared workload reads only columns; the noColumns switch reads only
+// declared workload reads only columns; its undeclared twin reads only
 // the maps.
 func TestColumnMetricsCounters(t *testing.T) {
 	g := declaredLineage(t)
+	twin := undeclaredTwin(g)
 	src := `MATCH (j:Job) WHERE j.CPU >= 20 RETURN j.name AS name`
 	for _, workers := range []int{1, 4} {
 		reg := metrics.NewRegistry()
@@ -237,15 +277,52 @@ func TestColumnMetricsCounters(t *testing.T) {
 		}
 
 		reg = metrics.NewRegistry()
-		ex = &Executor{G: g, Workers: workers, Metrics: reg, noColumns: true}
+		ex = &Executor{G: twin, Workers: workers, Metrics: reg}
 		if _, err := ex.Execute(mustParse(t, src)); err != nil {
 			t.Fatal(err)
 		}
 		if n := reg.ColumnScans.Load(); n != 0 {
-			t.Errorf("workers=%d noColumns: ColumnScans = %d, want 0", workers, n)
+			t.Errorf("workers=%d twin: ColumnScans = %d, want 0", workers, n)
 		}
 		if reg.PropMapFallbacks.Load() == 0 {
-			t.Errorf("workers=%d noColumns: PropMapFallbacks = 0, want > 0", workers)
+			t.Errorf("workers=%d twin: PropMapFallbacks = 0, want > 0", workers)
+		}
+	}
+}
+
+// TestDeclaredTailTypeReadsColumns pins that a declared property has
+// one read path even on vertices of a type that had none at the freeze:
+// they land in the delta tail with column slots, so WHERE, RETURN and
+// aggregate reads of the property are column reads, never map reads,
+// and the rows match the undeclared twin.
+func TestDeclaredTailTypeReadsColumns(t *testing.T) {
+	g := graph.NewGraph(declaredSchema(t))
+	f := g.MustAddVertex("File", nil)
+	g.Freeze() // no Job yet
+	for i := 0; i < 4; i++ {
+		j := g.MustAddVertex("Job", graph.Properties{"CPU": int64(10 * i)})
+		g.MustAddEdge(j, f, "WRITES_TO", nil)
+	}
+	if tv, _ := g.CachedFrozen().TailSize(); tv != 4 {
+		t.Fatalf("tail holds %d vertices, want the 4 Jobs", tv)
+	}
+	twin := undeclaredTwin(g)
+	for _, src := range []string{
+		`MATCH (j:Job) WHERE j.CPU >= 20 RETURN j.CPU AS cpu`,
+		`MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN SUM(j.CPU) AS total, MAX(j.CPU) AS top`,
+	} {
+		assertColumnsMatchMap(t, g, twin, src)
+		for _, workers := range []int{1, 4} {
+			reg := metrics.NewRegistry()
+			if _, err := (&Executor{G: g, Workers: workers, Metrics: reg}).Execute(mustParse(t, src)); err != nil {
+				t.Fatal(err)
+			}
+			if reg.ColumnScans.Load() == 0 {
+				t.Errorf("%q workers=%d: ColumnScans = 0, want > 0", src, workers)
+			}
+			if n := reg.PropMapFallbacks.Load(); n != 0 {
+				t.Errorf("%q workers=%d: PropMapFallbacks = %d, want 0 (Job.CPU is declared)", src, workers, n)
+			}
 		}
 	}
 }
@@ -304,12 +381,13 @@ func TestVarLengthMatchAllocations(t *testing.T) {
 
 // BenchmarkPropertyScan prices the Q1 WHERE-filter shape — scan a
 // vertex type, filter on a declared property, project another — on the
-// property-map path vs the columnar path with the predicate prefilter.
+// undeclared twin's property maps vs the columnar path with the
+// predicate prefilter.
 func BenchmarkPropertyScan(b *testing.B) {
 	g := benchGraph(b)
 	q := gql.MustParse(`MATCH (j:Job) WHERE j.CPU >= 900 RETURN j.name AS name`)
 	b.Run("map", func(b *testing.B) {
-		ex := &Executor{G: g, noColumns: true}
+		ex := &Executor{G: undeclaredTwin(g)}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := ex.Execute(q); err != nil {

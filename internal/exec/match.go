@@ -40,12 +40,10 @@ type matcher struct {
 	ctx      context.Context
 	steps    int // tick counter amortizing ctx polls
 
-	// noColumns pins property reads to the map path (the columnar A/B
-	// switch); colReads/mapReads count covered column reads vs vertex
-	// map fallbacks, flushed coarsely via flushPropReads.
-	noColumns bool
-	colReads  int64
-	mapReads  int64
+	// colReads/mapReads count declared-property column reads vs
+	// undeclared-property map reads, flushed coarsely via flushPropReads.
+	colReads int64
+	mapReads int64
 }
 
 // newMatcher builds a matcher for q over ex's graph, traversing f, the
@@ -55,11 +53,10 @@ type matcher struct {
 // pays nothing for it regardless of graph size.
 func (ex *Executor) newMatcher(ctx context.Context, q *gql.MatchQuery, f *graph.Frozen) *matcher {
 	m := &matcher{
-		g:         ex.G,
-		f:         f,
-		where:     q.Where,
-		ctx:       ctx,
-		noColumns: ex.noColumns,
+		g:     ex.G,
+		f:     f,
+		where: q.Where,
+		ctx:   ctx,
 	}
 	for _, pat := range q.Patterns {
 		for _, n := range pat.Nodes {
@@ -116,10 +113,9 @@ func (m *matcher) lookup(name string) (Value, bool) {
 	return nil, false
 }
 
-// prop implements scope: vertex reads route through the frozen columns
-// unless the noColumns A/B switch pins the map path.
+// prop implements scope, counting column vs map reads (see readProp).
 func (m *matcher) prop(base Value, key string) (Value, error) {
-	return readProp(base, key, !m.noColumns, &m.colReads, &m.mapReads)
+	return readProp(base, key, &m.colReads, &m.mapReads)
 }
 
 // snapshot implements scope: the bound variables as a map, values

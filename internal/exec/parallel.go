@@ -141,7 +141,7 @@ func (ex *Executor) matchChunked(ctx context.Context, q *gql.MatchQuery, f *grap
 	}
 	// The merge target; nil for a pure projection. Workers never
 	// touch it — each aggregating chunk folds into its own.
-	agg := newAggregator(q.Return, nil, ex.noColumns)
+	agg := newAggregator(q.Return, nil)
 	// front is the partition the merge currently consumes. Projecting
 	// workers publish per row only while their chunk is the front;
 	// it starts at 0, so chunk 0's first row is visible immediately.
@@ -331,7 +331,7 @@ func (*partitionLimitError) Error() string { return "exec: partition row limit" 
 // synchronization.
 func (ex *Executor) matchChunkRange(m *matcher, q *gql.MatchQuery, aggregate bool, ids []graph.VertexID, lo, hi int, ch *matchChunk, ci int, front *atomic.Int64) error {
 	if aggregate {
-		ch.agg = newAggregator(q.Return, nil, ex.noColumns)
+		ch.agg = newAggregator(q.Return, nil)
 		m.yield = func() error {
 			ch.yields++
 			if ex.MaxRows > 0 && ch.yields > ex.MaxRows {

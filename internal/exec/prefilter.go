@@ -33,7 +33,7 @@ type colPrefilter struct {
 // skipped candidate must be one the full pipeline would have produced
 // zero rows AND zero errors for. f is the query's frozen snapshot.
 func (ex *Executor) columnPrefilter(q *gql.MatchQuery, f *graph.Frozen) *colPrefilter {
-	if ex.noColumns || q.Where == nil || len(q.Patterns) == 0 {
+	if q.Where == nil || len(q.Patterns) == 0 {
 		return nil
 	}
 	// Variable sanity: dropping a candidate suppresses every binding it

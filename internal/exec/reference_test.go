@@ -10,18 +10,19 @@ import (
 
 // referenceMatch evaluates a MATCH query by the matcher's own bindNode
 // enumeration — startPattern from pattern 0, with no candidate list, no
-// column prefilter and no chunks — reading properties from the vertex
-// maps. It shares only the traversal and the RETURN evaluation with the
-// executor, so the candidate loop and the prefilter are checked against
-// an independent walk rather than against each other.
+// column prefilter and no chunks. It shares only the traversal and the
+// RETURN evaluation with the executor, so the candidate loop and the
+// prefilter are checked against an independent walk rather than against
+// each other. Callers pass the undeclared twin (see undeclaredTwin), so
+// every property it reads comes from the vertex maps.
 func referenceMatch(g *graph.Graph, q *gql.MatchQuery) (*Result, error) {
 	f, err := g.FreezeChecked()
 	if err != nil {
 		return nil, err
 	}
-	ex := &Executor{G: g, noColumns: true}
+	ex := &Executor{G: g}
 	m := ex.newMatcher(context.Background(), q, f)
-	agg := newAggregator(q.Return, nil, true)
+	agg := newAggregator(q.Return, nil)
 	out := &Result{Cols: returnCols(q.Return)}
 	m.yield = func() error {
 		if agg != nil {
@@ -47,8 +48,8 @@ func referenceMatch(g *graph.Graph, q *gql.MatchQuery) (*Result, error) {
 
 // TestMatchMatchesReferenceWalk compares every MATCH shape of the
 // equivalence suites, and the declared-graph shapes of the columnar
-// suite, against referenceMatch at workers 1, 2 and -1: rows and order
-// byte-identical, or the same error.
+// suite, against referenceMatch over the undeclared twin at workers 1, 2
+// and -1: rows and order byte-identical, or the same error.
 func TestMatchMatchesReferenceWalk(t *testing.T) {
 	check := func(g *graph.Graph, src string) {
 		t.Helper()
@@ -56,7 +57,11 @@ func TestMatchMatchesReferenceWalk(t *testing.T) {
 		if !ok {
 			return // a SELECT's relational tail is not the matcher's
 		}
-		want, wantErr := referenceMatch(g, q)
+		twin := undeclaredTwin(g)
+		want, wantErr := referenceMatch(twin, q)
+		if wantErr == nil {
+			want = rebind(want, twin, g)
+		}
 		for _, workers := range []int{1, 2, -1} {
 			got, err := (&Executor{G: g, Workers: workers}).Execute(q)
 			switch {

@@ -53,13 +53,6 @@ type Executor struct {
 	// time) for this execution — the EXPLAIN ANALYZE hook. A Profile is
 	// single-use: attach a fresh one per execution.
 	Prof *Profile
-
-	// noColumns pins every property read to the per-vertex map and
-	// disables the column prefilter, leaving the frozen columns unused —
-	// the A/B switch the columnar equivalence suite and benchmarks use.
-	// Results are byte-identical either way (freeze-time validation
-	// guarantees a column holds exactly what the map holds).
-	noColumns bool
 }
 
 // ErrRowLimit is returned when a query exceeds the executor's MaxRows.
@@ -237,7 +230,7 @@ func (ex *Executor) streamMatch(ctx context.Context, q *gql.MatchQuery) ([]strin
 			ex.matchChunked(ctx, q, f, ids, n, workers, matchStart, yield)
 			return
 		}
-		agg := newAggregator(q.Return, nil, ex.noColumns)
+		agg := newAggregator(q.Return, nil)
 		m := ex.newMatcher(ctx, q, f)
 		defer m.flushPropReads(ex.Metrics)
 		rows := 0
@@ -359,12 +352,11 @@ func (ex *Executor) evalSelect(ctx context.Context, q *gql.SelectQuery) (*Result
 	tailStart := time.Now()
 	out := &Result{Cols: returnCols(q.Items)}
 
-	agg := newAggregator(q.Items, q.GroupBy, ex.noColumns)
-	env := make(map[string]Value, len(sub.Cols))
-	sc := mapScope{env: env, noCols: ex.noColumns}
+	agg := newAggregator(q.Items, q.GroupBy)
+	sc := make(mapScope, len(sub.Cols))
 	for _, row := range sub.Rows {
 		for i, c := range sub.Cols {
-			env[c] = row[i]
+			sc[c] = row[i]
 		}
 		if q.Where != nil {
 			ok, err := evalBool(q.Where, sc)
@@ -406,7 +398,7 @@ func (ex *Executor) evalSelect(ctx context.Context, q *gql.SelectQuery) (*Result
 	}
 	if len(q.OrderBy) > 0 {
 		orderStart := time.Now()
-		if err := orderRows(out, q.OrderBy, ex.noColumns); err != nil {
+		if err := orderRows(out, q.OrderBy); err != nil {
 			return nil, err
 		}
 		if ex.Prof != nil {
@@ -422,13 +414,12 @@ func (ex *Executor) evalSelect(ctx context.Context, q *gql.SelectQuery) (*Result
 	return out, nil
 }
 
-func orderRows(r *Result, order []gql.OrderItem, noCols bool) error {
-	env := make(map[string]Value, len(r.Cols))
-	sc := mapScope{env: env, noCols: noCols}
+func orderRows(r *Result, order []gql.OrderItem) error {
+	sc := make(mapScope, len(r.Cols))
 	keys := make([][]Value, len(r.Rows))
 	for ri, row := range r.Rows {
 		for i, c := range r.Cols {
-			env[c] = row[i]
+			sc[c] = row[i]
 		}
 		ks := make([]Value, len(order))
 		for oi, o := range order {

@@ -10,14 +10,13 @@ import (
 // implements it directly over its flat var->slot scratch (no
 // map[string]Value per partition), and mapScope adapts the relational
 // paths (SELECT rows, aggregation representative rows) that genuinely
-// hold maps. prop is part of the interface so each scope decides how a
-// property access reads storage: vertex reads go through the frozen
-// columns (the matcher also counts hits vs map fallbacks), and a noCols
-// scope pins the map path for the columnar equivalence suites.
+// hold maps. Every scope reads storage through readProp; prop is part
+// of the interface so the matcher can count its reads (column vs map)
+// for the metrics.
 type scope interface {
 	// lookup resolves a variable, reporting false when unbound.
 	lookup(name string) (Value, bool)
-	// prop reads base.key per this scope's storage policy.
+	// prop reads base.key (see readProp).
 	prop(base Value, key string) (Value, error)
 	// snapshot materializes the bound variables as a map for retention
 	// beyond the current row (aggregation representative rows, buffered
@@ -28,48 +27,49 @@ type scope interface {
 
 // mapScope is the scope over a plain environment map: SELECT row
 // columns, aggregation representative rows.
-type mapScope struct {
-	env    map[string]Value
-	noCols bool
-}
+type mapScope map[string]Value
 
 func (s mapScope) lookup(name string) (Value, bool) {
-	v, ok := s.env[name]
+	v, ok := s[name]
 	return v, ok
 }
 
 func (s mapScope) prop(base Value, key string) (Value, error) {
-	return readProp(base, key, !s.noCols, nil, nil)
+	return readProp(base, key, nil, nil)
 }
 
 func (s mapScope) snapshot() map[string]Value {
-	out := make(map[string]Value, len(s.env))
-	for k, v := range s.env {
+	out := make(map[string]Value, len(s))
+	for k, v := range s {
 		out[k] = exportValue(v)
 	}
 	return out
 }
 
-// readProp reads one property. Vertex reads prefer the graph's frozen
-// columns when cols is set and a frozen view has already been built
-// (CachedFrozen never builds one mid-evaluation): a covered read is two
-// flat array indexes returning the exact boxed value the property map
-// holds. Uncovered or column-disabled vertex reads fall back to the
-// map. Edge properties always read the map (edge columns are not
-// built). colReads/mapReads, when non-nil, count covered vertex reads
-// vs vertex map fallbacks — the columnar-usage metrics.
-func readProp(base Value, key string, cols bool, colReads, mapReads *int64) (Value, error) {
+// readProp reads one property. A vertex property the schema declares
+// has one read path: its typed column in the graph's frozen snapshot
+// (cached by the query's own freeze, so resolving it is one atomic
+// load), two flat array indexes returning the exact boxed value the
+// property map holds — freeze-time and mutation-time validation
+// guarantee it. Undeclared vertex properties read the vertex's property
+// map, and so do edge properties (edge columns are not built).
+// colReads/mapReads, when non-nil, count column reads vs vertex map
+// reads — the columnar-usage metrics.
+func readProp(base Value, key string, colReads, mapReads *int64) (Value, error) {
 	switch base := base.(type) {
 	case VertexRef:
-		if cols {
-			if f := base.G.CachedFrozen(); f != nil {
-				if v, ok := f.VertexPropColumnar(base.ID, key); ok {
-					if colReads != nil {
-						*colReads++
-					}
-					return v, nil
-				}
+		f := base.G.CachedFrozen()
+		if f == nil {
+			var err error
+			if f, err = base.G.FreezeChecked(); err != nil {
+				return nil, err
 			}
+		}
+		if v, ok := f.VertexPropColumnar(base.ID, key); ok {
+			if colReads != nil {
+				*colReads++
+			}
+			return v, nil
 		}
 		if mapReads != nil {
 			*mapReads++

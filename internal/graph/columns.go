@@ -17,8 +17,10 @@ import (
 // contradicts its declaration (float64 under PropInt) fails the freeze
 // loudly, so a lying declaration is caught at freeze time, not as a
 // silent misread at scan time. Because every stored value is validated,
-// a column read is byte-identical to the property-map read it replaces;
-// the executor's noColumns switch pins that equivalence in tests.
+// a column read is byte-identical to the property-map read it replaces,
+// so the executor reads a declared vertex property only from its column;
+// its tests pin that equivalence against a twin graph that declares
+// nothing and so reads every property from the maps.
 //
 // Alongside the typed arrays each column keeps the original boxed
 // values (`vals`, sharing the property bags' interface words), so a
@@ -113,10 +115,20 @@ func buildColumns(g *Graph, f *Frozen) error {
 	if len(decls) == 0 {
 		return nil
 	}
+	// A declared vertex type with no vertices yet is interned anyway and
+	// gets empty columns, so the vertices a later mutation adds extend
+	// them through the delta tail: every declared property has a column.
+	for _, d := range decls {
+		if _, ok := f.vtypeID[d.Type]; !ok && s.HasVertexType(d.Type) {
+			f.vtypeID[d.Type] = int32(len(f.vtypes))
+			f.vtypes = append(f.vtypes, d.Type)
+			f.verticesByType = append(f.verticesByType, nil)
+		}
+	}
 	for _, d := range decls {
 		tid, ok := f.vtypeID[d.Type]
 		if !ok {
-			continue // edge-type declaration, or no vertices of the type
+			continue // edge-type declaration
 		}
 		verts := f.verticesByType[tid]
 		if f.denseIx == nil {
@@ -213,9 +225,10 @@ func (f *Frozen) findColumn(v VertexID, key string) *column {
 // (v's type, key); when it does, the value (nil when absent on v) is
 // byte-identical to Vertex(v).Prop(key) — freeze-time validation
 // guarantees it — and reading it allocates nothing. covered=false means
-// the caller must fall back to the property map. Tail vertices resolve
-// through their type's tail column extension (delta.go), validated at
-// mutation time with the same check the freeze applies.
+// the property is undeclared on v's type, so the caller reads the
+// property map. Tail vertices resolve through their type's tail column
+// extension (delta.go), validated at mutation time with the same check
+// the freeze applies.
 func (f *Frozen) VertexPropColumnar(v VertexID, key string) (val any, covered bool) {
 	if ov := f.ov; ov != nil && int(v) >= ov.baseNV {
 		ti := int(v) - ov.baseNV
@@ -265,7 +278,7 @@ type PropColumn struct {
 }
 
 // Column resolves the frozen column for (vtype, prop), reporting false
-// when none was built (undeclared, or no vertices of the type).
+// when (vtype, prop) is not a declared vertex property.
 func (f *Frozen) Column(vtype, prop string) (PropColumn, bool) {
 	tid, ok := f.vtypeID[vtype]
 	if !ok || f.colsByVType == nil {

@@ -108,6 +108,41 @@ func TestColumnsBuiltAtFreeze(t *testing.T) {
 	}
 }
 
+// TestDeclaredTypeWithoutVerticesHasColumns pins that a declared vertex
+// type with no vertices at the freeze still gets (empty) columns, so the
+// vertices a later mutation adds are column-covered through the tail.
+func TestDeclaredTypeWithoutVerticesHasColumns(t *testing.T) {
+	g := NewGraph(columnSchema(t))
+	g.MustAddVertex("File", nil)
+	f := g.Freeze()
+	if count, _ := f.ColumnStats(); count != 4 {
+		t.Fatalf("ColumnStats count = %d, want 4 (Job declares 4, has no vertices)", count)
+	}
+	if got := f.VerticesOfType("Job"); len(got) != 0 {
+		t.Fatalf("VerticesOfType(Job) = %v before any Job", got)
+	}
+	j := g.MustAddVertex("Job", Properties{"CPU": int64(7), "name": "j"})
+	if g.Freeze() != f {
+		t.Fatal("tail vertex dropped the snapshot")
+	}
+	for _, prop := range []string{"CPU", "load", "name", "done"} {
+		got, covered := f.VertexPropColumnar(j, prop)
+		if !covered || got != g.Vertex(j).Prop(prop) {
+			t.Errorf("tail Job %s = %v, covered %v; want %v, covered", prop, got, covered, g.Vertex(j).Prop(prop))
+		}
+	}
+	col, ok := f.Column("Job", "CPU")
+	if !ok {
+		t.Fatal("Column(Job, CPU) missing")
+	}
+	if v, ok := col.Int(j); !ok || v != 7 {
+		t.Errorf("Int(tail Job) = %d, %v, want 7", v, ok)
+	}
+	if f.VertexTypeOf(j) != "Job" || f.VertexTypeOf(0) != "File" {
+		t.Errorf("VertexTypeOf = %q, %q, want Job, File", f.VertexTypeOf(j), f.VertexTypeOf(0))
+	}
+}
+
 func TestFreezeCheckedRejectsLyingDeclaration(t *testing.T) {
 	g := NewGraph(columnSchema(t))
 	g.MustAddVertex("Job", Properties{"CPU": 3.5}) // declared PropInt

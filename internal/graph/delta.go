@@ -101,8 +101,8 @@ type overlay struct {
 
 	// Tail column extensions, keyed by base vertex-type ID, parallel to
 	// colsByVType[tid]. tailSlot maps a tail vertex to its slot within
-	// its type's tail columns (-1: the type has no base columns, so
-	// property reads fall back to the map path).
+	// its type's tail columns (-1: the type declares no vertex
+	// properties, so every read of it is a property-map read).
 	cols     map[int32][]tailColumn
 	tailSlot []int32
 	colBytes int64

@@ -164,8 +164,8 @@ func TestDeltaOverlayMatchesFreshFreeze(t *testing.T) {
 
 // TestDeltaOverlayColumns pins tail property reads: declared columns
 // cover tail vertices (typed accessors and VertexPropColumnar match the
-// property map, presence included), tail-only vertex types fall back to
-// the map path, and ColumnStats grows with the tail.
+// property map, presence included), undeclared keys are not covered,
+// and ColumnStats grows with the tail.
 func TestDeltaOverlayColumns(t *testing.T) {
 	s := MustSchema([]string{"Job", "File"}, []EdgeType{
 		{From: "Job", To: "File", Name: "W"},

@@ -43,7 +43,8 @@ func CSRBuilds() int64 { return csrBuilds.Load() }
 type Frozen struct {
 	g *Graph
 
-	// Interned type labels, in first-appearance (vertex/edge ID) order.
+	// Interned type labels, in first-appearance (vertex/edge ID) order,
+	// followed by declared vertex types with no vertices (buildColumns).
 	vtypes  []string
 	vtypeID map[string]int32
 	etypes  []string
@@ -133,9 +134,9 @@ func (g *Graph) FreezeChecked() (*Frozen, error) {
 }
 
 // CachedFrozen returns the memoized frozen view if one has been built,
-// without building one. Read paths that are only opportunistically
-// columnar (the evaluator's property reads) use this so they never pay
-// an O(V+E) freeze mid-expression.
+// without building one: an inlined atomic load, for hot read paths that
+// fall back to FreezeChecked only when it is nil, and for monitoring
+// paths (the metrics snapshot) that must never pay an O(V+E) freeze.
 func (g *Graph) CachedFrozen() *Frozen { return g.frozen.Load() }
 
 func buildFrozen(g *Graph) (*Frozen, error) {

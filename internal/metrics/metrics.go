@@ -202,10 +202,10 @@ type Registry struct {
 	Latency          Histogram // per-execution wall time
 
 	// Columnar-storage usage: vertex property reads served from the
-	// frozen typed columns (including prefilter scans) vs reads that
-	// fell back to the per-vertex property map (undeclared property,
-	// column-less type, or columns disabled). Edge property reads are
-	// always map reads and count in neither.
+	// frozen typed columns (every read of a declared property, plus
+	// prefilter scans) vs reads of undeclared properties from the
+	// per-vertex property map. Edge property reads are always map reads
+	// and count in neither.
 	ColumnScans      Counter
 	PropMapFallbacks Counter
 
