@@ -47,10 +47,10 @@ func QueryFacts(m *gql.MatchQuery) ([]string, error) {
 	emitVertex := func(name, vtype string) {
 		if !seenVertex[name] {
 			seenVertex[name] = true
-			facts = append(facts, fmt.Sprintf("queryVertex('%s').", name))
+			facts = append(facts, fmt.Sprintf("queryVertex(%s).", quoteAtom(name)))
 		}
 		if vtype != "" {
-			facts = append(facts, fmt.Sprintf("queryVertexType('%s', '%s').", name, vtype))
+			facts = append(facts, fmt.Sprintf("queryVertexType(%s, %s).", quoteAtom(name), quoteAtom(vtype)))
 		}
 	}
 
@@ -74,13 +74,13 @@ func QueryFacts(m *gql.MatchQuery) ([]string, error) {
 					hi = DefaultMaxHops
 				}
 				facts = append(facts, fmt.Sprintf(
-					"queryVariableLengthPath('%s', '%s', %d, %d).", from, to, lo, hi))
+					"queryVariableLengthPath(%s, %s, %d, %d).", quoteAtom(from), quoteAtom(to), lo, hi))
 				continue
 			}
-			facts = append(facts, fmt.Sprintf("queryEdge('%s', '%s').", from, to))
+			facts = append(facts, fmt.Sprintf("queryEdge(%s, %s).", quoteAtom(from), quoteAtom(to)))
 			if e.Type != "" {
 				facts = append(facts, fmt.Sprintf(
-					"queryEdgeType('%s', '%s', '%s').", from, to, e.Type))
+					"queryEdgeType(%s, %s, %s).", quoteAtom(from), quoteAtom(to), quoteAtom(e.Type)))
 			}
 		}
 	}
@@ -134,13 +134,33 @@ func SchemaFacts(s *graph.Schema) ([]string, error) {
 	}
 	var facts []string
 	for _, vt := range s.VertexTypes() {
-		facts = append(facts, fmt.Sprintf("schemaVertex('%s').", vt))
+		facts = append(facts, fmt.Sprintf("schemaVertex(%s).", quoteAtom(vt)))
 	}
 	for _, et := range s.EdgeTypes() {
-		facts = append(facts, fmt.Sprintf("schemaEdge('%s', '%s', '%s').", et.From, et.To, et.Name))
+		facts = append(facts, fmt.Sprintf("schemaEdge(%s, %s, %s).",
+			quoteAtom(et.From), quoteAtom(et.To), quoteAtom(et.Name)))
 	}
 	return facts, nil
 }
+
+// ProjectedFacts emits one queryVertexProjected/1 fact per variable
+// ProjectedVars returns, in that order.
+func ProjectedFacts(m *gql.MatchQuery) []string {
+	vars := ProjectedVars(m)
+	facts := make([]string, len(vars))
+	for i, v := range vars {
+		facts[i] = fmt.Sprintf("queryVertexProjected(%s).", quoteAtom(v))
+	}
+	return facts
+}
+
+// quoteAtom renders a name as a quoted Prolog atom, escaping the quote
+// and the backslash, so any schema or query name reads back unchanged.
+func quoteAtom(name string) string {
+	return "'" + atomEscaper.Replace(name) + "'"
+}
+
+var atomEscaper = strings.NewReplacer(`\`, `\\`, `'`, `\'`)
 
 // MiningRules is the constraint mining rule library: the schema rule of
 // Listing 2 and the query rules of Listing 6, essentially verbatim.

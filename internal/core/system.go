@@ -172,14 +172,13 @@ func (s *System) QueryRaw(src string) (*exec.Result, error) {
 }
 
 // EnumerateViews runs constraint-based view enumeration (§IV) for one
-// query and returns the candidates.
+// query and returns the candidates. It shares the catalog's rule program.
 func (s *System) EnumerateViews(src string) ([]enum.Candidate, error) {
 	q, err := gql.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	en := &enum.Enumerator{Schema: s.graph.Schema()}
-	res, err := en.Enumerate(q)
+	res, err := s.catalog.Enumerate(q)
 	if err != nil {
 		return nil, err
 	}

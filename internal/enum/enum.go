@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"kaskade/internal/constraints"
 	"kaskade/internal/gql"
@@ -105,6 +106,13 @@ type Result struct {
 }
 
 // Enumerator generates candidate views for queries over a schema.
+//
+// The first Enumerate consults the rule program (library predicates,
+// mining rules, templates, ExtraRules and the schema facts) into a base
+// machine, once; every call then runs on a fork of it that adds only the
+// query's own facts. Schema and ExtraRules are therefore read on the
+// first Enumerate, and later edits to them have no effect. An Enumerator
+// is safe for concurrent use and must not be copied after first use.
 type Enumerator struct {
 	Schema *graph.Schema
 	// MaxK bounds enumerated k-hop connectors (paper: k ≤ 10). Zero
@@ -113,6 +121,11 @@ type Enumerator struct {
 	// ExtraRules are additional template/mining rules to consult
 	// (KASKADE's library is "readily extensible", §IV).
 	ExtraRules string
+
+	once    sync.Once
+	base    *prolog.Machine
+	stubs   []*prolog.Clause
+	baseErr error
 }
 
 // DefaultMaxK bounds the k of enumerated k-hop connectors.
@@ -125,49 +138,73 @@ func (e *Enumerator) maxK() int {
 	return DefaultMaxK
 }
 
-// machine builds a fresh inference machine loaded with mining rules,
-// templates, schema facts, and the query's facts.
-func (e *Enumerator) machine(m *gql.MatchQuery) (*prolog.Machine, error) {
-	pm := prolog.NewMachine()
-	if err := pm.ConsultString(constraints.MiningRules); err != nil {
-		return nil, fmt.Errorf("enum: mining rules: %w", err)
-	}
-	if err := pm.ConsultString(Templates); err != nil {
-		return nil, fmt.Errorf("enum: templates: %w", err)
-	}
-	if e.ExtraRules != "" {
-		if err := pm.ConsultString(e.ExtraRules); err != nil {
-			return nil, fmt.Errorf("enum: extra rules: %w", err)
+// queryStubs defines every query-fact predicate with a never-succeeding
+// clause. Some queries have no variable-length paths or no typed edges;
+// the mining rules still reference those predicates, so each gets a stub
+// rather than erroring as unknown. (A dummy *fact* would poison the
+// recursive path rules with cycles.) The stubs follow the query's facts.
+const queryStubs = `
+queryVariableLengthPath(_, _, _, _) :- fail.
+queryEdge(_, _) :- fail.
+queryEdgeType(_, _, _) :- fail.
+queryVertexType(_, _) :- fail.
+queryVertex(_) :- fail.
+queryVertexProjected(_) :- fail.
+`
+
+// program consults the query-independent rule program into a base
+// machine and parses the query stubs, once per Enumerator.
+func (e *Enumerator) program() (*prolog.Machine, []*prolog.Clause, error) {
+	e.once.Do(func() {
+		stubs, err := prolog.ParseProgram(queryStubs)
+		if err != nil {
+			e.baseErr = fmt.Errorf("enum: query stubs: %w", err)
+			return
 		}
-	}
-	sf, err := constraints.SchemaFacts(e.Schema)
+		pm := prolog.NewMachine()
+		for _, part := range []struct{ name, src string }{
+			{"mining rules", constraints.MiningRules},
+			{"templates", Templates},
+			{"extra rules", e.ExtraRules},
+		} {
+			if err := pm.ConsultString(part.src); err != nil {
+				e.baseErr = fmt.Errorf("enum: %s: %w", part.name, err)
+				return
+			}
+		}
+		sf, err := constraints.SchemaFacts(e.Schema)
+		if err != nil {
+			e.baseErr = err
+			return
+		}
+		if err := pm.ConsultString(strings.Join(sf, "\n")); err != nil {
+			e.baseErr = fmt.Errorf("enum: schema facts: %w", err)
+			return
+		}
+		e.base, e.stubs = pm, stubs
+	})
+	return e.base, e.stubs, e.baseErr
+}
+
+// machine forks the base machine and adds the query's facts, then the
+// query stubs: the clause order of one machine consulting the whole
+// program as text, so solutions and step counts match it exactly.
+func (e *Enumerator) machine(m *gql.MatchQuery) (*prolog.Machine, error) {
+	base, stubs, err := e.program()
 	if err != nil {
 		return nil, err
 	}
-	qf, err := constraints.QueryFacts(m)
+	facts, err := constraints.QueryFacts(m)
 	if err != nil {
 		return nil, err
 	}
-	facts := append(sf, qf...)
-	for _, v := range constraints.ProjectedVars(m) {
-		facts = append(facts, fmt.Sprintf("queryVertexProjected('%s').", v))
-	}
+	facts = append(facts, constraints.ProjectedFacts(m)...)
+	pm := base.Fork()
 	if err := pm.ConsultString(strings.Join(facts, "\n")); err != nil {
 		return nil, fmt.Errorf("enum: facts: %w", err)
 	}
-	// Some queries have no variable-length paths or no typed edges; the
-	// mining rules still reference those predicates, so define each with
-	// a never-succeeding clause rather than erroring as unknown. (A
-	// dummy *fact* would poison the recursive path rules with cycles.)
-	for _, decl := range []string{
-		"queryVariableLengthPath(_, _, _, _) :- fail.",
-		"queryEdge(_, _) :- fail.",
-		"queryEdgeType(_, _, _) :- fail.",
-		"queryVertexType(_, _) :- fail.",
-		"queryVertex(_) :- fail.",
-		"queryVertexProjected(_) :- fail.",
-	} {
-		if err := pm.ConsultString(decl); err != nil {
+	for _, c := range stubs {
+		if err := pm.Assertz(c); err != nil {
 			return nil, err
 		}
 	}
@@ -186,6 +223,12 @@ func (e *Enumerator) Enumerate(q gql.Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.solve(pm)
+}
+
+// solve runs the template goals on a machine holding the program and one
+// query's facts, and collects the candidates.
+func (e *Enumerator) solve(pm *prolog.Machine) (*Result, error) {
 	res := &Result{}
 	seen := make(map[string]bool)
 	add := func(c Candidate) {
@@ -355,10 +398,9 @@ func atomList(s prolog.Solution, name string) []string {
 	}
 	var out []string
 	for _, e := range elems {
-		es := prolog.TermString(e)
-		es = strings.Trim(es, "'")
-		if es != "" && !bogus(es) {
-			out = append(out, es)
+		// Solution terms are resolved, so an atom element is an Atom.
+		if a, ok := e.(prolog.Atom); ok && a != "" && !bogus(string(a)) {
+			out = append(out, string(a))
 		}
 	}
 	return out

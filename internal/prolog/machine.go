@@ -14,8 +14,9 @@ type Clause struct {
 }
 
 // Machine is a Prolog interpreter instance: a clause database plus solver
-// state. A Machine is not safe for concurrent use; Kaskade builds one per
-// enumeration run (they are cheap).
+// state. A Machine is not safe for concurrent use. Kaskade consults its
+// rule program into one base machine and runs each enumeration on a Fork
+// of it, so forks of one base may run concurrently.
 type Machine struct {
 	db    map[string][]*Clause // functor/arity -> clauses in assertion order
 	order []string             // deterministic listing order
@@ -54,6 +55,27 @@ func NewMachine() *Machine {
 		panic("prolog: stdlib failed to load: " + err.Error())
 	}
 	return m
+}
+
+// Fork returns a machine that starts with m's clauses and solver limits
+// and then diverges: clauses asserted into the fork never reach m or a
+// sibling fork. Each predicate's clause slice is capped at its length, so
+// the fork's first assert to it appends to a copy. The solver never
+// mutates a stored clause (resolution renames it), so m and any number
+// of its forks may run concurrently, provided nothing asserts into m
+// itself after it is first forked.
+func (m *Machine) Fork() *Machine {
+	db := make(map[string][]*Clause, len(m.db))
+	for key, cs := range m.db {
+		db[key] = cs[:len(cs):len(cs)]
+	}
+	return &Machine{
+		db:       db,
+		order:    m.order[:len(m.order):len(m.order)],
+		MaxSteps: m.MaxSteps,
+		MaxDepth: m.MaxDepth,
+		Out:      m.Out,
+	}
 }
 
 // ConsultString parses Prolog source text (clauses and facts separated by

@@ -555,3 +555,59 @@ func TestAtomConcat(t *testing.T) {
 		t.Errorf("atom_concat split: %d solutions, want 3", len(sols))
 	}
 }
+
+// TestForkIsolation pins Fork's copy-on-assert contract: clauses asserted
+// into one fork reach neither the base machine nor a sibling fork, even
+// when the base's clause slices have spare capacity to append into.
+func TestForkIsolation(t *testing.T) {
+	base := NewMachine()
+	// Three single-clause consults leave p/1's slice with spare capacity.
+	for _, src := range []string{"p(1).", "p(2).", "p(3)."} {
+		if err := base.ConsultString(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	basePreds := base.Predicates()
+	a, b := base.Fork(), base.Fork()
+	for _, step := range []struct {
+		m   *Machine
+		src string
+	}{{a, "p(a). q(a)."}, {b, "p(b). r(b)."}} {
+		if err := step.m.ConsultString(step.src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		m     *Machine
+		want  string
+		preds int
+	}{
+		{"base", base, "[1 2 3]", len(basePreds)},
+		{"fork A", a, "[1 2 3 a]", len(basePreds) + 1},
+		{"fork B", b, "[1 2 3 b]", len(basePreds) + 1},
+	} {
+		var got []string
+		for _, s := range solveOn(t, c.m, "p(X)") {
+			got = append(got, TermString(s["X"]))
+		}
+		if s := "[" + strings.Join(got, " ") + "]"; s != c.want {
+			t.Errorf("%s: p(X) = %s, want %s", c.name, s, c.want)
+		}
+		if n := len(c.m.Predicates()); n != c.preds {
+			t.Errorf("%s: %d predicates, want %d", c.name, n, c.preds)
+		}
+	}
+	if _, err := b.Query("q(X)", 0); err == nil {
+		t.Error("fork B sees q/1, asserted only into fork A")
+	}
+}
+
+func solveOn(t *testing.T, m *Machine, query string) []Solution {
+	t.Helper()
+	sols, err := m.Query(query, 0)
+	if err != nil {
+		t.Fatalf("query %q: %v", query, err)
+	}
+	return sols
+}

@@ -60,6 +60,10 @@ type Catalog struct {
 	// materialization counts. Atomic so SetMetrics may race queries.
 	metrics atomic.Pointer[metrics.Registry]
 
+	// enumerator holds the view-enumeration rule program for Schema,
+	// built on first use and forked per query (safe for concurrent use).
+	enumerator *enum.Enumerator
+
 	mu     sync.RWMutex
 	epoch  atomic.Uint64
 	byName map[string]*Materialized
@@ -96,14 +100,7 @@ func (c *Catalog) Epoch() uint64 {
 // Materialize executes every chosen view of the selection over g and
 // returns the catalog.
 func Materialize(g *graph.Graph, sel *Selection) (*Catalog, error) {
-	c := &Catalog{
-		Base:      g,
-		BaseProps: cost.Collect(g),
-		Schema:    g.Schema(),
-		Alpha:     cost.DefaultAlpha,
-		byName:    make(map[string]*Materialized),
-		defs:      make(map[string]string),
-	}
+	c := NewCatalog(g)
 	for _, ev := range sel.Chosen {
 		if err := c.Add(ev.Candidate); err != nil {
 			return nil, err
@@ -115,13 +112,21 @@ func Materialize(g *graph.Graph, sel *Selection) (*Catalog, error) {
 // NewCatalog returns an empty catalog over g (views added with Add).
 func NewCatalog(g *graph.Graph) *Catalog {
 	return &Catalog{
-		Base:      g,
-		BaseProps: cost.Collect(g),
-		Schema:    g.Schema(),
-		Alpha:     cost.DefaultAlpha,
-		byName:    make(map[string]*Materialized),
-		defs:      make(map[string]string),
+		Base:       g,
+		BaseProps:  cost.Collect(g),
+		Schema:     g.Schema(),
+		Alpha:      cost.DefaultAlpha,
+		enumerator: &enum.Enumerator{Schema: g.Schema()},
+		byName:     make(map[string]*Materialized),
+		defs:       make(map[string]string),
 	}
+}
+
+// Enumerate runs constraint-based view enumeration (§IV) for one query
+// over the catalog's schema. The rule program is consulted once per
+// catalog, on the first call, and shared by every later one.
+func (c *Catalog) Enumerate(q gql.Query) (*enum.Result, error) {
+	return c.enumerator.Enumerate(q)
 }
 
 // Add materializes one candidate view into the catalog (idempotent by
@@ -518,8 +523,7 @@ func (c *Catalog) rewrite(q gql.Query, count bool) (*Plan, error) {
 		c.countDecision(count, best)
 		return best, nil
 	}
-	en := &enum.Enumerator{Schema: c.Schema}
-	res, err := en.Enumerate(q)
+	res, err := c.Enumerate(q)
 	if err != nil {
 		return nil, err
 	}
