@@ -20,8 +20,10 @@ type MaintainedCollection struct {
 	base     *graph.Graph
 	views    []*graph.Graph // views[k-1] is the k-hop view
 	ks       []int
-	// remap maps base vertex IDs to view vertex IDs. Every view in the
-	// chain keeps the same endpoint types, so one mapping serves all.
+	// keep lists the vertex types mirrored into the views (nil = all),
+	// and remap maps their base vertex IDs to view vertex IDs. Every
+	// view in the chain keeps the same types, so one mapping serves all.
+	keep  []string
 	remap map[graph.VertexID]graph.VertexID
 }
 
@@ -36,36 +38,21 @@ func NewMaintainedCollection(def KHopConnector, base *graph.Graph) (*MaintainedC
 	if def.K < 1 {
 		return nil, fmt.Errorf("views: collection needs K >= 1, got %d", def.K)
 	}
-	c := &MaintainedCollection{
-		template: def,
-		base:     base,
-		remap:    make(map[graph.VertexID]graph.VertexID),
-	}
+	c := &MaintainedCollection{template: def, base: base}
 	for k := 1; k <= def.K; k++ {
 		dk := def
 		dk.K = k
-		view, err := dk.Materialize(base)
+		ct, err := dk.contraction(base)
+		if err != nil {
+			return nil, err
+		}
+		view, remap, err := ct.build(base, 1)
 		if err != nil {
 			return nil, err
 		}
 		c.views = append(c.views, view)
 		c.ks = append(c.ks, k)
-	}
-	// Rebuild the base->view vertex mapping the materializer used: it
-	// copies endpoint-type vertices in base-ID order, identically for
-	// every k, so the chain shares one mapping.
-	next := 0
-	for i := 0; i < base.NumVertices(); i++ {
-		v := base.Vertex(graph.VertexID(i))
-		if c.keepsType(v.Type) {
-			c.remap[v.ID] = graph.VertexID(next)
-			next++
-		}
-	}
-	for _, view := range c.views {
-		if next != view.NumVertices() {
-			return nil, fmt.Errorf("views: collection mapping mismatch: %d mapped, %d in view", next, view.NumVertices())
-		}
+		c.keep, c.remap = ct.keep, remap
 	}
 	return c, nil
 }
@@ -79,13 +66,6 @@ func (c *MaintainedCollection) MaxK() int { return c.template.K }
 // Base returns the underlying base graph.
 func (c *MaintainedCollection) Base() *graph.Graph { return c.base }
 
-func (c *MaintainedCollection) keepsType(t string) bool {
-	if c.template.SrcType == "" && c.template.DstType == "" {
-		return true
-	}
-	return t == c.template.SrcType || t == c.template.DstType
-}
-
 // name returns the k-hop member's view name (CONN_kHOP_...).
 func (c *MaintainedCollection) name(k int) string {
 	dk := c.template
@@ -94,13 +74,13 @@ func (c *MaintainedCollection) name(k int) string {
 }
 
 // AddVertex adds a vertex to the base graph and mirrors it into every
-// view in the chain when its type is an endpoint type.
+// view in the chain when the chain keeps its type.
 func (c *MaintainedCollection) AddVertex(vtype string, props graph.Properties) (graph.VertexID, error) {
 	id, err := c.base.AddVertex(vtype, props)
 	if err != nil {
 		return graph.NoVertex, err
 	}
-	if c.keepsType(vtype) {
+	if keepsType(c.keep, vtype) {
 		for _, view := range c.views {
 			vid, err := view.AddVertex(vtype, props)
 			if err != nil {

@@ -11,46 +11,58 @@ import (
 // TestMaintainedCollectionMatchesRematerialization drives random
 // mutations through a k=1..3 collection and checks each member view,
 // at every step, against a from-scratch materialization — the chained
-// maintenance must be invisible next to independent maintenance.
+// maintenance must be invisible next to independent maintenance. The
+// half-typed chains copy every vertex, so they must mirror every
+// vertex too.
 func TestMaintainedCollectionMatchesRematerialization(t *testing.T) {
-	def := KHopConnector{K: 3}
-	base := graph.NewGraph(nil)
-	c, err := NewMaintainedCollection(def, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []graph.VertexID
-	for i := 0; i < 8; i++ {
-		id, err := c.AddVertex("V", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	rng := rand.New(rand.NewSource(13))
-	for step := 0; step < 40; step++ {
-		a, b := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
-		if a == b {
-			continue
-		}
-		if _, err := c.AddEdge(a, b, "E", graph.Properties{"ts": int64(step)}); err != nil {
-			t.Fatal(err)
-		}
-		for k := 1; k <= 3; k++ {
-			dk := def
-			dk.K = k
-			fresh, err := dk.Materialize(c.Base())
+	for _, def := range []KHopConnector{
+		{K: 3},
+		{SrcType: "Job", K: 3},
+		{DstType: "Job", K: 3},
+	} {
+		t.Run(def.Name(), func(t *testing.T) {
+			base := graph.NewGraph(nil)
+			c, err := NewMaintainedCollection(def, base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameFingerprint(t, viewFingerprint(c.View(k)), viewFingerprint(fresh),
-				fmt.Sprintf("k=%d after step %d", k, step))
-		}
-	}
-	for k := 1; k <= 3; k++ {
-		if c.View(k).NumEdges() == 0 {
-			t.Fatalf("k=%d view empty; test exercised nothing", k)
-		}
+			var ids []graph.VertexID
+			for i := 0; i < 8; i++ {
+				id, err := c.AddVertex([]string{"Job", "V"}[i%2], nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			rng := rand.New(rand.NewSource(13))
+			for step := 0; step < 40; step++ {
+				a, b := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+				if a == b {
+					continue
+				}
+				if _, err := c.AddEdge(a, b, "E", graph.Properties{"ts": int64(step)}); err != nil {
+					t.Fatal(err)
+				}
+				for k := 1; k <= 3; k++ {
+					dk := def
+					dk.K = k
+					fresh, err := dk.Materialize(c.Base())
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameFingerprint(t, viewFingerprint(c.View(k)), viewFingerprint(fresh),
+						fmt.Sprintf("k=%d after step %d", k, step))
+				}
+			}
+			for k := 1; k <= 3; k++ {
+				if c.View(k).NumEdges() == 0 {
+					t.Fatalf("k=%d view empty; test exercised nothing", k)
+				}
+			}
+			if _, err := NewMaintainedCollection(def, c.Base()); err != nil {
+				t.Fatalf("collection over the populated base: %v", err)
+			}
+		})
 	}
 }
 

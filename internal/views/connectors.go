@@ -25,7 +25,6 @@ type KHopConnector struct {
 }
 
 var _ EstimatableView = KHopConnector{}
-var _ ParallelView = KHopConnector{}
 
 // Name returns the connector's identifier, which doubles as the
 // contracted edge's type, e.g. CONN_2HOP_Job_Job.
@@ -64,11 +63,316 @@ func (c KHopConnector) Cypher() string {
 }
 
 // Materialize builds the connector view graph: all vertices of the
-// endpoint types plus one contracted edge per k-length path. The
-// contracted edge aggregates path properties: ts = max constituent ts
-// (so per-path max-timestamp queries keep working), hops = k.
+// endpoint types (every vertex when either endpoint is untyped) plus
+// one contracted edge per k-length path. The contracted edge
+// aggregates path properties: ts = max constituent ts (so per-path
+// max-timestamp queries keep working), hops = k.
 func (c KHopConnector) Materialize(g *graph.Graph) (*graph.Graph, error) {
-	return c.MaterializeParallel(g, 1)
+	return Materialize(c, g, 1)
+}
+
+func (c KHopConnector) contraction(g *graph.Graph) (*contraction, error) {
+	if c.K < 1 {
+		return nil, fmt.Errorf("views: k-hop connector needs K >= 1, got %d", c.K)
+	}
+	if err := validateTypes(g, c.SrcType, c.DstType); err != nil {
+		return nil, err
+	}
+	schema, err := connectorSchema(g, c.SrcType, c.DstType, c.Name())
+	if err != nil {
+		return nil, err
+	}
+	f := g.Freeze()
+	ct := &contraction{
+		f: f, sources: sourceIDs(g, c.SrcType), minLen: c.K, maxLen: c.K,
+		ends: typeIs(f, c.DstType), schema: schema, name: c.Name(), dedupPairs: c.DedupPairs,
+	}
+	if c.SrcType != "" && c.DstType != "" {
+		ct.keep = []string{c.SrcType, c.DstType}
+	}
+	switch len(c.EdgeTypes) {
+	case 0:
+	case 1:
+		ct.single = c.EdgeTypes[0]
+	default:
+		ct.allow = edgeTypeFilter(c.EdgeTypes)
+	}
+	return ct, nil
+}
+
+// SameVertexTypeConnector contracts directed paths (up to MaxLen hops)
+// whose endpoints are both of VType and whose intermediate vertices are
+// not (Table I, "same-vertex-type connector"): e.g. author-paper-author
+// becomes author-author regardless of intermediate hops.
+type SameVertexTypeConnector struct {
+	VType      string
+	MaxLen     int // cap on contracted path length; required (>0)
+	DedupPairs bool
+}
+
+var _ View = SameVertexTypeConnector{}
+
+// Name returns e.g. CONN_SAMEVT_Author.
+func (c SameVertexTypeConnector) Name() string {
+	return fmt.Sprintf("CONN_SAMEVT_%s", c.VType)
+}
+
+// Kind reports connector.
+func (c SameVertexTypeConnector) Kind() Kind { return KindConnector }
+
+// Describe returns a Table I style description.
+func (c SameVertexTypeConnector) Describe() string {
+	return fmt.Sprintf("same-vertex-type connector over %s (paths up to %d hops, no intermediate %s)",
+		c.VType, c.MaxLen, c.VType)
+}
+
+// Cypher renders the defining pattern (the canonical DDL body where
+// DDL-expressible; see KHopConnector.Cypher).
+func (c SameVertexTypeConnector) Cypher() string {
+	if p, err := CanonicalPattern(c); err == nil {
+		return p
+	}
+	return fmt.Sprintf("MATCH (x:%s)-[p*1..%d]->(y:%s) RETURN x, y", c.VType, c.MaxLen, c.VType)
+}
+
+// Materialize contracts each qualifying path into one edge.
+func (c SameVertexTypeConnector) Materialize(g *graph.Graph) (*graph.Graph, error) {
+	return Materialize(c, g, 1)
+}
+
+func (c SameVertexTypeConnector) contraction(g *graph.Graph) (*contraction, error) {
+	if c.VType == "" || c.MaxLen < 1 {
+		return nil, fmt.Errorf("views: same-vertex-type connector needs a type and MaxLen >= 1")
+	}
+	if err := validateTypes(g, c.VType); err != nil {
+		return nil, err
+	}
+	schema, err := connectorSchema(g, c.VType, c.VType, c.Name())
+	if err != nil {
+		return nil, err
+	}
+	// The path ends at the first same-type vertex.
+	f := g.Freeze()
+	return &contraction{
+		f: f, sources: g.VerticesOfType(c.VType), minLen: 1, maxLen: c.MaxLen,
+		ends: typeIs(f, c.VType), stopAtEnd: true, keep: []string{c.VType},
+		schema: schema, name: c.Name(), dedupPairs: c.DedupPairs,
+	}, nil
+}
+
+// SameEdgeTypeConnector contracts maximal directed paths made of a single
+// edge type into one edge (Table I, "same-edge-type connector"), e.g.
+// chains of task TRANSFERS_TO edges.
+type SameEdgeTypeConnector struct {
+	EType      string
+	MaxLen     int
+	DedupPairs bool
+}
+
+var _ View = SameEdgeTypeConnector{}
+
+// Name returns e.g. CONN_SAMEET_TRANSFERS_TO.
+func (c SameEdgeTypeConnector) Name() string {
+	return fmt.Sprintf("CONN_SAMEET_%s", c.EType)
+}
+
+// Kind reports connector.
+func (c SameEdgeTypeConnector) Kind() Kind { return KindConnector }
+
+// Describe returns a Table I style description.
+func (c SameEdgeTypeConnector) Describe() string {
+	return fmt.Sprintf("same-edge-type connector over %s paths up to %d hops", c.EType, c.MaxLen)
+}
+
+// Cypher renders the defining pattern (the canonical DDL body where
+// DDL-expressible; see KHopConnector.Cypher).
+func (c SameEdgeTypeConnector) Cypher() string {
+	if p, err := CanonicalPattern(c); err == nil {
+		return p
+	}
+	return fmt.Sprintf("MATCH (x)-[p:%s*1..%d]->(y) RETURN x, y", c.EType, c.MaxLen)
+}
+
+// Materialize contracts each path of EType edges (length 1..MaxLen).
+func (c SameEdgeTypeConnector) Materialize(g *graph.Graph) (*graph.Graph, error) {
+	return Materialize(c, g, 1)
+}
+
+func (c SameEdgeTypeConnector) contraction(g *graph.Graph) (*contraction, error) {
+	if c.EType == "" || c.MaxLen < 1 {
+		return nil, fmt.Errorf("views: same-edge-type connector needs an edge type and MaxLen >= 1")
+	}
+	// Every prefix of a chain is itself a contracted path, so the walk
+	// keeps extending after each emit.
+	return &contraction{
+		f: g.Freeze(), sources: sourceIDs(g, ""), single: c.EType, minLen: 1, maxLen: c.MaxLen,
+		name: c.Name(), dedupPairs: c.DedupPairs,
+	}, nil
+}
+
+// SourceToSinkConnector contracts paths from source vertices (no
+// incoming edges) to sink vertices (no outgoing edges) — Table I's last
+// row, useful for end-to-end lineage.
+type SourceToSinkConnector struct {
+	MaxLen     int
+	DedupPairs bool
+}
+
+var _ View = SourceToSinkConnector{}
+
+// Name returns CONN_SRCSINK.
+func (c SourceToSinkConnector) Name() string { return "CONN_SRCSINK" }
+
+// Kind reports connector.
+func (c SourceToSinkConnector) Kind() Kind { return KindConnector }
+
+// Describe returns a Table I style description.
+func (c SourceToSinkConnector) Describe() string {
+	return fmt.Sprintf("source-to-sink connector (paths up to %d hops from in-degree-0 to out-degree-0 vertices)", c.MaxLen)
+}
+
+// Cypher renders the defining pattern (the canonical DDL body where
+// DDL-expressible; the INDEGREE/OUTDEGREE predicate in the WHERE clause
+// is the class marker the view compiler recognizes).
+func (c SourceToSinkConnector) Cypher() string {
+	if p, err := CanonicalPattern(c); err == nil {
+		return p
+	}
+	return fmt.Sprintf("MATCH (x)-[p*1..%d]->(y) RETURN x, y -- WHERE indeg(x)=0 AND outdeg(y)=0", c.MaxLen)
+}
+
+// Materialize contracts each source-to-sink path.
+func (c SourceToSinkConnector) Materialize(g *graph.Graph) (*graph.Graph, error) {
+	return Materialize(c, g, 1)
+}
+
+func (c SourceToSinkConnector) contraction(g *graph.Graph) (*contraction, error) {
+	if c.MaxLen < 1 {
+		return nil, fmt.Errorf("views: source-to-sink connector needs MaxLen >= 1")
+	}
+	// Only true sources (in-degree 0, at least one outgoing edge) seed
+	// the search; filtering up front keeps the chunk partition balanced
+	// over real work.
+	f := g.Freeze()
+	var sources []graph.VertexID
+	for s := 0; s < f.NumVertices(); s++ {
+		id := graph.VertexID(s)
+		if f.InDegree(id) == 0 && f.OutDegree(id) > 0 {
+			sources = append(sources, id)
+		}
+	}
+	return &contraction{
+		f: f, sources: sources, minLen: 1, maxLen: c.MaxLen,
+		ends: func(v graph.VertexID) bool { return f.OutDegree(v) == 0 }, stopAtEnd: true,
+		name: c.Name(), dedupPairs: c.DedupPairs,
+	}, nil
+}
+
+// contraction is one Table I connector class as data for the shared
+// path search: every edge-unique path from a source, over the allowed
+// edge types, whose length lies in minLen..maxLen and whose last vertex
+// passes ends becomes one view edge carrying ts = max constituent ts
+// and hops = path length.
+type contraction struct {
+	f       *graph.Frozen // the base snapshot the search walks
+	sources []graph.VertexID
+	// single is the one edge type paths may traverse; allow filters a
+	// multi-type set. Both unset: every edge type.
+	single         string
+	allow          func(string) bool
+	minLen, maxLen int
+	// ends accepts a path's last vertex (nil = every vertex); with
+	// stopAtEnd, an accepted vertex also ends the path.
+	ends      func(graph.VertexID) bool
+	stopAtEnd bool
+	// keep lists the vertex types copied into the view (nil = all).
+	keep       []string
+	schema     *graph.Schema
+	name       string
+	dedupPairs bool
+}
+
+// contractor is implemented by the four Table I connector classes.
+type contractor interface {
+	contraction(g *graph.Graph) (*contraction, error)
+}
+
+// Materialize builds v's view graph over g. Connectors fan their
+// per-source path search out over up to `workers` goroutines (0 or 1 =
+// sequential, negative = one per available CPU), byte-identical to the
+// sequential build (see materializeBySource); every other class runs
+// v.Materialize(g).
+func Materialize(v View, g *graph.Graph, workers int) (*graph.Graph, error) {
+	c, ok := v.(contractor)
+	if !ok {
+		return v.Materialize(g)
+	}
+	ct, err := c.contraction(g)
+	if err != nil {
+		return nil, err
+	}
+	out, _, err := ct.build(g, workers)
+	return out, err
+}
+
+// build materializes the contraction: the kept vertices first, then
+// one edge per path in source order. It returns the base-to-view vertex
+// mapping alongside the view, for maintainers that extend it later.
+func (ct *contraction) build(g *graph.Graph, workers int) (*graph.Graph, map[graph.VertexID]graph.VertexID, error) {
+	out := graph.NewGraph(ct.schema)
+	remap, err := copyVerticesOfTypes(g, out, ct.keep)
+	if err != nil {
+		return nil, nil, err
+	}
+	enumerate := func(s graph.VertexID, used []bool, emit func(connEdge) error) error {
+		return ct.paths(s, used, func(at graph.VertexID, ts int64, hops int) error {
+			return emit(connEdge{from: remap[s], to: remap[at], ts: ts, hops: int64(hops)})
+		})
+	}
+	if err := materializeBySource(ct.sources, g.NumEdges(), workers, enumerate, pairAdder(out, ct.name, ct.dedupPairs)); err != nil {
+		return nil, nil, err
+	}
+	return out, remap, nil
+}
+
+// paths runs the edge-unique DFS from s, calling emit with each
+// accepted path's last vertex, max timestamp and length, in DFS
+// (= sequential materialization) order. The traversal runs on the
+// frozen CSR view: with a single allowed edge type the step reads the
+// contiguous typed group (the insertion-order subsequence, so emit
+// order is unchanged); otherwise it filters the flat row. used must be
+// all-false on entry and is unwound on return, so callers reuse it
+// across sources.
+func (ct *contraction) paths(s graph.VertexID, used []bool, emit func(at graph.VertexID, ts int64, hops int) error) error {
+	f := ct.f
+	var dfs func(at graph.VertexID, hops int, maxTS int64) error
+	dfs = func(at graph.VertexID, hops int, maxTS int64) error {
+		if hops >= ct.minLen && (ct.ends == nil || ct.ends(at)) {
+			if err := emit(at, maxTS, hops); err != nil || ct.stopAtEnd {
+				return err
+			}
+		}
+		if hops == ct.maxLen {
+			return nil
+		}
+		edges := f.Out(at)
+		if ct.single != "" {
+			edges = f.OutOfType(at, ct.single)
+		}
+		for _, eid := range edges {
+			if used[eid] || (ct.allow != nil && !ct.allow(f.EdgeTypeOf(eid))) {
+				continue
+			}
+			used[eid] = true
+			err := dfs(f.To(eid), hops+1, maxInt64(maxTS, tsOf(f.Edge(eid))))
+			used[eid] = false
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return dfs(s, 0, 0)
 }
 
 // sourceChunkTarget is the number of source chunks created per worker
@@ -175,395 +479,23 @@ func materializeBySource(sources []graph.VertexID, numEdges, workers int,
 	return nil
 }
 
-// MaterializeParallel is Materialize with the per-source DFS fan-out
-// spread over up to `workers` goroutines (0 or 1 = sequential,
-// negative = one per available CPU); see materializeBySource for the
-// determinism argument.
-func (c KHopConnector) MaterializeParallel(g *graph.Graph, workers int) (*graph.Graph, error) {
-	if c.K < 1 {
-		return nil, fmt.Errorf("views: k-hop connector needs K >= 1, got %d", c.K)
-	}
-	if err := validateTypes(g, c.SrcType, c.DstType); err != nil {
-		return nil, err
-	}
-	schema, err := connectorSchema(g, c.SrcType, c.DstType, c.Name())
-	if err != nil {
-		return nil, err
-	}
-	out := graph.NewGraph(schema)
-	var keepTypes []string
-	if c.SrcType != "" && c.DstType != "" {
-		keepTypes = []string{c.SrcType, c.DstType}
-	}
-	remap, err := copyVerticesOfTypes(g, out, keepTypes)
-	if err != nil {
-		return nil, err
-	}
-	f := g.Freeze()
-	enumerate := func(s graph.VertexID, used []bool, emit func(connEdge) error) error {
-		return c.pathsFrom(f, s, used, func(at graph.VertexID, ts int64) error {
-			return emit(connEdge{from: remap[s], to: remap[at], ts: ts, hops: int64(c.K)})
-		})
-	}
-	if err := materializeBySource(sourceIDs(g, c.SrcType), g.NumEdges(), workers, enumerate, pairAdder(out, c.Name(), c.DedupPairs)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// pathsFrom runs the edge-unique DFS enumerating every k-length path
-// from s whose hops satisfy the connector's edge filter, calling emit
-// with each path's endpoint and aggregated max timestamp, in DFS
-// (= sequential materialization) order. The traversal runs on the
-// frozen CSR view: with a single allowed edge type the step reads the
-// contiguous typed group (the insertion-order subsequence, so emit
-// order is unchanged); otherwise it filters the flat row against the
-// type label array. used must be all-false on entry and is unwound on
-// return, so callers reuse it across sources.
-func (c KHopConnector) pathsFrom(f *graph.Frozen, s graph.VertexID, used []bool, emit func(at graph.VertexID, ts int64) error) error {
-	var allowEdge func(string) bool // nil = every type allowed
-	single := ""
-	switch len(c.EdgeTypes) {
-	case 0:
-	case 1:
-		single = c.EdgeTypes[0]
-	default:
-		allowEdge = edgeTypeFilter(c.EdgeTypes)
-	}
-	var dfs func(at graph.VertexID, hops int, maxTS int64) error
-	dfs = func(at graph.VertexID, hops int, maxTS int64) error {
-		if hops == c.K {
-			if c.DstType != "" && f.VertexTypeOf(at) != c.DstType {
-				return nil
-			}
-			return emit(at, maxTS)
-		}
-		edges := f.Out(at)
-		if single != "" {
-			edges = f.OutOfType(at, single)
-		}
-		for _, eid := range edges {
-			if used[eid] {
-				continue
-			}
-			if allowEdge != nil && !allowEdge(f.EdgeTypeOf(eid)) {
-				continue
-			}
-			used[eid] = true
-			err := dfs(f.To(eid), hops+1, maxInt64(maxTS, tsOf(f.Edge(eid))))
-			used[eid] = false
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return dfs(s, 0, 0)
-}
-
-// SameVertexTypeConnector contracts directed paths (up to MaxLen hops)
-// whose endpoints are both of VType and whose intermediate vertices are
-// not (Table I, "same-vertex-type connector"): e.g. author-paper-author
-// becomes author-author regardless of intermediate hops.
-type SameVertexTypeConnector struct {
-	VType      string
-	MaxLen     int // cap on contracted path length; required (>0)
-	DedupPairs bool
-}
-
-var _ View = SameVertexTypeConnector{}
-var _ ParallelView = SameVertexTypeConnector{}
-
-// Name returns e.g. CONN_SAMEVT_Author.
-func (c SameVertexTypeConnector) Name() string {
-	return fmt.Sprintf("CONN_SAMEVT_%s", c.VType)
-}
-
-// Kind reports connector.
-func (c SameVertexTypeConnector) Kind() Kind { return KindConnector }
-
-// Describe returns a Table I style description.
-func (c SameVertexTypeConnector) Describe() string {
-	return fmt.Sprintf("same-vertex-type connector over %s (paths up to %d hops, no intermediate %s)",
-		c.VType, c.MaxLen, c.VType)
-}
-
-// Cypher renders the defining pattern (the canonical DDL body where
-// DDL-expressible; see KHopConnector.Cypher).
-func (c SameVertexTypeConnector) Cypher() string {
-	if p, err := CanonicalPattern(c); err == nil {
-		return p
-	}
-	return fmt.Sprintf("MATCH (x:%s)-[p*1..%d]->(y:%s) RETURN x, y", c.VType, c.MaxLen, c.VType)
-}
-
-// Materialize contracts each qualifying path into one edge.
-func (c SameVertexTypeConnector) Materialize(g *graph.Graph) (*graph.Graph, error) {
-	return c.MaterializeParallel(g, 1)
-}
-
-// MaterializeParallel is Materialize with the per-source DFS fanned out
-// over up to `workers` goroutines, byte-identical to the sequential
-// build (see materializeBySource).
-func (c SameVertexTypeConnector) MaterializeParallel(g *graph.Graph, workers int) (*graph.Graph, error) {
-	if c.VType == "" || c.MaxLen < 1 {
-		return nil, fmt.Errorf("views: same-vertex-type connector needs a type and MaxLen >= 1")
-	}
-	if err := validateTypes(g, c.VType); err != nil {
-		return nil, err
-	}
-	schema, err := connectorSchema(g, c.VType, c.VType, c.Name())
-	if err != nil {
-		return nil, err
-	}
-	out := graph.NewGraph(schema)
-	remap, err := copyVerticesOfTypes(g, out, []string{c.VType})
-	if err != nil {
-		return nil, err
-	}
-	f := g.Freeze()
-	enumerate := func(s graph.VertexID, used []bool, emit func(connEdge) error) error {
-		var dfs func(at graph.VertexID, hops int, maxTS int64) error
-		dfs = func(at graph.VertexID, hops int, maxTS int64) error {
-			if hops > 0 && f.VertexTypeOf(at) == c.VType {
-				// The path ends at the first same-type vertex.
-				return emit(connEdge{from: remap[s], to: remap[at], ts: maxTS, hops: int64(hops)})
-			}
-			if hops == c.MaxLen {
-				return nil
-			}
-			for _, eid := range f.Out(at) {
-				if used[eid] {
-					continue
-				}
-				used[eid] = true
-				err := dfs(f.To(eid), hops+1, maxInt64(maxTS, tsOf(f.Edge(eid))))
-				used[eid] = false
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return dfs(s, 0, 0)
-	}
-	if err := materializeBySource(g.VerticesOfType(c.VType), g.NumEdges(), workers, enumerate, pairAdder(out, c.Name(), c.DedupPairs)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SameEdgeTypeConnector contracts maximal directed paths made of a single
-// edge type into one edge (Table I, "same-edge-type connector"), e.g.
-// chains of task TRANSFERS_TO edges.
-type SameEdgeTypeConnector struct {
-	EType      string
-	MaxLen     int
-	DedupPairs bool
-}
-
-var _ View = SameEdgeTypeConnector{}
-var _ ParallelView = SameEdgeTypeConnector{}
-
-// Name returns e.g. CONN_SAMEET_TRANSFERS_TO.
-func (c SameEdgeTypeConnector) Name() string {
-	return fmt.Sprintf("CONN_SAMEET_%s", c.EType)
-}
-
-// Kind reports connector.
-func (c SameEdgeTypeConnector) Kind() Kind { return KindConnector }
-
-// Describe returns a Table I style description.
-func (c SameEdgeTypeConnector) Describe() string {
-	return fmt.Sprintf("same-edge-type connector over %s paths up to %d hops", c.EType, c.MaxLen)
-}
-
-// Cypher renders the defining pattern (the canonical DDL body where
-// DDL-expressible; see KHopConnector.Cypher).
-func (c SameEdgeTypeConnector) Cypher() string {
-	if p, err := CanonicalPattern(c); err == nil {
-		return p
-	}
-	return fmt.Sprintf("MATCH (x)-[p:%s*1..%d]->(y) RETURN x, y", c.EType, c.MaxLen)
-}
-
-// Materialize contracts each path of EType edges (length 1..MaxLen).
-func (c SameEdgeTypeConnector) Materialize(g *graph.Graph) (*graph.Graph, error) {
-	return c.MaterializeParallel(g, 1)
-}
-
-// MaterializeParallel is Materialize with the per-source DFS fanned out
-// over up to `workers` goroutines, byte-identical to the sequential
-// build (see materializeBySource).
-func (c SameEdgeTypeConnector) MaterializeParallel(g *graph.Graph, workers int) (*graph.Graph, error) {
-	if c.EType == "" || c.MaxLen < 1 {
-		return nil, fmt.Errorf("views: same-edge-type connector needs an edge type and MaxLen >= 1")
-	}
-	out := graph.NewGraph(nil)
-	remap, err := copyVerticesOfTypes(g, out, nil)
-	if err != nil {
-		return nil, err
-	}
-	// The single-edge-type walk is the typed-adjacency showcase: every
-	// DFS step reads the contiguous (vertex, EType) group — the
-	// insertion-order subsequence the append-mode filter produced — so
-	// no edge of another type is even looked at.
-	f := g.Freeze()
-	enumerate := func(s graph.VertexID, used []bool, emit func(connEdge) error) error {
-		var dfs func(at graph.VertexID, hops int, maxTS int64) error
-		dfs = func(at graph.VertexID, hops int, maxTS int64) error {
-			if hops > 0 {
-				// Every prefix of a chain is itself a contracted path;
-				// keep extending after emitting.
-				if err := emit(connEdge{from: remap[s], to: remap[at], ts: maxTS, hops: int64(hops)}); err != nil {
-					return err
-				}
-			}
-			if hops == c.MaxLen {
-				return nil
-			}
-			for _, eid := range f.OutOfType(at, c.EType) {
-				if used[eid] {
-					continue
-				}
-				used[eid] = true
-				err := dfs(f.To(eid), hops+1, maxInt64(maxTS, tsOf(f.Edge(eid))))
-				used[eid] = false
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return dfs(s, 0, 0)
-	}
-	if err := materializeBySource(sourceIDs(g, ""), g.NumEdges(), workers, enumerate, pairAdder(out, c.Name(), c.DedupPairs)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SourceToSinkConnector contracts paths from source vertices (no
-// incoming edges) to sink vertices (no outgoing edges) — Table I's last
-// row, useful for end-to-end lineage.
-type SourceToSinkConnector struct {
-	MaxLen     int
-	DedupPairs bool
-}
-
-var _ View = SourceToSinkConnector{}
-var _ ParallelView = SourceToSinkConnector{}
-
-// Name returns CONN_SRCSINK.
-func (c SourceToSinkConnector) Name() string { return "CONN_SRCSINK" }
-
-// Kind reports connector.
-func (c SourceToSinkConnector) Kind() Kind { return KindConnector }
-
-// Describe returns a Table I style description.
-func (c SourceToSinkConnector) Describe() string {
-	return fmt.Sprintf("source-to-sink connector (paths up to %d hops from in-degree-0 to out-degree-0 vertices)", c.MaxLen)
-}
-
-// Cypher renders the defining pattern (the canonical DDL body where
-// DDL-expressible; the INDEGREE/OUTDEGREE predicate in the WHERE clause
-// is the class marker the view compiler recognizes).
-func (c SourceToSinkConnector) Cypher() string {
-	if p, err := CanonicalPattern(c); err == nil {
-		return p
-	}
-	return fmt.Sprintf("MATCH (x)-[p*1..%d]->(y) RETURN x, y -- WHERE indeg(x)=0 AND outdeg(y)=0", c.MaxLen)
-}
-
-// Materialize contracts each source-to-sink path.
-func (c SourceToSinkConnector) Materialize(g *graph.Graph) (*graph.Graph, error) {
-	return c.MaterializeParallel(g, 1)
-}
-
-// MaterializeParallel is Materialize with the per-source DFS fanned out
-// over up to `workers` goroutines, byte-identical to the sequential
-// build (see materializeBySource).
-func (c SourceToSinkConnector) MaterializeParallel(g *graph.Graph, workers int) (*graph.Graph, error) {
-	if c.MaxLen < 1 {
-		return nil, fmt.Errorf("views: source-to-sink connector needs MaxLen >= 1")
-	}
-	out := graph.NewGraph(nil)
-	remap, err := copyVerticesOfTypes(g, out, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Only true sources (in-degree 0, at least one outgoing edge) seed
-	// the search; filtering up front keeps the chunk partition balanced
-	// over real work.
-	f := g.Freeze()
-	var sources []graph.VertexID
-	for s := 0; s < f.NumVertices(); s++ {
-		id := graph.VertexID(s)
-		if f.InDegree(id) == 0 && f.OutDegree(id) > 0 {
-			sources = append(sources, id)
-		}
-	}
-	enumerate := func(s graph.VertexID, used []bool, emit func(connEdge) error) error {
-		var dfs func(at graph.VertexID, hops int, maxTS int64) error
-		dfs = func(at graph.VertexID, hops int, maxTS int64) error {
-			if hops > 0 && f.OutDegree(at) == 0 {
-				return emit(connEdge{from: remap[s], to: remap[at], ts: maxTS, hops: int64(hops)})
-			}
-			if hops == c.MaxLen {
-				return nil
-			}
-			for _, eid := range f.Out(at) {
-				if used[eid] {
-					continue
-				}
-				used[eid] = true
-				err := dfs(f.To(eid), hops+1, maxInt64(maxTS, tsOf(f.Edge(eid))))
-				used[eid] = false
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return dfs(s, 0, 0)
-	}
-	if err := materializeBySource(sources, g.NumEdges(), workers, enumerate, pairAdder(out, c.Name(), c.DedupPairs)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // CountKHopPaths counts the k-length (edge-unique) directed paths from
 // srcType vertices to dstType vertices ("" = any) without materializing
 // the connector — the "actual" series of Fig. 5 at sizes where building
 // the parallel-edge view graph would be wasteful. By §V-A this count
 // equals the edge count of the corresponding k-hop connector.
 func CountKHopPaths(g *graph.Graph, srcType, dstType string, k int) int64 {
-	if k < 1 {
-		return 0
+	ct, err := KHopConnector{SrcType: srcType, DstType: dstType, K: k}.contraction(g)
+	if err != nil {
+		return 0 // k < 1, or a type the schema lacks: no such path
 	}
-	f := g.Freeze()
 	var count int64
 	used := make([]bool, g.NumEdges())
-	var dfs func(at graph.VertexID, hops int)
-	dfs = func(at graph.VertexID, hops int) {
-		if hops == k {
-			if dstType == "" || f.VertexTypeOf(at) == dstType {
-				count++
-			}
-			return
-		}
-		for _, eid := range f.Out(at) {
-			if used[eid] {
-				continue
-			}
-			used[eid] = true
-			dfs(f.To(eid), hops+1)
-			used[eid] = false
-		}
-	}
-	for _, s := range sourceIDs(g, srcType) {
-		dfs(s, 0)
+	for _, s := range ct.sources {
+		_ = ct.paths(s, used, func(graph.VertexID, int64, int) error {
+			count++
+			return nil
+		})
 	}
 	return count
 }
@@ -582,6 +514,15 @@ func colonType(t string) string {
 		return ""
 	}
 	return ":" + t
+}
+
+// typeIs returns a predicate accepting the vertices of vtype (nil, i.e.
+// every vertex, when vtype is "").
+func typeIs(f *graph.Frozen, vtype string) func(graph.VertexID) bool {
+	if vtype == "" {
+		return nil
+	}
+	return func(v graph.VertexID) bool { return f.VertexTypeOf(v) == vtype }
 }
 
 // connectorSchema builds the view graph's schema: the endpoint types plus

@@ -472,10 +472,16 @@ func CanonicalPattern(v View) (string, error) {
 		if v.DedupPairs {
 			return "", errNotDDL(v, "DedupPairs")
 		}
+		if v.MaxLen == 1 {
+			return "", errNotDDL(v, "MaxLen 1 (*1..1 is the 1-hop connector)")
+		}
 		return fmt.Sprintf("MATCH (x:%s)-[p*1..%d]->(y:%s) RETURN x, y", v.VType, v.MaxLen, v.VType), nil
 	case SameEdgeTypeConnector:
 		if v.DedupPairs {
 			return "", errNotDDL(v, "DedupPairs")
+		}
+		if v.MaxLen == 1 {
+			return "", errNotDDL(v, "MaxLen 1 (*1..1 is the 1-hop connector)")
 		}
 		return fmt.Sprintf("MATCH (x)-[p:%s*1..%d]->(y) RETURN x, y", v.EType, v.MaxLen), nil
 	case SourceToSinkConnector:

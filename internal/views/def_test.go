@@ -94,6 +94,9 @@ func TestCanonicalPatternEscapeHatches(t *testing.T) {
 		SameVertexTypeConnector{VType: "V", MaxLen: 3, DedupPairs: true},
 		SameEdgeTypeConnector{EType: "E", MaxLen: 3, DedupPairs: true},
 		SourceToSinkConnector{MaxLen: 3, DedupPairs: true},
+		// *1..1 compiles to the 1-hop connector, another view.
+		SameVertexTypeConnector{VType: "V", MaxLen: 1},
+		SameEdgeTypeConnector{EType: "E", MaxLen: 1},
 	} {
 		if pat, err := CanonicalPattern(v); err == nil {
 			t.Errorf("%s: CanonicalPattern = %q, want error", v.Name(), pat)
@@ -226,14 +229,7 @@ func TestDDLMaterializationEquivalence(t *testing.T) {
 		}
 		want := graphBytes(t, wantG)
 		for _, workers := range []int{1, 4} {
-			var gotG *graph.Graph
-			if pv, ok := compiled.(ParallelView); ok {
-				gotG, err = pv.MaterializeParallel(g, workers)
-			} else if workers == 1 {
-				gotG, err = compiled.Materialize(g)
-			} else {
-				continue // summarizers materialize sequentially
-			}
+			gotG, err := Materialize(compiled, g, workers)
 			if err != nil {
 				t.Fatalf("%s w=%d: ddl materialize: %v", tc.name, workers, err)
 			}

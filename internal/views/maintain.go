@@ -2,6 +2,7 @@ package views
 
 import (
 	"fmt"
+	"slices"
 
 	"kaskade/internal/delta"
 	"kaskade/internal/graph"
@@ -35,7 +36,9 @@ type MaintainedConnector struct {
 	def  KHopConnector
 	base *graph.Graph
 	view *graph.Graph
-	// remap maps base vertex IDs to view vertex IDs for endpoint types.
+	// keep lists the vertex types mirrored into the view (nil = all),
+	// and remap maps their base vertex IDs to view vertex IDs.
+	keep  []string
 	remap map[graph.VertexID]graph.VertexID
 }
 
@@ -46,30 +49,15 @@ func NewMaintainedConnector(def KHopConnector, base *graph.Graph) (*MaintainedCo
 	if def.DedupPairs {
 		return nil, fmt.Errorf("views: incremental maintenance requires path semantics (DedupPairs=false)")
 	}
-	view, err := def.Materialize(base)
+	ct, err := def.contraction(base)
 	if err != nil {
 		return nil, err
 	}
-	m := &MaintainedConnector{
-		def:   def,
-		base:  base,
-		view:  view,
-		remap: make(map[graph.VertexID]graph.VertexID),
+	view, remap, err := ct.build(base, 1)
+	if err != nil {
+		return nil, err
 	}
-	// Rebuild the base->view vertex mapping the materializer used: it
-	// copies endpoint-type vertices in base-ID order.
-	next := 0
-	for i := 0; i < base.NumVertices(); i++ {
-		v := base.Vertex(graph.VertexID(i))
-		if m.keepsType(v.Type) {
-			m.remap[v.ID] = graph.VertexID(next)
-			next++
-		}
-	}
-	if next != view.NumVertices() {
-		return nil, fmt.Errorf("views: maintenance mapping mismatch: %d mapped, %d in view", next, view.NumVertices())
-	}
-	return m, nil
+	return &MaintainedConnector{def: def, base: base, view: view, keep: ct.keep, remap: remap}, nil
 }
 
 // View returns the maintained view graph (read-only for callers).
@@ -78,21 +66,14 @@ func (m *MaintainedConnector) View() *graph.Graph { return m.view }
 // Base returns the underlying base graph.
 func (m *MaintainedConnector) Base() *graph.Graph { return m.base }
 
-func (m *MaintainedConnector) keepsType(t string) bool {
-	if m.def.SrcType == "" && m.def.DstType == "" {
-		return true
-	}
-	return t == m.def.SrcType || t == m.def.DstType
-}
-
 // AddVertex adds a vertex to the base graph and mirrors it into the view
-// when its type is an endpoint type.
+// when the view keeps its type.
 func (m *MaintainedConnector) AddVertex(vtype string, props graph.Properties) (graph.VertexID, error) {
 	id, err := m.base.AddVertex(vtype, props)
 	if err != nil {
 		return graph.NoVertex, err
 	}
-	if m.keepsType(vtype) {
+	if keepsType(m.keep, vtype) {
 		vid, err := m.view.AddVertex(vtype, props)
 		if err != nil {
 			return graph.NoVertex, err
@@ -142,4 +123,10 @@ func applyDelta(view *graph.Graph, remap map[graph.VertexID]graph.VertexID, name
 		}
 	}
 	return nil
+}
+
+// keepsType reports whether a vertex of type t belongs in a view that
+// keeps the given vertex types (nil = all).
+func keepsType(keep []string, t string) bool {
+	return keep == nil || slices.Contains(keep, t)
 }

@@ -35,7 +35,8 @@ func sameFingerprint(t *testing.T, a, b []string, context string) {
 // TestMaintainedConnectorMatchesRematerialization drives a random
 // lineage DAG edge by edge through the maintainer and checks, at every
 // step, that the incrementally maintained view equals a from-scratch
-// materialization.
+// materialization. The half-typed connectors copy every vertex, so
+// their maintainers must mirror every vertex too.
 func TestMaintainedConnectorMatchesRematerialization(t *testing.T) {
 	schema := graph.MustSchema(
 		[]string{"Job", "File"},
@@ -44,50 +45,62 @@ func TestMaintainedConnectorMatchesRematerialization(t *testing.T) {
 			{From: "File", To: "Job", Name: "R"},
 		},
 	)
-	def := KHopConnector{SrcType: "Job", DstType: "Job", K: 2}
-	base := graph.NewGraph(schema)
-	m, err := NewMaintainedConnector(def, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, def := range []KHopConnector{
+		{SrcType: "Job", DstType: "Job", K: 2},
+		{SrcType: "Job", K: 2},
+		{DstType: "Job", K: 2},
+	} {
+		t.Run(def.Name(), func(t *testing.T) {
+			base := graph.NewGraph(schema)
+			m, err := NewMaintainedConnector(def, base)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	rng := rand.New(rand.NewSource(77))
-	var jobs, files []graph.VertexID
-	for i := 0; i < 12; i++ {
-		j, err := m.AddVertex("Job", graph.Properties{"name": fmt.Sprintf("j%d", i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
-		f, err := m.AddVertex("File", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
-	}
-	for step := 0; step < 60; step++ {
-		var err error
-		if rng.Intn(2) == 0 {
-			j := jobs[rng.Intn(len(jobs))]
-			f := files[rng.Intn(len(files))]
-			_, err = m.AddEdge(j, f, "W", graph.Properties{"ts": int64(step)})
-		} else {
-			f := files[rng.Intn(len(files))]
-			j := jobs[rng.Intn(len(jobs))]
-			_, err = m.AddEdge(f, j, "R", graph.Properties{"ts": int64(step)})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := def.Materialize(m.Base())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameFingerprint(t, viewFingerprint(m.View()), viewFingerprint(fresh),
-			fmt.Sprintf("after step %d", step))
-	}
-	if m.View().NumEdges() == 0 {
-		t.Fatal("maintained view never gained an edge; test exercised nothing")
+			rng := rand.New(rand.NewSource(77))
+			var jobs, files []graph.VertexID
+			for i := 0; i < 12; i++ {
+				j, err := m.AddVertex("Job", graph.Properties{"name": fmt.Sprintf("j%d", i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				jobs = append(jobs, j)
+				f, err := m.AddVertex("File", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files = append(files, f)
+			}
+			for step := 0; step < 60; step++ {
+				var err error
+				if rng.Intn(2) == 0 {
+					j := jobs[rng.Intn(len(jobs))]
+					f := files[rng.Intn(len(files))]
+					_, err = m.AddEdge(j, f, "W", graph.Properties{"ts": int64(step)})
+				} else {
+					f := files[rng.Intn(len(files))]
+					j := jobs[rng.Intn(len(jobs))]
+					_, err = m.AddEdge(f, j, "R", graph.Properties{"ts": int64(step)})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := def.Materialize(m.Base())
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameFingerprint(t, viewFingerprint(m.View()), viewFingerprint(fresh),
+					fmt.Sprintf("after step %d", step))
+			}
+			if m.View().NumEdges() == 0 {
+				t.Fatal("maintained view never gained an edge; test exercised nothing")
+			}
+			// A maintainer built over a populated base maps every
+			// vertex the materializer copied.
+			if _, err := NewMaintainedConnector(def, m.Base()); err != nil {
+				t.Fatalf("maintainer over the populated base: %v", err)
+			}
+		})
 	}
 }
 

@@ -37,7 +37,9 @@ const (
 // (workload.Catalog.AddAll) and the executor traverse base and view
 // graphs from many goroutines at once. Every view class in this package
 // satisfies it: vertices/edges are appended only to the new graph, and
-// property bags are shared read-only.
+// property bags are shared read-only. The package-level Materialize
+// adds a worker budget: it fans a connector's path search out and calls
+// this method for every other class.
 type View interface {
 	// Name is a unique, stable identifier used by the catalog and as the
 	// contracted edge type for connectors.
@@ -62,18 +64,6 @@ type EstimatableView interface {
 	View
 	// PathLength returns the k of the contraction.
 	PathLength() int
-}
-
-// ParallelView is implemented by views whose materialization can fan
-// out internally — for connectors, the per-source path search runs on a
-// worker pool while the merge stays deterministic.
-type ParallelView interface {
-	View
-	// MaterializeParallel is Materialize with up to `workers`
-	// goroutines (0 or 1 = sequential, negative = one per available
-	// CPU). The result is byte-identical to Materialize: same vertices,
-	// same edges, same insertion order.
-	MaterializeParallel(g *graph.Graph, workers int) (*graph.Graph, error)
 }
 
 // copyVerticesOfTypes adds all vertices of the given types (all types

@@ -142,7 +142,7 @@ func (c *Catalog) add(cand enum.Candidate, workers int) error {
 	if c.has(name) {
 		return nil
 	}
-	vg, err := materializeView(cand.View, c.Base, workers)
+	vg, err := views.Materialize(cand.View, c.Base, workers)
 	if err != nil {
 		return fmt.Errorf("workload: materializing %s: %w", name, err)
 	}
@@ -223,7 +223,7 @@ func (c *Catalog) CreateView(def views.ViewDef, workers int) error {
 	if err := c.checkNames(def.Name, structural); err != nil {
 		return err
 	}
-	vg, err := materializeView(def.View, c.Base, workers)
+	vg, err := views.Materialize(def.View, c.Base, workers)
 	if err != nil {
 		return fmt.Errorf("workload: materializing %s: %w", def.Name, err)
 	}
@@ -270,27 +270,17 @@ func (c *Catalog) checkNamesLocked(defName, structural string) error {
 	return nil
 }
 
-// materializeView builds a view graph, fanning the build itself out
-// over `workers` goroutines when the view class supports internal
-// parallelism (views.ParallelView) — the per-source BFS fan-out of
-// connector materialization.
-func materializeView(v views.View, base *graph.Graph, workers int) (*graph.Graph, error) {
-	if pv, ok := v.(views.ParallelView); ok && workers > 1 {
-		return pv.MaterializeParallel(base, workers)
-	}
-	return v.Materialize(base)
-}
-
 // AddAll materializes a batch of candidate views into the catalog,
 // running independent materializations concurrently on up to `workers`
 // goroutines (0 or 1 = sequential, negative = one per available CPU).
 // Worker budget left over after one-per-view is pushed down into each
-// view's own build when the class supports it (views.ParallelView), so
-// a single huge connector still saturates the pool. Each build derives
-// a fresh graph from the read-only base, so builds never share mutable
-// state; catalog insertion happens on the calling goroutine afterwards,
-// in candidate order, which keeps Views() order, idempotency, and
-// first-error behavior identical to a loop of Add calls.
+// view's own build (views.Materialize fans a connector's path search
+// out), so a single huge connector still saturates the pool. Each build
+// derives a fresh graph from the read-only base, so builds never share
+// mutable state; catalog insertion happens on the calling goroutine
+// afterwards, in candidate order, which keeps Views() order,
+// idempotency, and first-error behavior identical to a loop of Add
+// calls.
 func (c *Catalog) AddAll(cands []enum.Candidate, workers int) error {
 	type build struct {
 		cand enum.Candidate
@@ -325,7 +315,7 @@ func (c *Catalog) AddAll(cands []enum.Candidate, workers int) error {
 		workers = len(builds)
 	}
 	materialize := func(b *build) {
-		vg, err := materializeView(b.cand.View, c.Base, inner)
+		vg, err := views.Materialize(b.cand.View, c.Base, inner)
 		if err != nil {
 			b.err = err
 			return
