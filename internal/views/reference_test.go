@@ -167,68 +167,66 @@ func refMaterialize(t *testing.T, g *graph.Graph, v View) *graph.Graph {
 	return out
 }
 
-// TestConnectorsMatchReference pins every connector class's view graph
-// — vertices, edges, insertion order, properties, schema — to the
-// naive reference, at every worker count of the per-source fan-out:
-// typed, half-typed and untyped k-hop connectors, single- and
-// multi-type edge filters, and DedupPairs. CountKHopPaths must count
-// the reference's k-hop paths.
-func TestConnectorsMatchReference(t *testing.T) {
-	prov11, err := datagen.Prov(datagen.ProvConfig{
+// Graphs shared by the reference checks below.
+func refProv11(t *testing.T) *graph.Graph {
+	t.Helper()
+	g, err := datagen.Prov(datagen.ProvConfig{
 		Jobs: 80, Files: 200, TasksPerJob: 2, Machines: 8, Users: 4,
 		MaxReads: 12, Pipelines: 5, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov17, err := datagen.Prov(datagen.ProvConfig{
+	return g
+}
+
+func refProv17(t *testing.T) *graph.Graph {
+	t.Helper()
+	g, err := datagen.Prov(datagen.ProvConfig{
 		Jobs: 70, Files: 180, TasksPerJob: 2, Machines: 8, Users: 4,
 		MaxReads: 10, Pipelines: 5, Seed: 17,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dblp, err := datagen.DBLP(datagen.DBLPConfig{
+	return g
+}
+
+func refDBLP(t *testing.T) *graph.Graph {
+	t.Helper()
+	g, err := datagen.DBLP(datagen.DBLPConfig{
 		Authors: 60, Papers: 140, Venues: 6, MaxPerAuthor: 20, Seed: 19,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	soc, err := datagen.SocialNetwork(datagen.SocialConfig{
+	return g
+}
+
+func refSoc(t *testing.T) *graph.Graph {
+	t.Helper()
+	g, err := datagen.SocialNetwork(datagen.SocialConfig{
 		Users: 120, Edges: 700, Exponent: 2.3, MaxDegree: 30, Seed: 13,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name string
-		g    *graph.Graph
-		def  View
-	}{
-		{"prov-job-job", prov11, KHopConnector{SrcType: "Job", DstType: "Job", K: 2}},
-		{"prov-dedup", prov11, KHopConnector{SrcType: "Job", DstType: "Job", K: 2, DedupPairs: true}},
-		{"prov-edge-filtered", prov11, KHopConnector{SrcType: "Job", DstType: "Job", K: 2, EdgeTypes: []string{"WRITES_TO", "IS_READ_BY"}}},
-		{"prov-multi-type-untyped", prov11, KHopConnector{K: 3, EdgeTypes: []string{"SPAWNS", "TRANSFERS_TO", "RUNS_ON"}}},
-		{"prov-single-type", prov11, KHopConnector{SrcType: "Task", DstType: "Task", K: 2, EdgeTypes: []string{"TRANSFERS_TO"}}},
-		{"prov-job-file", prov11, KHopConnector{SrcType: "Job", DstType: "File", K: 3}},
-		{"prov-src-typed", prov11, KHopConnector{SrcType: "Job", K: 2}},
-		{"prov-dst-typed", prov11, KHopConnector{DstType: "Job", K: 2}},
-		{"soc-any-any", soc, KHopConnector{K: 2}},
-		{"soc-3hop-dedup", soc, KHopConnector{K: 3, DedupPairs: true}},
-		{"dblp-author-author", dblp, KHopConnector{SrcType: "Author", DstType: "Author", K: 2}},
-		{"samevt-author", dblp, SameVertexTypeConnector{VType: "Author", MaxLen: 2}},
-		{"samevt-author-dedup", dblp, SameVertexTypeConnector{VType: "Author", MaxLen: 3, DedupPairs: true}},
-		{"samevt-job", prov17, SameVertexTypeConnector{VType: "Job", MaxLen: 2}},
-		// Paths that pass an intermediate VType vertex exist only here.
-		{"samevt-author-4", dblp, SameVertexTypeConnector{VType: "Author", MaxLen: 4}},
-		{"samevt-user", soc, SameVertexTypeConnector{VType: "User", MaxLen: 3}},
-		{"sameet-writes", prov17, SameEdgeTypeConnector{EType: "WRITES_TO", MaxLen: 3}},
-		{"sameet-transfers", prov17, SameEdgeTypeConnector{EType: "TRANSFERS_TO", MaxLen: 3}},
-		{"sameet-authored-dedup", dblp, SameEdgeTypeConnector{EType: "AUTHORED", MaxLen: 2, DedupPairs: true}},
-		{"srcsink", prov17, SourceToSinkConnector{MaxLen: 4}},
-		{"srcsink-dedup", prov17, SourceToSinkConnector{MaxLen: 5, DedupPairs: true}},
-		{"soc-srcsink", soc, SourceToSinkConnector{MaxLen: 3}},
-	}
+	return g
+}
+
+type connectorCase struct {
+	name string
+	g    *graph.Graph
+	def  View
+}
+
+// assertMatchesReference pins each case's view graph — vertices, edges,
+// insertion order, properties, schema — to the naive reference, both
+// from the class's own Materialize and from views.Materialize at every
+// worker count of the per-source fan-out. For k-hop connectors,
+// CountKHopPaths must count the reference's k-hop paths.
+func assertMatchesReference(t *testing.T, cases []connectorCase) {
+	t.Helper()
 	for _, tc := range cases {
 		ref := refMaterialize(t, tc.g, tc.def)
 		if ref.NumEdges() == 0 {
@@ -262,6 +260,58 @@ func TestConnectorsMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKHopMaterializeParallelMatchesSequential: the per-source fan-out
+// of k-hop connectors, typed and untyped, with and without pair dedup
+// and an edge-type filter, serializes to the reference's bytes — and so
+// to the sequential build's — at every worker count.
+func TestKHopMaterializeParallelMatchesSequential(t *testing.T) {
+	prov, soc := refProv11(t), refSoc(t)
+	assertMatchesReference(t, []connectorCase{
+		{"prov-job-job", prov, KHopConnector{SrcType: "Job", DstType: "Job", K: 2}},
+		{"prov-dedup", prov, KHopConnector{SrcType: "Job", DstType: "Job", K: 2, DedupPairs: true}},
+		{"prov-edge-filtered", prov, KHopConnector{SrcType: "Job", DstType: "Job", K: 2, EdgeTypes: []string{"WRITES_TO", "IS_READ_BY"}}},
+		{"soc-any-any", soc, KHopConnector{K: 2}},
+		{"soc-3hop-dedup", soc, KHopConnector{K: 3, DedupPairs: true}},
+	})
+}
+
+// TestConnectorClassesMaterializeParallelMatchSequential extends the
+// same byte-identity to the other Table I classes: same-vertex-type,
+// same-edge-type and source-to-sink, with and without pair dedup.
+func TestConnectorClassesMaterializeParallelMatchSequential(t *testing.T) {
+	prov, dblp := refProv17(t), refDBLP(t)
+	assertMatchesReference(t, []connectorCase{
+		{"samevt-author", dblp, SameVertexTypeConnector{VType: "Author", MaxLen: 2}},
+		{"samevt-author-dedup", dblp, SameVertexTypeConnector{VType: "Author", MaxLen: 3, DedupPairs: true}},
+		{"samevt-job", prov, SameVertexTypeConnector{VType: "Job", MaxLen: 2}},
+		{"sameet-writes", prov, SameEdgeTypeConnector{EType: "WRITES_TO", MaxLen: 3}},
+		{"sameet-authored-dedup", dblp, SameEdgeTypeConnector{EType: "AUTHORED", MaxLen: 2, DedupPairs: true}},
+		{"srcsink", prov, SourceToSinkConnector{MaxLen: 4}},
+		{"srcsink-dedup", prov, SourceToSinkConnector{MaxLen: 5, DedupPairs: true}},
+	})
+}
+
+// TestConnectorsMatchReference covers the shapes the two tests above
+// leave out: half-typed and multi-type-filtered k-hop connectors, k-hop
+// over dblp, and paths that pass an intermediate VType vertex — plus
+// CountKHopPaths on degenerate inputs.
+func TestConnectorsMatchReference(t *testing.T) {
+	prov11, prov17, dblp, soc := refProv11(t), refProv17(t), refDBLP(t), refSoc(t)
+	assertMatchesReference(t, []connectorCase{
+		{"prov-multi-type-untyped", prov11, KHopConnector{K: 3, EdgeTypes: []string{"SPAWNS", "TRANSFERS_TO", "RUNS_ON"}}},
+		{"prov-single-type", prov11, KHopConnector{SrcType: "Task", DstType: "Task", K: 2, EdgeTypes: []string{"TRANSFERS_TO"}}},
+		{"prov-job-file", prov11, KHopConnector{SrcType: "Job", DstType: "File", K: 3}},
+		{"prov-src-typed", prov11, KHopConnector{SrcType: "Job", K: 2}},
+		{"prov-dst-typed", prov11, KHopConnector{DstType: "Job", K: 2}},
+		{"dblp-author-author", dblp, KHopConnector{SrcType: "Author", DstType: "Author", K: 2}},
+		// Paths that pass an intermediate VType vertex exist only here.
+		{"samevt-author-4", dblp, SameVertexTypeConnector{VType: "Author", MaxLen: 4}},
+		{"samevt-user", soc, SameVertexTypeConnector{VType: "User", MaxLen: 3}},
+		{"sameet-transfers", prov17, SameEdgeTypeConnector{EType: "TRANSFERS_TO", MaxLen: 3}},
+		{"soc-srcsink", soc, SourceToSinkConnector{MaxLen: 3}},
+	})
 	for _, k := range []int{0, -1} {
 		if got := CountKHopPaths(prov11, "Job", "Job", k); got != 0 {
 			t.Errorf("CountKHopPaths(k=%d) = %d, want 0", k, got)
