@@ -195,15 +195,18 @@ queryKHopVariableLengthPath(X, Y, K) :-
     queryVariableLengthPath(X, Y, LOWER, UPPER),
     between(LOWER, UPPER, K).
 
-% Query k-hop paths
-queryKHopPath(X, Y, 1) :- queryEdge(X, Y).
-queryKHopPath(X, Y, K) :-
+% Query k-hop paths. The trail keeps a path from revisiting a query
+% vertex, so a cyclic pattern has finitely many paths (the last hop may
+% close the cycle back to X).
+queryKHopPath(X, Y, K) :- queryKHopPath(X, Y, K, [X]).
+queryKHopPath(X, Y, 1, _) :- queryEdge(X, Y).
+queryKHopPath(X, Y, K, _) :-
     queryKHopVariableLengthPath(X, Y, K), K >= 1.
-queryKHopPath(X, Y, K) :- queryEdge(X, Z),
-    queryKHopPath(Z, Y, K1), K is K1 + 1.
-queryKHopPath(X, Y, K) :-
-    queryVariableLengthPath(X, Z, LOWER, UPPER),
-    queryKHopPath(Z, Y, K1),
+queryKHopPath(X, Y, K, Trail) :- queryEdge(X, Z), not(member(Z, Trail)),
+    queryKHopPath(Z, Y, K1, [Z|Trail]), K is K1 + 1.
+queryKHopPath(X, Y, K, Trail) :-
+    queryVariableLengthPath(X, Z, LOWER, UPPER), not(member(Z, Trail)),
+    queryKHopPath(Z, Y, K1, [Z|Trail]),
     between(LOWER, UPPER, K2),
     K is K1 + K2.
 

@@ -21,9 +21,13 @@ import (
 )
 
 // Templates is Kaskade's view template library, expressed as inference
-// rules (Listing 3 connectors; summarizer templates in the spirit of
-// Listing 5 — the "prune to what the query touches" views the evaluation
-// uses). The library is extensible: additional rules can be consulted
+// rules: Listing 3's k-hop connector and three summarizer templates in
+// the spirit of Listing 5 — the "prune to what the query touches" views
+// the evaluation uses. It holds a template only for a view class that
+// rewrite.Apply has a rule for. Listing 3's same-vertex-type and
+// source-to-sink connectors are left out: no rule can use their
+// candidates, which would cost space and selection time and earn
+// nothing. The library is extensible: additional rules can be consulted
 // into the enumerator's machine.
 const Templates = `
 % ---- connector templates (Listing 3) ----
@@ -40,30 +44,6 @@ kHopConnector(X, Y, XTYPE, YTYPE, K) :-
     queryKHopPath(X, Y, K),
     % schema constraints
     schemaKHopPath(XTYPE, YTYPE, K).
-
-% k-hop connector where all vertices are of the same type.
-kHopConnectorSameVertexType(X, Y, VTYPE, K) :-
-    kHopConnector(X, Y, VTYPE, VTYPE, K).
-
-% Variable-length connector where all vertices are of the same type.
-connectorSameVertexType(X, Y, VTYPE) :-
-    % query constraints
-    queryVertexType(X, VTYPE),
-    queryVertexType(Y, VTYPE),
-    queryVertexProjected(X),
-    queryVertexProjected(Y),
-    queryPath(X, Y),
-    % schema constraints
-    schemaPath(VTYPE, VTYPE).
-
-% Source-to-sink variable-length connector.
-sourceToSinkConnector(X, Y) :-
-    % query constraints
-    queryVertexSource(X),
-    queryVertexSink(Y),
-    queryVertexProjected(X),
-    queryVertexProjected(Y),
-    queryPath(X, Y).
 
 % ---- summarizer templates (in the spirit of Listing 5) ----
 
@@ -261,44 +241,6 @@ func (e *Enumerator) solve(pm *prolog.Machine) (*Result, error) {
 			SrcVar:   s.Atom("X"),
 			DstVar:   s.Atom("Y"),
 			K:        int(s.Int("K")),
-		})
-	}
-
-	// Same-vertex-type variable-length connectors.
-	sols, err = pm.Query("connectorSameVertexType(X, Y, VT)", 0)
-	if err != nil {
-		return nil, fmt.Errorf("enum: connectorSameVertexType: %w", err)
-	}
-	res.Steps += pm.Steps()
-	res.Solutions += len(sols)
-	for _, s := range sols {
-		if bogus(s.Atom("VT")) {
-			continue
-		}
-		add(Candidate{
-			View:     views.SameVertexTypeConnector{VType: s.Atom("VT"), MaxLen: e.maxK()},
-			Template: "connectorSameVertexType",
-			SrcVar:   s.Atom("X"),
-			DstVar:   s.Atom("Y"),
-		})
-	}
-
-	// Source-to-sink connectors.
-	sols, err = pm.Query("sourceToSinkConnector(X, Y)", 0)
-	if err != nil {
-		return nil, fmt.Errorf("enum: sourceToSinkConnector: %w", err)
-	}
-	res.Steps += pm.Steps()
-	res.Solutions += len(sols)
-	for _, s := range sols {
-		if bogus(s.Atom("X")) || bogus(s.Atom("Y")) {
-			continue
-		}
-		add(Candidate{
-			View:     views.SourceToSinkConnector{MaxLen: e.maxK()},
-			Template: "sourceToSinkConnector",
-			SrcVar:   s.Atom("X"),
-			DstVar:   s.Atom("Y"),
 		})
 	}
 

@@ -11,7 +11,7 @@ import (
 
 func TestExactAcceptsBipartiteK2(t *testing.T) {
 	q := gql.MustParse(blastRadius)
-	rw, err := OverKHopConnectorExact(q, jobConnectorCandidate(2), lineageSchema())
+	rw, err := Apply(q, jobConnectorCandidate(2), lineageSchema())
 	if err != nil {
 		t.Fatalf("k=2 should be exact on the bipartite schema: %v", err)
 	}
@@ -24,7 +24,7 @@ func TestExactRejectsNonDividingK(t *testing.T) {
 	q := gql.MustParse(blastRadius)
 	// k=4 misses the 2, 6, and 10-hop job-job pairs.
 	for _, k := range []int{4, 6, 8, 10} {
-		if _, err := OverKHopConnectorExact(q, jobConnectorCandidate(k), lineageSchema()); err == nil {
+		if _, err := Apply(q, jobConnectorCandidate(k), lineageSchema()); err == nil {
 			t.Errorf("k=%d accepted; feasible lengths {2,4,..,10} are not all multiples", k)
 		}
 	}
@@ -38,12 +38,12 @@ func TestExactRejectsHomogeneousK2(t *testing.T) {
 		View:   views.KHopConnector{SrcType: "User", DstType: "User", K: 2},
 		SrcVar: "a", DstVar: "b", K: 2,
 	}
-	if _, err := OverKHopConnectorExact(q, cand, datagen.SocialSchema()); err == nil {
+	if _, err := Apply(q, cand, datagen.SocialSchema()); err == nil {
 		t.Error("homogeneous k=2 rewrite accepted as exact")
 	}
 	// Without a schema the check is skipped (caller opts into
 	// approximation).
-	if _, err := OverKHopConnectorExact(q, cand, nil); err != nil {
+	if _, err := Apply(q, cand, nil); err != nil {
 		t.Errorf("nil-schema rewrite rejected: %v", err)
 	}
 }
@@ -58,7 +58,7 @@ func TestExactEvenOnlyQueryOnHomogeneous(t *testing.T) {
 		View:   views.KHopConnector{SrcType: "User", DstType: "User", K: 2},
 		SrcVar: "a", DstVar: "b", K: 2,
 	}
-	if _, err := OverKHopConnectorExact(q, cand, datagen.SocialSchema()); err == nil {
+	if _, err := Apply(q, cand, datagen.SocialSchema()); err == nil {
 		t.Error("span containing odd feasible lengths accepted")
 	}
 }
@@ -66,8 +66,36 @@ func TestExactEvenOnlyQueryOnHomogeneous(t *testing.T) {
 func TestExactWrongViewKind(t *testing.T) {
 	q := gql.MustParse(blastRadius)
 	bad := enum.Candidate{View: views.VertexInclusionSummarizer{Types: []string{"Job"}}}
-	if _, err := OverKHopConnectorExact(q, bad, lineageSchema()); err == nil {
-		t.Error("summarizer accepted")
+	if _, err := Apply(q, bad, lineageSchema()); err == nil {
+		t.Error("summarizer dropping File accepted for a File query")
+	}
+}
+
+// TestExactRefusesWhatTheViewGraphLacks: with a schema, a contraction
+// must consume the whole pattern (the view graph holds only connector
+// edges) over a connector that contracts every edge type. Without one,
+// the rewrite stays syntactic (TestRewriteKeepsUnrelatedPatterns).
+func TestExactRefusesWhatTheViewGraphLacks(t *testing.T) {
+	chain := `MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job)`
+	cand := jobConnectorCandidate(2)
+	cand.SrcVar, cand.DstVar = "a", "b"
+	for _, src := range []string{
+		chain + `-[:WRITES_TO]->(g:File) RETURN a, b, g`,
+		chain + `, (x:Job)-[:WRITES_TO]->(y:File) RETURN a, b, x, y`,
+		chain + `, (x:Job) RETURN a, b, x`,
+	} {
+		if _, err := Apply(gql.MustParse(src), cand, lineageSchema()); err == nil {
+			t.Errorf("%s: accepted, but the connector graph cannot evaluate the rest of the pattern", src)
+		}
+	}
+	q := gql.MustParse(chain + ` RETURN a, b`)
+	if _, err := Apply(q, cand, lineageSchema()); err != nil {
+		t.Errorf("whole-pattern contraction rejected: %v", err)
+	}
+	typed := cand
+	typed.View = views.KHopConnector{SrcType: "Job", DstType: "Job", K: 2, EdgeTypes: []string{"WRITES_TO"}}
+	if _, err := Apply(q, typed, lineageSchema()); err == nil {
+		t.Error("edge-type-restricted connector accepted")
 	}
 }
 
@@ -109,7 +137,7 @@ func TestRewriteBareVarLengthNoFixedEdges(t *testing.T) {
 	q := gql.MustParse(`MATCH (a:Job)-[r*2..10]->(b:Job) RETURN a, b`)
 	cand := jobConnectorCandidate(2)
 	cand.SrcVar, cand.DstVar = "a", "b"
-	rw, err := OverKHopConnector(q, cand)
+	rw, err := Apply(q, cand, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +153,7 @@ func TestRewriteUnboundedUpperCapped(t *testing.T) {
 	q := gql.MustParse(`MATCH (a:Job)-[r*2..]->(b:Job) RETURN a, b`)
 	cand := jobConnectorCandidate(2)
 	cand.SrcVar, cand.DstVar = "a", "b"
-	rw, err := OverKHopConnector(q, cand)
+	rw, err := Apply(q, cand, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +171,7 @@ func TestRewriteKeepsUnrelatedPatterns(t *testing.T) {
 		RETURN a, b, x, y`)
 	cand := jobConnectorCandidate(2)
 	cand.SrcVar, cand.DstVar = "a", "b"
-	rw, err := OverKHopConnector(q, cand)
+	rw, err := Apply(q, cand, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,20 @@
-// Package rewrite implements view-based query rewriting (§V-C): given a
-// query and a connector view candidate anchored at two projected query
-// variables, it replaces the path segment between the anchors with a
-// traversal of the contracted connector edges, recomputing the
-// variable-length bounds (the Listing 1 → Listing 4 transformation).
-// Summarizer views keep the query text unchanged — the rewrite is the
-// redirection of the query to the summarized graph — so for them this
-// package only validates applicability.
+// Package rewrite implements view-based query rewriting (§V-C). Apply is
+// its one entry point and the one place that decides whether a view
+// answers a query, by the view's class:
+//
+//   - a k-hop connector replaces the path segment between the
+//     candidate's two anchor variables with a traversal of the
+//     contracted connector edges, recomputing the variable-length
+//     bounds (the Listing 1 → Listing 4 transformation);
+//   - a type filter (views.TypeFilter) keeps the query text unchanged —
+//     the rewrite is the redirection of the query to the filtered graph
+//     — when it keeps every type the query names;
+//   - every other class has no rule: its views are materialized and
+//     listed, but no query is rewritten over them.
 package rewrite
 
 import (
+	"errors"
 	"fmt"
 
 	"kaskade/internal/constraints"
@@ -17,6 +23,10 @@ import (
 	"kaskade/internal/graph"
 	"kaskade/internal/views"
 )
+
+// ErrNoRule is wrapped by Apply's error for a view class that has no
+// rewrite rule.
+var ErrNoRule = errors.New("no rewrite rule for the view class")
 
 // step is one edge of the query's unified pattern graph, normalized to
 // forward orientation.
@@ -28,30 +38,49 @@ type step struct {
 	pattern  int // index of the owning pattern (for reconstruction)
 }
 
-// OverKHopConnector rewrites q's innermost MATCH to traverse the k-hop
-// connector view of the candidate instead of the base-graph path between
-// cand.SrcVar and cand.DstVar. The rewritten query is meant to run
-// against the materialized view graph.
-//
-// Bound arithmetic: if the consumed segment spans path lengths [L, U] in
-// the base graph, the connector traversal spans [max(1, ⌈L/k⌉), ⌊U/k⌋]
-// hops. (For the paper's Listing 1 — L=2, U=10, k=2 — this yields *1..5.)
-func OverKHopConnector(q gql.Query, cand enum.Candidate) (gql.Query, error) {
-	kc, ok := cand.View.(views.KHopConnector)
-	if !ok {
-		return nil, fmt.Errorf("rewrite: candidate %s is not a k-hop connector", cand.View.Name())
-	}
-	if cand.SrcVar == "" || cand.DstVar == "" {
-		return nil, fmt.Errorf("rewrite: candidate %s has no anchor variables", cand.View.Name())
-	}
+// Apply rewrites q over the view of cand — the returned query is meant
+// to run against the view's materialization — or returns an error when
+// no rule shows the view answers q. A nil schema skips the checks that
+// need one, so a k-hop contraction is then only checked against the
+// query's own shape.
+func Apply(q gql.Query, cand enum.Candidate, schema *graph.Schema) (gql.Query, error) {
 	m := gql.InnermostMatch(q)
 	if m == nil {
 		return nil, fmt.Errorf("rewrite: query has no MATCH block")
 	}
-	steps, err := unifySteps(m)
-	if err != nil {
-		return nil, err
+	switch v := cand.View.(type) {
+	case views.KHopConnector:
+		return overKHopConnector(q, m, cand, v, schema)
+	case views.TypeFilter:
+		if err := keepsQueryTypes(m, v); err != nil {
+			return nil, err
+		}
+		return q, nil
 	}
+	return nil, fmt.Errorf("rewrite: %s: %w", cand.View.Name(), ErrNoRule)
+}
+
+// overKHopConnector rewrites m to traverse kc's connector edges instead
+// of the base-graph path between cand.SrcVar and cand.DstVar.
+//
+// Bound arithmetic: if the consumed segment spans path lengths [L, U] in
+// the base graph, the connector traversal spans [max(1, ⌈L/k⌉), ⌊U/k⌋]
+// hops. (For the paper's Listing 1 — L=2, U=10, k=2 — this yields *1..5.)
+//
+// With a schema the rewrite is also result-preserving. Every
+// schema-feasible path length in the segment's span must be a multiple
+// of k, so the connector reaches exactly the pairs the base query
+// reaches. (On the bipartite lineage schema the job-to-job feasible
+// lengths are {2,4,...}, so only k=2 passes; on a homogeneous schema
+// every k>1 is rejected because odd lengths exist — those rewritings are
+// the paper's "approximate" homogeneous scenarios.) The view graph holds
+// only connector edges, so the segment must be the whole pattern, and
+// the connector must contract paths over every edge type.
+func overKHopConnector(q gql.Query, m *gql.MatchQuery, cand enum.Candidate, kc views.KHopConnector, schema *graph.Schema) (gql.Query, error) {
+	if cand.SrcVar == "" || cand.DstVar == "" {
+		return nil, fmt.Errorf("rewrite: candidate %s has no anchor variables", cand.View.Name())
+	}
+	steps := unifySteps(m)
 	segment, err := chase(steps, cand.SrcVar, cand.DstVar)
 	if err != nil {
 		return nil, err
@@ -73,18 +102,21 @@ func OverKHopConnector(q gql.Query, cand enum.Candidate) (gql.Query, error) {
 			}
 		}
 	}
-	// Hop-range arithmetic.
-	lo, hi := 0, 0
+	// Hop-range arithmetic. hi caps an unbounded segment as a whole;
+	// span, the range the schema check covers, caps each unbounded step.
+	lo, hi, span := 0, 0, 0
 	edgeVar := ""
 	edgeVars := 0
 	for _, s := range segment {
 		lo += s.edge.MinHops
-		if hi >= 0 {
-			if s.edge.MaxHops < 0 {
-				hi = -1
-			} else {
+		if s.edge.MaxHops < 0 {
+			hi = -1
+			span += constraints.DefaultMaxHops
+		} else {
+			if hi >= 0 {
 				hi += s.edge.MaxHops
 			}
+			span += s.edge.MaxHops
 		}
 		if s.edge.Var != "" {
 			edgeVar = s.edge.Var
@@ -94,10 +126,7 @@ func OverKHopConnector(q gql.Query, cand enum.Candidate) (gql.Query, error) {
 	if hi < 0 {
 		hi = constraints.DefaultMaxHops
 	}
-	newLo := (lo + kc.K - 1) / kc.K
-	if newLo < 1 {
-		newLo = 1
-	}
+	newLo := max((lo+kc.K-1)/kc.K, 1)
 	newHi := hi / kc.K
 	if newHi < newLo {
 		return nil, fmt.Errorf("rewrite: segment spans %d..%d hops; no multiple of k=%d fits", lo, hi, kc.K)
@@ -107,6 +136,21 @@ func OverKHopConnector(q gql.Query, cand enum.Candidate) (gql.Query, error) {
 	}
 	if edgeVar == "" {
 		edgeVar = "r_conn"
+	}
+	if schema != nil {
+		if len(segment) < len(steps) || hasLoneVertex(m) {
+			return nil, fmt.Errorf("rewrite: the pattern reaches beyond the %s..%s segment; the %s graph holds only connector edges",
+				cand.SrcVar, cand.DstVar, kc.Name())
+		}
+		if len(kc.EdgeTypes) > 0 {
+			return nil, fmt.Errorf("rewrite: %s contracts only %v paths; the segment's paths may use other edge types", kc.Name(), kc.EdgeTypes)
+		}
+		for _, l := range feasibleLengths(schema, kc.SrcType, kc.DstType, lo, span) {
+			if l%kc.K != 0 {
+				return nil, fmt.Errorf("rewrite: schema allows a %d-hop %s->%s path, not expressible over the %d-hop connector",
+					l, kc.SrcType, kc.DstType, kc.K)
+			}
+		}
 	}
 
 	// Rebuild the MATCH: surviving steps plus the connector pattern.
@@ -130,12 +174,9 @@ func OverKHopConnector(q gql.Query, cand enum.Candidate) (gql.Query, error) {
 	connEdge := gql.EdgePattern{
 		Var:       edgeVar,
 		Type:      kc.Name(),
-		VarLength: true,
+		VarLength: newLo != 1 || newHi != 1,
 		MinHops:   newLo,
 		MaxHops:   newHi,
-	}
-	if newLo == 1 && newHi == 1 {
-		connEdge.VarLength = false
 	}
 	nm.Patterns = append(nm.Patterns, gql.PathPattern{
 		Nodes: []gql.NodePattern{
@@ -147,51 +188,15 @@ func OverKHopConnector(q gql.Query, cand enum.Candidate) (gql.Query, error) {
 	return gql.ReplaceInnermostMatch(q, nm), nil
 }
 
-// OverKHopConnectorExact is OverKHopConnector with a result-preservation
-// guarantee: it additionally verifies, against the schema, that every
-// schema-feasible path length in the consumed segment's span is a
-// multiple of k, so that traversing the connector reaches exactly the
-// pairs the base query reaches. (On the bipartite lineage schema the
-// job-to-job feasible lengths are {2,4,...}, so only k=2 passes; on a
-// homogeneous schema every k>1 is rejected because odd lengths exist —
-// those rewritings are the paper's "approximate" homogeneous scenarios.)
-func OverKHopConnectorExact(q gql.Query, cand enum.Candidate, schema *graph.Schema) (gql.Query, error) {
-	kc, ok := cand.View.(views.KHopConnector)
-	if !ok {
-		return nil, fmt.Errorf("rewrite: candidate %s is not a k-hop connector", cand.View.Name())
-	}
-	rw, err := OverKHopConnector(q, cand)
-	if err != nil {
-		return nil, err
-	}
-	if schema == nil {
-		return rw, nil
-	}
-	m := gql.InnermostMatch(q)
-	steps, err := unifySteps(m)
-	if err != nil {
-		return nil, err
-	}
-	segment, err := chase(steps, cand.SrcVar, cand.DstVar)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := 0, 0
-	for _, s := range segment {
-		lo += s.edge.MinHops
-		if s.edge.MaxHops < 0 {
-			hi += constraints.DefaultMaxHops
-		} else {
-			hi += s.edge.MaxHops
+// hasLoneVertex reports whether m holds an edgeless vertex pattern,
+// which no contraction consumes.
+func hasLoneVertex(m *gql.MatchQuery) bool {
+	for _, p := range m.Patterns {
+		if len(p.Edges) == 0 {
+			return true
 		}
 	}
-	for _, l := range feasibleLengths(schema, kc.SrcType, kc.DstType, lo, hi) {
-		if l%kc.K != 0 {
-			return nil, fmt.Errorf("rewrite: schema allows a %d-hop %s->%s path, not expressible over the %d-hop connector",
-				l, kc.SrcType, kc.DstType, kc.K)
-		}
-	}
-	return rw, nil
+	return false
 }
 
 // feasibleLengths returns the lengths in [lo, hi] for which the schema
@@ -226,75 +231,27 @@ func feasibleLengths(schema *graph.Schema, srcType, dstType string, lo, hi int) 
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// ValidateOnSummarizer reports whether q can run unchanged against the
-// materialization of the given summarizer view: every vertex type the
-// query names must be kept, and every edge type must survive.
-func ValidateOnSummarizer(q gql.Query, v views.View) error {
-	m := gql.InnermostMatch(q)
-	if m == nil {
-		return fmt.Errorf("rewrite: query has no MATCH block")
-	}
-	keptV, removedV, keptE, removedE := summarizerEffect(v)
+// keepsQueryTypes is the type filters' rule: q runs unchanged on the
+// filtered graph when f keeps every vertex and edge type q names.
+func keepsQueryTypes(m *gql.MatchQuery, f views.TypeFilter) error {
 	for _, pat := range m.Patterns {
 		for _, n := range pat.Nodes {
-			if n.Type == "" {
-				continue
-			}
-			if removedV[n.Type] {
-				return fmt.Errorf("rewrite: query uses vertex type %s removed by %s", n.Type, v.Name())
-			}
-			if keptV != nil && !keptV[n.Type] {
-				return fmt.Errorf("rewrite: query uses vertex type %s not kept by %s", n.Type, v.Name())
+			if n.Type != "" && !f.KeepsVertexType(n.Type) {
+				return fmt.Errorf("rewrite: query uses vertex type %s, which %s drops", n.Type, f.Name())
 			}
 		}
 		for _, e := range pat.Edges {
-			if e.Type == "" {
-				continue
-			}
-			if removedE[e.Type] {
-				return fmt.Errorf("rewrite: query uses edge type %s removed by %s", e.Type, v.Name())
-			}
-			if keptE != nil && !keptE[e.Type] {
-				return fmt.Errorf("rewrite: query uses edge type %s not kept by %s", e.Type, v.Name())
+			if e.Type != "" && !f.KeepsEdgeType(e.Type) {
+				return fmt.Errorf("rewrite: query uses edge type %s, which %s drops", e.Type, f.Name())
 			}
 		}
 	}
 	return nil
 }
 
-func summarizerEffect(v views.View) (keptV, removedV, keptE, removedE map[string]bool) {
-	toSet := func(ts []string) map[string]bool {
-		s := make(map[string]bool, len(ts))
-		for _, t := range ts {
-			s[t] = true
-		}
-		return s
-	}
-	removedV = map[string]bool{}
-	removedE = map[string]bool{}
-	switch v := v.(type) {
-	case views.VertexInclusionSummarizer:
-		keptV = toSet(v.Types)
-	case views.VertexRemovalSummarizer:
-		removedV = toSet(v.Types)
-	case views.EdgeInclusionSummarizer:
-		keptE = toSet(v.Types)
-	case views.EdgeRemovalSummarizer:
-		removedE = toSet(v.Types)
-	}
-	return
-}
-
 // --- pattern graph helpers ---
 
-// stepWithRef extends step with the identity of the original edge
+// stepRef extends step with the identity of the original edge
 // pattern, needed to mark steps consumed.
 type stepRef struct {
 	step
@@ -303,7 +260,7 @@ type stepRef struct {
 
 // unifySteps flattens all patterns into forward-oriented steps. Anonymous
 // vertices get synthesized names matching the constraint miner's.
-func unifySteps(m *gql.MatchQuery) ([]stepRef, error) {
+func unifySteps(m *gql.MatchQuery) []stepRef {
 	var steps []stepRef
 	for pi := range m.Patterns {
 		pat := &m.Patterns[pi]
@@ -336,12 +293,15 @@ func unifySteps(m *gql.MatchQuery) ([]stepRef, error) {
 			steps = append(steps, s)
 		}
 	}
-	return steps, nil
+	return steps
 }
 
 // chase walks the unique forward chain from src to dst through the step
-// graph, returning the steps it consumed.
+// graph, returning the steps it consumed (at least one).
 func chase(steps []stepRef, src, dst string) ([]stepRef, error) {
+	if src == dst {
+		return nil, fmt.Errorf("rewrite: both anchors are %s; a connector contracts a path between two vertices", src)
+	}
 	out := make(map[string][]stepRef)
 	for _, s := range steps {
 		out[s.from] = append(out[s.from], s)

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -48,7 +49,7 @@ func jobConnectorCandidate(k int) enum.Candidate {
 // hops for k=2).
 func TestListing4Shape(t *testing.T) {
 	q := gql.MustParse(blastRadius)
-	rw, err := OverKHopConnector(q, jobConnectorCandidate(2))
+	rw, err := Apply(q, jobConnectorCandidate(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestRewriteEquivalence(t *testing.T) {
 	}
 
 	q := gql.MustParse(blastRadius)
-	rw, err := OverKHopConnector(q, jobConnectorCandidate(2))
+	rw, err := Apply(q, jobConnectorCandidate(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestEnumeratedCandidateRewrites(t *testing.T) {
 		if c.Template != "kHopConnector" {
 			continue
 		}
-		rw, err := OverKHopConnector(q, c)
+		rw, err := Apply(q, c, nil)
 		if err != nil {
 			t.Errorf("candidate %s: %v", c.View.Name(), err)
 			continue
@@ -196,7 +197,7 @@ func TestRewritePreservesEdgeVarForPathFunctions(t *testing.T) {
 		View:   views.KHopConnector{SrcType: "User", DstType: "User", K: 2},
 		SrcVar: "a", DstVar: "b", K: 2,
 	}
-	rw, err := OverKHopConnector(q, cand)
+	rw, err := Apply(q, cand, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,12 +217,12 @@ func TestRewriteRejectsEscapingIntermediates(t *testing.T) {
 		View:   views.KHopConnector{SrcType: "Job", DstType: "Job", K: 2},
 		SrcVar: "a", DstVar: "b", K: 2,
 	}
-	if _, err := OverKHopConnector(q, cand); err == nil {
+	if _, err := Apply(q, cand, nil); err == nil {
 		t.Error("projected intermediate accepted")
 	}
 	// Same for WHERE references.
 	q = gql.MustParse(`MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job) WHERE f.size > 10 RETURN a, b`)
-	if _, err := OverKHopConnector(q, cand); err == nil {
+	if _, err := Apply(q, cand, nil); err == nil {
 		t.Error("WHERE-referenced intermediate accepted")
 	}
 }
@@ -234,7 +235,7 @@ func TestRewriteInfeasibleBounds(t *testing.T) {
 		View:   views.KHopConnector{SrcType: "User", DstType: "User", K: 2},
 		SrcVar: "a", DstVar: "b", K: 2,
 	}
-	if _, err := OverKHopConnector(q, cand); err == nil {
+	if _, err := Apply(q, cand, nil); err == nil {
 		t.Error("3..3 over k=2 accepted")
 	}
 }
@@ -246,40 +247,63 @@ func TestRewriteUnsupportedShapes(t *testing.T) {
 	}
 	// Branching at a.
 	q := gql.MustParse(`MATCH (a:Job)-[:W]->(x:File), (a:Job)-[:W]->(y:File)-[:R]->(b:Job) RETURN a, b`)
-	if _, err := OverKHopConnector(q, cand); err == nil {
+	if _, err := Apply(q, cand, nil); err == nil {
 		t.Error("branching pattern accepted")
 	}
 	// No path between anchors.
 	q = gql.MustParse(`MATCH (a:Job)-[:W]->(x:File) (b:Job)-[:W]->(y:File) RETURN a, b`)
-	if _, err := OverKHopConnector(q, cand); err == nil {
+	if _, err := Apply(q, cand, nil); err == nil {
 		t.Error("disconnected anchors accepted")
 	}
-	// Wrong view type.
-	bad := enum.Candidate{View: views.VertexInclusionSummarizer{Types: []string{"Job"}}}
-	if _, err := OverKHopConnector(q, bad); err == nil {
-		t.Error("summarizer accepted by connector rewriter")
+	// Equal anchors: no path between two vertices to contract.
+	q = gql.MustParse(`MATCH (a:Job)-[:W]->(x:File)-[:R]->(a:Job) RETURN a`)
+	loop := enum.Candidate{View: cand.View, SrcVar: "a", DstVar: "a", K: 2}
+	if _, err := Apply(q, loop, nil); err == nil || !strings.Contains(err.Error(), "both anchors are a") {
+		t.Errorf("equal anchors: err = %v", err)
 	}
 }
 
-func TestValidateOnSummarizer(t *testing.T) {
+func TestApplyTypeFilter(t *testing.T) {
 	q := gql.MustParse(`MATCH (a:Job)-[:WRITES_TO]->(f:File) RETURN a, f`)
-	if err := ValidateOnSummarizer(q, views.VertexInclusionSummarizer{Types: []string{"Job", "File"}}); err != nil {
-		t.Errorf("valid summarizer rejected: %v", err)
+	for _, tc := range []struct {
+		view views.View
+		ok   bool
+	}{
+		{views.VertexInclusionSummarizer{Types: []string{"Job", "File"}}, true},
+		{views.VertexInclusionSummarizer{Types: []string{"Job"}}, false}, // drops File
+		{views.VertexRemovalSummarizer{Types: []string{"Task"}}, true},
+		{views.VertexRemovalSummarizer{Types: []string{"File"}}, false},
+		{views.EdgeRemovalSummarizer{Types: []string{"WRITES_TO"}}, false},
+		{views.EdgeInclusionSummarizer{Types: []string{"WRITES_TO"}}, true},
+	} {
+		rw, err := Apply(q, enum.Candidate{View: tc.view}, nil)
+		if tc.ok && (err != nil || rw != q) {
+			t.Errorf("%s: rw, err = %v, %v; want q unchanged", tc.view.Name(), rw, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: accepted a query using a type it drops", tc.view.Name())
+		}
 	}
-	if err := ValidateOnSummarizer(q, views.VertexInclusionSummarizer{Types: []string{"Job"}}); err == nil {
-		t.Error("summarizer dropping File accepted for a File query")
-	}
-	if err := ValidateOnSummarizer(q, views.VertexRemovalSummarizer{Types: []string{"Task"}}); err != nil {
-		t.Errorf("irrelevant removal rejected: %v", err)
-	}
-	if err := ValidateOnSummarizer(q, views.VertexRemovalSummarizer{Types: []string{"File"}}); err == nil {
-		t.Error("removal of a used type accepted")
-	}
-	if err := ValidateOnSummarizer(q, views.EdgeRemovalSummarizer{Types: []string{"WRITES_TO"}}); err == nil {
-		t.Error("removal of a used edge type accepted")
-	}
-	if err := ValidateOnSummarizer(q, views.EdgeInclusionSummarizer{Types: []string{"WRITES_TO"}}); err != nil {
-		t.Errorf("edge inclusion keeping the used type rejected: %v", err)
+}
+
+// TestApplyNoRule: every class other than the k-hop connector and the
+// four type filters has no rule, whatever the query.
+func TestApplyNoRule(t *testing.T) {
+	q := gql.MustParse(`MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job) RETURN a, b`)
+	for _, v := range []views.View{
+		views.SameVertexTypeConnector{VType: "Job", MaxLen: 4},
+		views.SameEdgeTypeConnector{EType: "WRITES_TO", MaxLen: 3},
+		views.SourceToSinkConnector{MaxLen: 4},
+		views.VertexAggregatorSummarizer{VType: "Job", GroupBy: "pipelineName"},
+		views.EdgeAggregatorSummarizer{EType: "WRITES_TO"},
+		views.SubgraphAggregatorSummarizer{VType: "Job", GroupBy: "pipelineName"},
+	} {
+		cand := enum.Candidate{View: v, SrcVar: "a", DstVar: "b"}
+		for _, schema := range []*graph.Schema{nil, lineageSchema()} {
+			if _, err := Apply(q, cand, schema); !errors.Is(err, ErrNoRule) {
+				t.Errorf("%s: err = %v, want ErrNoRule", v.Name(), err)
+			}
+		}
 	}
 }
 
@@ -292,7 +316,7 @@ func TestReversedSegmentRewrite(t *testing.T) {
 		View:   views.KHopConnector{SrcType: "Job", DstType: "Job", K: 2},
 		SrcVar: "a", DstVar: "b", K: 2,
 	}
-	rw, err := OverKHopConnector(q, cand)
+	rw, err := Apply(q, cand, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,9 +112,9 @@ type SameVertexTypeConnector struct {
 
 var _ View = SameVertexTypeConnector{}
 
-// Name returns e.g. CONN_SAMEVT_Author.
+// Name returns e.g. CONN_SAMEVT_4_Author.
 func (c SameVertexTypeConnector) Name() string {
-	return fmt.Sprintf("CONN_SAMEVT_%s", c.VType)
+	return fmt.Sprintf("CONN_SAMEVT_%d_%s", c.MaxLen, c.VType)
 }
 
 // Kind reports connector.
@@ -126,13 +126,10 @@ func (c SameVertexTypeConnector) Describe() string {
 		c.VType, c.MaxLen, c.VType)
 }
 
-// Cypher renders the defining pattern (the canonical DDL body where
-// DDL-expressible; see KHopConnector.Cypher).
+// Cypher renders display text only: no DDL pattern says "no
+// intermediate VType", so the class is built through the struct API.
 func (c SameVertexTypeConnector) Cypher() string {
-	if p, err := CanonicalPattern(c); err == nil {
-		return p
-	}
-	return fmt.Sprintf("MATCH (x:%s)-[p*1..%d]->(y:%s) RETURN x, y", c.VType, c.MaxLen, c.VType)
+	return fmt.Sprintf("MATCH (x:%s)-[p*1..%d]->(y:%s) RETURN x, y -- no intermediate %s", c.VType, c.MaxLen, c.VType, c.VType)
 }
 
 // Materialize contracts each qualifying path into one edge.
@@ -171,9 +168,9 @@ type SameEdgeTypeConnector struct {
 
 var _ View = SameEdgeTypeConnector{}
 
-// Name returns e.g. CONN_SAMEET_TRANSFERS_TO.
+// Name returns e.g. CONN_SAMEET_3_TRANSFERS_TO.
 func (c SameEdgeTypeConnector) Name() string {
-	return fmt.Sprintf("CONN_SAMEET_%s", c.EType)
+	return fmt.Sprintf("CONN_SAMEET_%d_%s", c.MaxLen, c.EType)
 }
 
 // Kind reports connector.
@@ -220,8 +217,8 @@ type SourceToSinkConnector struct {
 
 var _ View = SourceToSinkConnector{}
 
-// Name returns CONN_SRCSINK.
-func (c SourceToSinkConnector) Name() string { return "CONN_SRCSINK" }
+// Name returns e.g. CONN_SRCSINK_4.
+func (c SourceToSinkConnector) Name() string { return fmt.Sprintf("CONN_SRCSINK_%d", c.MaxLen) }
 
 // Kind reports connector.
 func (c SourceToSinkConnector) Kind() Kind { return KindConnector }

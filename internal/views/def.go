@@ -62,7 +62,7 @@ func MustCompile(src string) View {
 func errInventory(saw string) error {
 	return fmt.Errorf("views: %s is outside the Table I/II view inventory; "+
 		"recognized defining patterns: (x)-[*k..k]->(y) k-hop connector, "+
-		"(x:T)-[*1..n]->(y:T) same-vertex-type, (x)-[:E*1..n]->(y) same-edge-type, "+
+		"(x)-[:E*1..n]->(y) same-edge-type, "+
 		"(x)-[*1..n]->(y) WHERE INDEGREE(x) = 0 AND OUTDEGREE(y) = 0 source-to-sink, "+
 		"(v) WHERE [NOT] LABEL(v) = 'T' OR ... vertex in-/exclusion, "+
 		"(x)-[e]->(y) WHERE [NOT] TYPE(e) = 'E' OR ... edge in-/exclusion, "+
@@ -72,10 +72,11 @@ func errInventory(saw string) error {
 }
 
 // CompilePattern recognizes which Table I/II view class the defining
-// pattern of a CREATE VIEW statement denotes — k-hop, same-vertex-type,
-// same-edge-type, or source-to-sink connector; inclusion/removal or
-// aggregator summarizer — and returns the equivalent View. Patterns
-// outside the inventory return a descriptive error. The inverse is
+// pattern of a CREATE VIEW statement denotes — k-hop, same-edge-type, or
+// source-to-sink connector; inclusion/removal or aggregator summarizer —
+// and returns the equivalent View. Patterns outside the inventory return
+// a descriptive error, and so does (x:T)-[*1..n]->(y:T): the
+// same-vertex-type connector is not that pattern (errSameVertexType). The inverse is
 // CanonicalPattern: compiling a canonical pattern yields an equal view.
 func CompilePattern(q gql.Query) (View, error) {
 	m, ok := q.(*gql.MatchQuery)
@@ -137,7 +138,7 @@ func compileConnector(m *gql.MatchQuery, p gql.PathPattern) (View, error) {
 	if e.MinHops == 1 {
 		switch {
 		case x.Type != "" && x.Type == y.Type && e.Type == "":
-			return SameVertexTypeConnector{VType: x.Type, MaxLen: e.MaxHops}, nil
+			return nil, errSameVertexType(x.Type, e.MaxHops)
 		case x.Type == "" && y.Type == "" && e.Type != "":
 			return SameEdgeTypeConnector{EType: e.Type, MaxLen: e.MaxHops}, nil
 		}
@@ -451,8 +452,8 @@ func aggItems(items []gql.ReturnItem, v string) (map[string]AggFunc, error) {
 // that parses and compiles (CompilePattern) back to an equal view, the
 // round-trip behind DDL display in SHOW VIEWS, Explain, and candidate
 // listings. Views carrying options outside the DDL surface — k-hop
-// filters over multiple edge types, DedupPairs — return an error; the
-// struct API remains their escape hatch.
+// filters over multiple edge types, DedupPairs — and the same-vertex-type
+// connector return an error; the struct API remains their escape hatch.
 func CanonicalPattern(v View) (string, error) {
 	switch v := v.(type) {
 	case KHopConnector:
@@ -469,13 +470,7 @@ func CanonicalPattern(v View) (string, error) {
 		return fmt.Sprintf("MATCH (x%s)-[p%s*%d..%d]->(y%s) RETURN x, y",
 			colonType(v.SrcType), et, v.K, v.K, colonType(v.DstType)), nil
 	case SameVertexTypeConnector:
-		if v.DedupPairs {
-			return "", errNotDDL(v, "DedupPairs")
-		}
-		if v.MaxLen == 1 {
-			return "", errNotDDL(v, "MaxLen 1 (*1..1 is the 1-hop connector)")
-		}
-		return fmt.Sprintf("MATCH (x:%s)-[p*1..%d]->(y:%s) RETURN x, y", v.VType, v.MaxLen, v.VType), nil
+		return "", errSameVertexType(v.VType, v.MaxLen)
 	case SameEdgeTypeConnector:
 		if v.DedupPairs {
 			return "", errNotDDL(v, "DedupPairs")
@@ -510,6 +505,15 @@ func CanonicalPattern(v View) (string, error) {
 
 func errNotDDL(v View, opt string) error {
 	return fmt.Errorf("views: %s uses %s, which the DDL surface cannot express (build it through the struct API)", v.Name(), opt)
+}
+
+// errSameVertexType refuses the one Table I class that is not its
+// pattern: the same-vertex-type connector ends each path at its first
+// intermediate T vertex, while (x:T)-[*1..n]->(y:T) passes through it.
+// Like DedupPairs, the class is built through the struct API only.
+func errSameVertexType(t string, n int) error {
+	return fmt.Errorf("views: (x:%s)-[*1..%d]->(y:%s) is not a same-vertex-type connector, which stops each path "+
+		"at its first intermediate %s vertex; build SameVertexTypeConnector through the struct API", t, n, t, t)
 }
 
 // labelOr renders the sorted fn(v) = 'T' disjunction.

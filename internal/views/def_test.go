@@ -9,8 +9,9 @@ import (
 	"kaskade/internal/graph"
 )
 
-// compileCases pairs every Table I/II view class with its canonical
-// defining pattern. The same table drives the classification test, the
+// compileCases pairs every DDL-expressible Table I/II view class (all
+// but the same-vertex-type connector) with its canonical defining
+// pattern. The same table drives the classification test, the
 // canonical round-trip test, and the materialization equivalence suite.
 var compileCases = []struct {
 	name string
@@ -23,8 +24,6 @@ var compileCases = []struct {
 		KHopConnector{K: 3}},
 	{"khop-edge-typed", `MATCH (x:Job)-[p:W*2..2]->(y:Job) RETURN x, y`,
 		KHopConnector{SrcType: "Job", DstType: "Job", K: 2, EdgeTypes: []string{"W"}}},
-	{"same-vertex-type", `MATCH (x:Author)-[p*1..4]->(y:Author) RETURN x, y`,
-		SameVertexTypeConnector{VType: "Author", MaxLen: 4}},
 	{"same-edge-type", `MATCH (x)-[p:T*1..5]->(y) RETURN x, y`,
 		SameEdgeTypeConnector{EType: "T", MaxLen: 5}},
 	{"source-to-sink", `MATCH (x)-[p*1..6]->(y) WHERE INDEGREE(x) = 0 AND OUTDEGREE(y) = 0 RETURN x, y`,
@@ -91,12 +90,13 @@ func TestCanonicalPatternEscapeHatches(t *testing.T) {
 	for _, v := range []View{
 		KHopConnector{SrcType: "Job", DstType: "Job", K: 2, DedupPairs: true},
 		KHopConnector{K: 2, EdgeTypes: []string{"A", "B"}},
-		SameVertexTypeConnector{VType: "V", MaxLen: 3, DedupPairs: true},
 		SameEdgeTypeConnector{EType: "E", MaxLen: 3, DedupPairs: true},
 		SourceToSinkConnector{MaxLen: 3, DedupPairs: true},
 		// *1..1 compiles to the 1-hop connector, another view.
-		SameVertexTypeConnector{VType: "V", MaxLen: 1},
 		SameEdgeTypeConnector{EType: "E", MaxLen: 1},
+		// The class stops at an intermediate V; its pattern would not.
+		SameVertexTypeConnector{VType: "V", MaxLen: 3},
+		SameVertexTypeConnector{VType: "V", MaxLen: 3, DedupPairs: true},
 	} {
 		if pat, err := CanonicalPattern(v); err == nil {
 			t.Errorf("%s: CanonicalPattern = %q, want error", v.Name(), pat)
@@ -125,6 +125,7 @@ func TestCompilePatternErrors(t *testing.T) {
 		{`MATCH (a)-[p*]->(b) RETURN a, b`, "bounded hop range"},
 		{`MATCH (a)-[p*2..4]->(b) RETURN a, b`, "outside the Table I/II view inventory"},
 		{`MATCH (a:X)-[p*1..4]->(b:Y) RETURN a, b`, "outside the Table I/II view inventory"},
+		{`MATCH (a:X)-[p*1..4]->(b:X) RETURN a, b`, "first intermediate X vertex; build SameVertexTypeConnector through the struct API"},
 		{`MATCH (a)<-[p*2..2]-(b) RETURN a, b`, "reversed"},
 		{`MATCH (a)-[p*2..2]->(b) RETURN a`, "RETURN exactly a, b"},
 		{`MATCH (a)-[p*2..2]->(b) RETURN b, a`, "RETURN exactly a, b"},

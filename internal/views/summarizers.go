@@ -2,6 +2,7 @@ package views
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -16,7 +17,7 @@ type VertexInclusionSummarizer struct {
 	Types []string
 }
 
-var _ View = VertexInclusionSummarizer{}
+var _ TypeFilter = VertexInclusionSummarizer{}
 
 // Name returns e.g. SUMM_KEEPV_File_Job.
 func (s VertexInclusionSummarizer) Name() string {
@@ -47,15 +48,14 @@ func (s VertexInclusionSummarizer) Materialize(g *graph.Graph) (*graph.Graph, er
 	if err := validateTypes(g, s.Types...); err != nil {
 		return nil, err
 	}
-	keep := make(map[string]bool, len(s.Types))
-	for _, t := range s.Types {
-		keep[t] = true
-	}
-	return filterGraph(g,
-		func(v *graph.Vertex) bool { return keep[v.Type] },
-		func(*graph.Edge) bool { return true },
-	)
+	return filterGraph(g, s)
 }
+
+// KeepsVertexType reports whether t is one of Types.
+func (s VertexInclusionSummarizer) KeepsVertexType(t string) bool { return slices.Contains(s.Types, t) }
+
+// KeepsEdgeType reports true: an edge survives when both endpoints do.
+func (s VertexInclusionSummarizer) KeepsEdgeType(string) bool { return true }
 
 // VertexRemovalSummarizer removes vertices of the listed types together
 // with their incident edges (Table II, "vertex-removal summarizer").
@@ -63,7 +63,7 @@ type VertexRemovalSummarizer struct {
 	Types []string
 }
 
-var _ View = VertexRemovalSummarizer{}
+var _ TypeFilter = VertexRemovalSummarizer{}
 
 // Name returns e.g. SUMM_DROPV_Task.
 func (s VertexRemovalSummarizer) Name() string { return "SUMM_DROPV_" + joinSorted(s.Types) }
@@ -90,15 +90,14 @@ func (s VertexRemovalSummarizer) Materialize(g *graph.Graph) (*graph.Graph, erro
 	if err := validateTypes(g, s.Types...); err != nil {
 		return nil, err
 	}
-	drop := make(map[string]bool, len(s.Types))
-	for _, t := range s.Types {
-		drop[t] = true
-	}
-	return filterGraph(g,
-		func(v *graph.Vertex) bool { return !drop[v.Type] },
-		func(*graph.Edge) bool { return true },
-	)
+	return filterGraph(g, s)
 }
+
+// KeepsVertexType reports whether t is not one of Types.
+func (s VertexRemovalSummarizer) KeepsVertexType(t string) bool { return !slices.Contains(s.Types, t) }
+
+// KeepsEdgeType reports true: an edge survives when both endpoints do.
+func (s VertexRemovalSummarizer) KeepsEdgeType(string) bool { return true }
 
 // EdgeInclusionSummarizer keeps only edges of the listed types; all
 // vertices survive (Table II, "edge-inclusion summarizer").
@@ -106,7 +105,7 @@ type EdgeInclusionSummarizer struct {
 	Types []string
 }
 
-var _ View = EdgeInclusionSummarizer{}
+var _ TypeFilter = EdgeInclusionSummarizer{}
 
 // Name returns e.g. SUMM_KEEPE_WRITES_TO.
 func (s EdgeInclusionSummarizer) Name() string { return "SUMM_KEEPE_" + joinSorted(s.Types) }
@@ -130,15 +129,14 @@ func (s EdgeInclusionSummarizer) Materialize(g *graph.Graph) (*graph.Graph, erro
 	if len(s.Types) == 0 {
 		return nil, fmt.Errorf("views: edge-inclusion summarizer needs at least one type")
 	}
-	keep := make(map[string]bool, len(s.Types))
-	for _, t := range s.Types {
-		keep[t] = true
-	}
-	return filterGraph(g,
-		func(*graph.Vertex) bool { return true },
-		func(e *graph.Edge) bool { return keep[e.Type] },
-	)
+	return filterGraph(g, s)
 }
+
+// KeepsVertexType reports true: every vertex survives.
+func (s EdgeInclusionSummarizer) KeepsVertexType(string) bool { return true }
+
+// KeepsEdgeType reports whether t is one of Types.
+func (s EdgeInclusionSummarizer) KeepsEdgeType(t string) bool { return slices.Contains(s.Types, t) }
 
 // EdgeRemovalSummarizer removes edges of the listed types (Table II,
 // "edge-removal summarizer").
@@ -146,7 +144,7 @@ type EdgeRemovalSummarizer struct {
 	Types []string
 }
 
-var _ View = EdgeRemovalSummarizer{}
+var _ TypeFilter = EdgeRemovalSummarizer{}
 
 // Name returns e.g. SUMM_DROPE_TRANSFERS_TO.
 func (s EdgeRemovalSummarizer) Name() string { return "SUMM_DROPE_" + joinSorted(s.Types) }
@@ -170,15 +168,14 @@ func (s EdgeRemovalSummarizer) Materialize(g *graph.Graph) (*graph.Graph, error)
 	if len(s.Types) == 0 {
 		return nil, fmt.Errorf("views: edge-removal summarizer needs at least one type")
 	}
-	drop := make(map[string]bool, len(s.Types))
-	for _, t := range s.Types {
-		drop[t] = true
-	}
-	return filterGraph(g,
-		func(*graph.Vertex) bool { return true },
-		func(e *graph.Edge) bool { return !drop[e.Type] },
-	)
+	return filterGraph(g, s)
 }
+
+// KeepsVertexType reports true: every vertex survives.
+func (s EdgeRemovalSummarizer) KeepsVertexType(string) bool { return true }
+
+// KeepsEdgeType reports whether t is not one of Types.
+func (s EdgeRemovalSummarizer) KeepsEdgeType(t string) bool { return !slices.Contains(s.Types, t) }
 
 // AggFunc names a property aggregation function for aggregator
 // summarizers.
@@ -456,15 +453,15 @@ func (s SubgraphAggregatorSummarizer) Materialize(g *graph.Graph) (*graph.Graph,
 
 // --- shared helpers ---
 
-// filterGraph copies the subgraph of vertices passing vkeep and edges
-// passing ekeep whose endpoints both survive. The result keeps the
-// original schema (filtering never violates it).
-func filterGraph(g *graph.Graph, vkeep func(*graph.Vertex) bool, ekeep func(*graph.Edge) bool) (*graph.Graph, error) {
+// filterGraph copies the subgraph of the vertices and edges whose types
+// f keeps, an edge only when both endpoints survive. The result keeps
+// the original schema (filtering never violates it).
+func filterGraph(g *graph.Graph, f TypeFilter) (*graph.Graph, error) {
 	out := graph.NewGraph(g.Schema())
 	remap := make(map[graph.VertexID]graph.VertexID)
 	var err error
 	g.EachVertex(func(v *graph.Vertex) {
-		if err != nil || !vkeep(v) {
+		if err != nil || !f.KeepsVertexType(v.Type) {
 			return
 		}
 		var nid graph.VertexID
@@ -482,7 +479,7 @@ func filterGraph(g *graph.Graph, vkeep func(*graph.Vertex) bool, ekeep func(*gra
 		}
 		from, fok := remap[e.From]
 		to, tok := remap[e.To]
-		if !fok || !tok || !ekeep(e) {
+		if !fok || !tok || !f.KeepsEdgeType(e.Type) {
 			return
 		}
 		_, err = out.AddEdge(from, to, e.Type, e.Props)

@@ -66,6 +66,18 @@ type EstimatableView interface {
 	PathLength() int
 }
 
+// TypeFilter is implemented by the four Table II filter summarizers
+// (vertex and edge inclusion and removal): the view graph holds the
+// vertices whose type it keeps and the edges whose type it keeps
+// between two kept vertices. This one predicate drives the filter's
+// materialization, the rewriter's applicability rule and the analyzer's
+// size estimate.
+type TypeFilter interface {
+	View
+	KeepsVertexType(t string) bool
+	KeepsEdgeType(t string) bool
+}
+
 // copyVerticesOfTypes adds all vertices of the given types (all types
 // when nil) from src to dst, sharing property bags, and returns the ID
 // remapping.

@@ -152,61 +152,42 @@ func (a *Analyzer) AnalyzeWeighted(g *graph.Graph, queries []gql.Query, weights 
 
 // evaluate prices one candidate for one query: estimated size, creation
 // cost, and the per-query improvement factor. It returns nil when the
-// candidate does not apply to the query.
+// candidate does not apply to the query (rewrite.Apply has no rule for
+// it or refuses it).
 func (a *Analyzer) evaluate(g *graph.Graph, props *cost.GraphProperties, cand enum.Candidate, q gql.Query, baseCost float64) (*Evaluated, gql.Query, error) {
+	rw, err := rewrite.Apply(q, cand, a.Schema)
+	if err != nil {
+		return nil, nil, nil
+	}
+	var est float64
+	var vprops *cost.GraphProperties
 	switch v := cand.View.(type) {
 	case views.KHopConnector:
-		est, err := cost.EstimateKHopPaths(props, a.Schema, v.K, a.alpha())
-		if err != nil {
+		if est, err = cost.EstimateKHopPaths(props, a.Schema, v.K, a.alpha()); err != nil {
 			return nil, nil, err
 		}
-		rw, err := rewrite.OverKHopConnectorExact(q, cand, a.Schema)
-		if err != nil {
-			return nil, nil, nil // not rewritable (or not result-preserving) for this query
-		}
-		vprops, err := estimatedConnectorProps(props, v, a.alpha())
-		if err != nil {
+		if vprops, err = estimatedConnectorProps(props, v, a.alpha()); err != nil {
 			return nil, nil, err
 		}
-		rwCost, err := cost.EvalCost(rw, vprops, nil, a.alpha())
-		if err != nil {
-			return nil, nil, err
-		}
-		improvement := 0.0
-		if rwCost > 0 {
-			improvement = baseCost / rwCost
-		}
-		return &Evaluated{
-			EstimatedEdges: est,
-			CreationCost:   cost.CreationCost(est),
-			Improvement:    improvement,
-		}, rw, nil
-
-	case views.VertexInclusionSummarizer, views.VertexRemovalSummarizer,
-		views.EdgeInclusionSummarizer, views.EdgeRemovalSummarizer:
-		if err := rewrite.ValidateOnSummarizer(q, cand.View); err != nil {
-			return nil, nil, nil
-		}
-		nv, ne := summarizerSize(g, cand.View)
-		sprops := estimatedSummarizerProps(g, props, cand.View, nv, ne)
-		rwCost, err := cost.EvalCost(q, sprops, nil, a.alpha())
-		if err != nil {
-			return nil, nil, err
-		}
-		improvement := 0.0
-		if rwCost > 0 {
-			improvement = baseCost / rwCost
-		}
-		return &Evaluated{
-			EstimatedEdges: float64(ne),
-			CreationCost:   cost.CreationCost(float64(ne)),
-			Improvement:    improvement,
-		}, q, nil // summarizer rewriting keeps the query text (§V-C)
+	case views.TypeFilter:
+		nv, ne := summarizerSize(g, v)
+		est, vprops = float64(ne), estimatedSummarizerProps(props, v, nv, ne)
+	default:
+		return nil, nil, fmt.Errorf("workload: no size estimate for %s", v.Name())
 	}
-	// Other view classes (same-vertex-type, source-to-sink) are
-	// materializable but not auto-rewritable yet; skip them in selection
-	// like the paper's prototype does for multi-view rewritings.
-	return nil, nil, nil
+	rwCost, err := cost.EvalCost(rw, vprops, nil, a.alpha())
+	if err != nil {
+		return nil, nil, err
+	}
+	improvement := 0.0
+	if rwCost > 0 {
+		improvement = baseCost / rwCost
+	}
+	return &Evaluated{
+		EstimatedEdges: est,
+		CreationCost:   cost.CreationCost(est),
+		Improvement:    improvement,
+	}, rw, nil
 }
 
 // estimatedConnectorProps builds the predicted graph properties of a
@@ -249,12 +230,12 @@ func estimatedConnectorProps(base *cost.GraphProperties, v views.KHopConnector, 
 }
 
 // estimatedSummarizerProps predicts the summarized graph's properties by
-// scaling the per-type summaries of surviving types.
-func estimatedSummarizerProps(g *graph.Graph, base *cost.GraphProperties, v views.View, nv, ne int) *cost.GraphProperties {
+// keeping the per-type summaries of surviving types.
+func estimatedSummarizerProps(base *cost.GraphProperties, f views.TypeFilter, nv, ne int) *cost.GraphProperties {
 	byType := map[string]stats.DegreeSummary{}
 	total := 0
 	for t, s := range base.ByType {
-		if summarizerKeepsType(v, t) {
+		if f.KeepsVertexType(t) {
 			byType[t] = s
 			total += s.Count
 		}
@@ -269,52 +250,16 @@ func estimatedSummarizerProps(g *graph.Graph, base *cost.GraphProperties, v view
 	}
 }
 
-func summarizerKeepsType(v views.View, t string) bool {
-	switch v := v.(type) {
-	case views.VertexInclusionSummarizer:
-		for _, kt := range v.Types {
-			if kt == t {
-				return true
-			}
-		}
-		return false
-	case views.VertexRemovalSummarizer:
-		for _, rt := range v.Types {
-			if rt == t {
-				return false
-			}
-		}
-		return true
-	}
-	return true
-}
-
-// summarizerSize counts the summarized graph's size without building it
+// summarizerSize counts the filtered graph's size without building it
 // (filters admit exact cheap cardinalities, §V-A).
-func summarizerSize(g *graph.Graph, v views.View) (nv, ne int) {
-	keepV := func(t string) bool { return summarizerKeepsType(v, t) }
-	keepE := func(t string) bool { return true }
-	switch v := v.(type) {
-	case views.EdgeInclusionSummarizer:
-		set := map[string]bool{}
-		for _, t := range v.Types {
-			set[t] = true
-		}
-		keepE = func(t string) bool { return set[t] }
-	case views.EdgeRemovalSummarizer:
-		set := map[string]bool{}
-		for _, t := range v.Types {
-			set[t] = true
-		}
-		keepE = func(t string) bool { return !set[t] }
-	}
+func summarizerSize(g *graph.Graph, f views.TypeFilter) (nv, ne int) {
 	g.EachVertex(func(vx *graph.Vertex) {
-		if keepV(vx.Type) {
+		if f.KeepsVertexType(vx.Type) {
 			nv++
 		}
 	})
 	g.EachEdge(func(e *graph.Edge) {
-		if keepE(e.Type) && keepV(g.Vertex(e.From).Type) && keepV(g.Vertex(e.To).Type) {
+		if f.KeepsEdgeType(e.Type) && f.KeepsVertexType(g.Vertex(e.From).Type) && f.KeepsVertexType(g.Vertex(e.To).Type) {
 			ne++
 		}
 	})

@@ -565,28 +565,21 @@ func (c *Catalog) countDecision(count bool, best *Plan) {
 	}
 }
 
+// planFor prices q rewritten over the materialized view m, anchored
+// where enumeration bound cand. The rule is checked against m's own
+// definition: the catalog matches candidates to views by name, and a
+// name need not carry every option of the view it names.
 func (c *Catalog) planFor(q gql.Query, cand enum.Candidate, m *Materialized) (*Plan, error) {
-	switch cand.View.(type) {
-	case views.KHopConnector:
-		rw, err := rewrite.OverKHopConnectorExact(q, cand, c.Schema)
-		if err != nil {
-			return nil, nil
-		}
-		rwCost, err := cost.EvalCost(rw, m.Props, m.Graph.Schema(), c.alpha())
-		if err != nil {
-			return nil, err
-		}
-		return &Plan{Query: rw, Graph: m.Graph, ViewName: cand.View.Name(), Cost: rwCost}, nil
-	default:
-		if err := rewrite.ValidateOnSummarizer(q, cand.View); err != nil {
-			return nil, nil
-		}
-		rwCost, err := cost.EvalCost(q, m.Props, m.Graph.Schema(), c.alpha())
-		if err != nil {
-			return nil, err
-		}
-		return &Plan{Query: q, Graph: m.Graph, ViewName: cand.View.Name(), Cost: rwCost}, nil
+	cand.View = m.Candidate.View
+	rw, err := rewrite.Apply(q, cand, c.Schema)
+	if err != nil {
+		return nil, nil
 	}
+	rwCost, err := cost.EvalCost(rw, m.Props, m.Graph.Schema(), c.alpha())
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{Query: rw, Graph: m.Graph, ViewName: cand.View.Name(), Cost: rwCost}, nil
 }
 
 func (c *Catalog) alpha() int {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kaskade/internal/enum"
+	"kaskade/internal/exec"
 	"kaskade/internal/gql"
 	"kaskade/internal/metrics"
 	"kaskade/internal/views"
@@ -180,7 +181,7 @@ func TestDDLNameShadowingStructural(t *testing.T) {
 	// structural name.
 	alias := views.ViewDef{
 		Name: "CONN_2HOP_Job_Job",
-		View: views.MustCompile(`MATCH (x:Job)-[p*1..4]->(y:Job) RETURN x, y`),
+		View: views.MustCompile(`MATCH (x)-[p:WRITES_TO*1..3]->(y) RETURN x, y`),
 	}
 	if err := c.CreateView(alias, 1); err != nil {
 		t.Fatal(err)
@@ -306,5 +307,47 @@ func TestEpochBumpsOnCompaction(t *testing.T) {
 	}
 	if c.Epoch() != e0+2 {
 		t.Fatalf("Epoch after CreateView = %d, want %d", c.Epoch(), e0+2)
+	}
+}
+
+// TestCatalogDDLViewWithoutRuleIsNotUsed is the catalog-level probe of
+// the class sweep in internal/core: a view that no rewrite rule shows
+// answers the query is never planned over. A source-to-sink view used
+// to answer the Job→File→Job chain with 0 rows and the 1..4-hop Job
+// paths with 210 pairs; an edge-typed k-hop view shared the untyped
+// one's name and was planned as if it were the untyped one.
+func TestCatalogDDLViewWithoutRuleIsNotUsed(t *testing.T) {
+	for _, src := range []string{
+		`MATCH (x)-[p*1..4]->(y) WHERE INDEGREE(x) = 0 AND OUTDEGREE(y) = 0 RETURN x, y`,
+		`MATCH (x:Job)-[p:WRITES_TO*2..2]->(y:Job) RETURN x, y`,
+	} {
+		c := ddlTestCatalog(t)
+		if err := c.CreateView(views.ViewDef{Name: "v", View: views.MustCompile(src)}, 1); err != nil {
+			t.Fatal(err)
+		}
+		for _, text := range []string{
+			`MATCH (x:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(y:Job) RETURN x, y`,
+			`MATCH (x:Job)-[p*1..4]->(y:Job) RETURN x, y`,
+		} {
+			q := gql.MustParse(text)
+			plan, err := c.Rewrite(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.ViewName != "" {
+				t.Errorf("%s: %q planned over %s", src, text, plan.ViewName)
+			}
+			base, err := (&exec.Executor{G: c.Base}).Execute(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := (&exec.Executor{G: plan.Graph}).Execute(plan.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Rows) != len(base.Rows) {
+				t.Errorf("%s: %q: %d rows, base %d", src, text, len(got.Rows), len(base.Rows))
+			}
+		}
 	}
 }
