@@ -81,8 +81,8 @@ func TestReplScript(t *testing.T) {
 		`CREATE MATERIALIZED VIEW jj AS -- a comment with ; inside`,
 		`  MATCH (x:Job)-[p*2..2]->(y:Job) RETURN x, y;`,
 		`SHOW VIEWS; MATCH (a:Job)-->(b:File) RETURN COUNT(a);`,
-		`EXPLAIN MATCH (x:Job)-[r:CONN_2HOP_Job_Job*1..2]->(y:Job) RETURN x, y;`,
-		`EXPLAIN ANALYZE MATCH (x:Job)-[r:CONN_2HOP_Job_Job*1..2]->(y:Job) RETURN x, y;`,
+		`EXPLAIN MATCH (x:Job)-[r*2..2]->(y:Job) RETURN x, y;`,
+		`EXPLAIN ANALYZE MATCH (x:Job)-[r*2..2]->(y:Job) RETURN x, y;`,
 		`THIS IS NOT GQL;`,
 		`DROP VIEW jj;`,
 	}, "\n")

@@ -214,9 +214,8 @@ func (s *System) AdoptSelection(sel *workload.Selection) error {
 }
 
 // MaterializeView materializes a single view directly (manual view
-// management; anchors default to empty so only summarizer redirection
-// or name-matched connector rewriting applies). The build fans out over
-// Parallelism workers when the view class supports it.
+// management). The build fans out over Parallelism workers when the view
+// class supports it.
 func (s *System) MaterializeView(v views.View) error {
 	return s.catalog.AddAll([]enum.Candidate{{View: v}}, s.Parallelism)
 }
@@ -373,11 +372,7 @@ func ViewInventory() string {
 func DescribeCandidates(cands []enum.Candidate) string {
 	lines := make([]string, 0, len(cands))
 	for _, c := range cands {
-		anchor := ""
-		if c.SrcVar != "" {
-			anchor = fmt.Sprintf(" anchored at (%s, %s)", c.SrcVar, c.DstVar)
-		}
-		line := fmt.Sprintf("%-28s %s%s", c.Template, c.View.Describe(), anchor)
+		line := fmt.Sprintf("%-28s %s", c.Template, c.View.Describe())
 		if pat, err := views.CanonicalPattern(c.View); err == nil {
 			line += "\n" + fmt.Sprintf("%-28s ddl: %s", "", pat)
 		}

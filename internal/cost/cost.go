@@ -112,48 +112,6 @@ func EstimateKHopPaths(p *GraphProperties, schema *graph.Schema, k, alpha int) (
 	return EstimateHeterogeneousPaths(p, schema, k, alpha)
 }
 
-// EstimateKHopPathsFromType refines Eq. (3) to paths rooted at a single
-// source type: n_src · Π_{i<k} deg_α(frontier_i), where frontier_i is
-// the set of vertex types reachable in i schema hops from srcType and
-// the step fan-out is the largest deg_α among them. It predicts the edge
-// count contributed by a specific connector's source (used when pricing
-// a rewriting); the paper's Eq. (3) remains the view-size/weight
-// estimator.
-func EstimateKHopPathsFromType(p *GraphProperties, schema *graph.Schema, srcType string, k, alpha int) (float64, error) {
-	if schema == nil || srcType == "" {
-		return EstimateHomogeneousPaths(p, k, alpha)
-	}
-	frontier := map[string]bool{srcType: true}
-	total := 1.0
-	if s, ok := p.ByType[srcType]; ok {
-		total = float64(s.Count)
-	}
-	for step := 0; step < k; step++ {
-		stepDeg := 0
-		next := map[string]bool{}
-		for t := range frontier {
-			for _, et := range schema.EdgeTypesFrom(t) {
-				next[et.To] = true
-			}
-			if s, ok := p.ByType[t]; ok {
-				d, err := s.Degree(alpha)
-				if err != nil {
-					return 0, err
-				}
-				if d > stepDeg {
-					stepDeg = d
-				}
-			}
-		}
-		if len(next) == 0 {
-			return 0, nil // no k-length paths exist from srcType
-		}
-		total *= float64(stepDeg)
-		frontier = next
-	}
-	return total, nil
-}
-
 // CreationCost models the cost of computing and materializing a view.
 // §V-A: the I/O cost dominates, so creation cost is directly proportional
 // to the view's estimated size (we use unit proportionality).

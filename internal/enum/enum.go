@@ -63,16 +63,11 @@ summarizerKeepEdgeTypes(TS) :-
     setof(T, queryUsedEdgeType(T), TS).
 `
 
-// Candidate is one enumerated view together with its rewrite anchors.
+// Candidate is one enumerated view.
 type Candidate struct {
 	View views.View
 	// Template names the Prolog rule that produced the candidate.
 	Template string
-	// SrcVar/DstVar are the query variables the connector endpoints bind
-	// to (empty for summarizers). K is the contraction length (0 when
-	// not a k-hop view).
-	SrcVar, DstVar string
-	K              int
 }
 
 // Result is the outcome of one enumeration run.
@@ -192,7 +187,7 @@ func (e *Enumerator) machine(m *gql.MatchQuery) (*prolog.Machine, error) {
 }
 
 // Enumerate generates the candidate views for a query (§IV-B). The
-// returned candidates are deduplicated by view identity, in deterministic
+// returned candidates are deduplicated by view name, in deterministic
 // SLD solution order.
 func (e *Enumerator) Enumerate(q gql.Query) (*Result, error) {
 	m := gql.InnermostMatch(q)
@@ -212,9 +207,8 @@ func (e *Enumerator) solve(pm *prolog.Machine) (*Result, error) {
 	res := &Result{}
 	seen := make(map[string]bool)
 	add := func(c Candidate) {
-		key := c.View.Name() + "/" + c.SrcVar + "/" + c.DstVar
-		if !seen[key] {
-			seen[key] = true
+		if name := c.View.Name(); !seen[name] {
+			seen[name] = true
 			res.Candidates = append(res.Candidates, c)
 		}
 	}
@@ -238,9 +232,6 @@ func (e *Enumerator) solve(pm *prolog.Machine) (*Result, error) {
 				K:       int(s.Int("K")),
 			},
 			Template: "kHopConnector",
-			SrcVar:   s.Atom("X"),
-			DstVar:   s.Atom("Y"),
-			K:        int(s.Int("K")),
 		})
 	}
 

@@ -1,6 +1,7 @@
 package enum
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"kaskade/internal/gql"
 	"kaskade/internal/graph"
 	"kaskade/internal/prolog"
+	"kaskade/internal/rewrite"
 	"kaskade/internal/views"
 )
 
@@ -201,7 +203,8 @@ func TestEnumerateMatchesFreshMachine(t *testing.T) {
 	for i, res := range want {
 		for _, c := range res.Candidates {
 			templates[c.Template] = true
-			if !HasRule(gql.MustParse(cases[i].query), c) {
+			_, err := rewrite.Apply(gql.MustParse(cases[i].query), c.View, cases[i].schema)
+			if errors.Is(err, rewrite.ErrNoRule) {
 				t.Errorf("%s: %s (%s) has no rewrite rule", cases[i].name, c.View.Name(), c.Template)
 			}
 		}
@@ -210,11 +213,6 @@ func TestEnumerateMatchesFreshMachine(t *testing.T) {
 		t.Errorf("corpus yields candidates from %d templates, want all 4: %v", len(templates), templates)
 	}
 }
-
-// HasRule reports whether rewrite.Apply has a rule for c's view class.
-// rule_test.go, an external test file, sets it: the rewrite package
-// imports this one.
-var HasRule func(q gql.Query, c Candidate) bool
 
 // TestConcurrentEnumerateSharedProgram runs the corpus from 8 goroutines
 // on the same Enumerators, whose first use (building the base program)

@@ -1,24 +1,33 @@
 // Package rewrite implements view-based query rewriting (§V-C). Apply is
 // its one entry point and the one place that decides whether a view
-// answers a query, by the view's class:
+// answers a query. Both rules are proved from the query's own shape and
+// one schema typing (live): the vertex types and schema edges that lie
+// on some schema walk agreeing with a pattern's labels.
 //
-//   - a k-hop connector replaces the path segment between the
-//     candidate's two anchor variables with a traversal of the
-//     contracted connector edges, recomputing the variable-length
-//     bounds (the Listing 1 → Listing 4 transformation);
 //   - a type filter (views.TypeFilter) keeps the query text unchanged —
-//     the rewrite is the redirection of the query to the filtered graph
-//     — when it keeps every type the query names;
+//     the rewrite is the redirection of the query to the filtered graph —
+//     when it keeps every live vertex and edge type of every step of the
+//     pattern, at every length the step can match;
+//   - a k-hop connector replaces the whole pattern, which must be one
+//     simple chain, with a traversal of connector edges between the
+//     chain's two ends, recomputing the variable-length bounds (the
+//     Listing 1 → Listing 4 transformation). At every length the chain
+//     can match, its typing must equal that of the connector edges
+//     covering the length, or be empty where no whole number of them
+//     does;
 //   - every other class has no rule: its views are materialized and
 //     listed, but no query is rewritten over them.
+//
+// Without a schema no rule can be proved, so Apply refuses every view.
 package rewrite
 
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 
 	"kaskade/internal/constraints"
-	"kaskade/internal/enum"
 	"kaskade/internal/gql"
 	"kaskade/internal/graph"
 	"kaskade/internal/views"
@@ -28,326 +37,372 @@ import (
 // rewrite rule.
 var ErrNoRule = errors.New("no rewrite rule for the view class")
 
-// step is one edge of the query's unified pattern graph, normalized to
-// forward orientation.
-type step struct {
-	from, to string // vertex variable names
-	fromType string
-	toType   string
-	edge     gql.EdgePattern
-	pattern  int // index of the owning pattern (for reconstruction)
-}
-
-// Apply rewrites q over the view of cand — the returned query is meant
-// to run against the view's materialization — or returns an error when
-// no rule shows the view answers q. A nil schema skips the checks that
-// need one, so a k-hop contraction is then only checked against the
-// query's own shape.
-func Apply(q gql.Query, cand enum.Candidate, schema *graph.Schema) (gql.Query, error) {
+// Apply rewrites q over v — the returned query is meant to run against
+// v's materialization — or returns an error when no rule proves that v
+// answers q on a graph of the given schema.
+func Apply(q gql.Query, v views.View, schema *graph.Schema) (gql.Query, error) {
+	if schema == nil {
+		return nil, fmt.Errorf("rewrite: %s: no schema to prove a rule against", v.Name())
+	}
 	m := gql.InnermostMatch(q)
 	if m == nil {
 		return nil, fmt.Errorf("rewrite: query has no MATCH block")
 	}
-	switch v := cand.View.(type) {
+	switch v := v.(type) {
 	case views.KHopConnector:
-		return overKHopConnector(q, m, cand, v, schema)
+		return overKHopConnector(q, m, v, schema)
 	case views.TypeFilter:
-		if err := keepsQueryTypes(m, v); err != nil {
+		if err := keepsLiveTypes(m, v, schema); err != nil {
 			return nil, err
 		}
 		return q, nil
 	}
-	return nil, fmt.Errorf("rewrite: %s: %w", cand.View.Name(), ErrNoRule)
+	return nil, fmt.Errorf("rewrite: %s: %w", v.Name(), ErrNoRule)
 }
 
-// overKHopConnector rewrites m to traverse kc's connector edges instead
-// of the base-graph path between cand.SrcVar and cand.DstVar.
-//
-// Bound arithmetic: if the consumed segment spans path lengths [L, U] in
-// the base graph, the connector traversal spans [max(1, ⌈L/k⌉), ⌊U/k⌋]
-// hops. (For the paper's Listing 1 — L=2, U=10, k=2 — this yields *1..5.)
-//
-// With a schema the rewrite is also result-preserving. Every
-// schema-feasible path length in the segment's span must be a multiple
-// of k, so the connector reaches exactly the pairs the base query
-// reaches. (On the bipartite lineage schema the job-to-job feasible
-// lengths are {2,4,...}, so only k=2 passes; on a homogeneous schema
-// every k>1 is rejected because odd lengths exist — those rewritings are
-// the paper's "approximate" homogeneous scenarios.) The view graph holds
-// only connector edges, so the segment must be the whole pattern, and
-// the connector must contract paths over every edge type.
-func overKHopConnector(q gql.Query, m *gql.MatchQuery, cand enum.Candidate, kc views.KHopConnector, schema *graph.Schema) (gql.Query, error) {
-	if cand.SrcVar == "" || cand.DstVar == "" {
-		return nil, fmt.Errorf("rewrite: candidate %s has no anchor variables", cand.View.Name())
-	}
-	steps := unifySteps(m)
-	segment, err := chase(steps, cand.SrcVar, cand.DstVar)
-	if err != nil {
-		return nil, err
-	}
-	// Intermediate variables must not escape the segment.
-	inner := make(map[string]bool)
-	for _, s := range segment[:len(segment)-1] {
-		inner[s.to] = true
-	}
-	for _, v := range constraints.ProjectedVars(m) {
-		if inner[v] {
-			return nil, fmt.Errorf("rewrite: intermediate variable %s is projected; cannot contract", v)
-		}
-	}
-	if m.Where != nil {
-		for _, v := range exprVars(m.Where) {
-			if inner[v] {
-				return nil, fmt.Errorf("rewrite: intermediate variable %s appears in WHERE; cannot contract", v)
+// keepsLiveTypes is the type filters' rule: q runs unchanged on f's
+// graph when f keeps every vertex type and edge type a step of the MATCH
+// can bind, at every length the step can match. Untyped vertices and
+// edges and the interior vertices of variable-length steps bind whatever
+// the schema lets them.
+func keepsLiveTypes(m *gql.MatchQuery, f views.TypeFilter, schema *graph.Schema) error {
+	vertexTypes, edgeTypes := schema.VertexTypes(), schema.EdgeTypes()
+	for _, c := range steps(m) {
+		lo, hi := c.span()
+		for l := lo; l <= hi; l++ {
+			t := live(schema, c.layout(l))
+			for _, at := range t.at {
+				for v, ok := range at {
+					if ok && !f.KeepsVertexType(vertexTypes[v]) {
+						return fmt.Errorf("rewrite: the pattern can bind vertex type %s, which %s drops", vertexTypes[v], f.Name())
+					}
+				}
 			}
-		}
-	}
-	// Hop-range arithmetic. hi caps an unbounded segment as a whole;
-	// span, the range the schema check covers, caps each unbounded step.
-	lo, hi, span := 0, 0, 0
-	edgeVar := ""
-	edgeVars := 0
-	for _, s := range segment {
-		lo += s.edge.MinHops
-		if s.edge.MaxHops < 0 {
-			hi = -1
-			span += constraints.DefaultMaxHops
-		} else {
-			if hi >= 0 {
-				hi += s.edge.MaxHops
-			}
-			span += s.edge.MaxHops
-		}
-		if s.edge.Var != "" {
-			edgeVar = s.edge.Var
-			edgeVars++
-		}
-	}
-	if hi < 0 {
-		hi = constraints.DefaultMaxHops
-	}
-	newLo := max((lo+kc.K-1)/kc.K, 1)
-	newHi := hi / kc.K
-	if newHi < newLo {
-		return nil, fmt.Errorf("rewrite: segment spans %d..%d hops; no multiple of k=%d fits", lo, hi, kc.K)
-	}
-	if edgeVars > 1 {
-		return nil, fmt.Errorf("rewrite: segment binds %d edge variables; at most one survives contraction", edgeVars)
-	}
-	if edgeVar == "" {
-		edgeVar = "r_conn"
-	}
-	if schema != nil {
-		if len(segment) < len(steps) || hasLoneVertex(m) {
-			return nil, fmt.Errorf("rewrite: the pattern reaches beyond the %s..%s segment; the %s graph holds only connector edges",
-				cand.SrcVar, cand.DstVar, kc.Name())
-		}
-		if len(kc.EdgeTypes) > 0 {
-			return nil, fmt.Errorf("rewrite: %s contracts only %v paths; the segment's paths may use other edge types", kc.Name(), kc.EdgeTypes)
-		}
-		for _, l := range feasibleLengths(schema, kc.SrcType, kc.DstType, lo, span) {
-			if l%kc.K != 0 {
-				return nil, fmt.Errorf("rewrite: schema allows a %d-hop %s->%s path, not expressible over the %d-hop connector",
-					l, kc.SrcType, kc.DstType, kc.K)
-			}
-		}
-	}
-
-	// Rebuild the MATCH: surviving steps plus the connector pattern.
-	consumed := make(map[*gql.EdgePattern]bool)
-	for i := range segment {
-		consumed[segment[i].edgeRef] = true
-	}
-	nm := &gql.MatchQuery{Where: m.Where, Return: m.Return}
-	for _, s := range steps {
-		if consumed[s.edgeRef] {
-			continue
-		}
-		nm.Patterns = append(nm.Patterns, gql.PathPattern{
-			Nodes: []gql.NodePattern{
-				{Var: s.from, Type: s.fromType},
-				{Var: s.to, Type: s.toType},
-			},
-			Edges: []gql.EdgePattern{s.edge},
-		})
-	}
-	connEdge := gql.EdgePattern{
-		Var:       edgeVar,
-		Type:      kc.Name(),
-		VarLength: newLo != 1 || newHi != 1,
-		MinHops:   newLo,
-		MaxHops:   newHi,
-	}
-	nm.Patterns = append(nm.Patterns, gql.PathPattern{
-		Nodes: []gql.NodePattern{
-			{Var: cand.SrcVar, Type: kc.SrcType},
-			{Var: cand.DstVar, Type: kc.DstType},
-		},
-		Edges: []gql.EdgePattern{connEdge},
-	})
-	return gql.ReplaceInnermostMatch(q, nm), nil
-}
-
-// hasLoneVertex reports whether m holds an edgeless vertex pattern,
-// which no contraction consumes.
-func hasLoneVertex(m *gql.MatchQuery) bool {
-	for _, p := range m.Patterns {
-		if len(p.Edges) == 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// feasibleLengths returns the lengths in [lo, hi] for which the schema
-// admits a directed path from srcType to dstType, by frontier expansion
-// over the schema's type graph.
-func feasibleLengths(schema *graph.Schema, srcType, dstType string, lo, hi int) []int {
-	if srcType == "" || dstType == "" {
-		// Untyped endpoints: every length is feasible.
-		var all []int
-		for l := max(lo, 1); l <= hi; l++ {
-			all = append(all, l)
-		}
-		return all
-	}
-	var out []int
-	frontier := map[string]bool{srcType: true}
-	for l := 1; l <= hi; l++ {
-		next := map[string]bool{}
-		for t := range frontier {
-			for _, et := range schema.EdgeTypesFrom(t) {
-				next[et.To] = true
-			}
-		}
-		frontier = next
-		if l >= lo && l >= 1 && frontier[dstType] {
-			out = append(out, l)
-		}
-		if len(frontier) == 0 {
-			break
-		}
-	}
-	return out
-}
-
-// keepsQueryTypes is the type filters' rule: q runs unchanged on the
-// filtered graph when f keeps every vertex and edge type q names.
-func keepsQueryTypes(m *gql.MatchQuery, f views.TypeFilter) error {
-	for _, pat := range m.Patterns {
-		for _, n := range pat.Nodes {
-			if n.Type != "" && !f.KeepsVertexType(n.Type) {
-				return fmt.Errorf("rewrite: query uses vertex type %s, which %s drops", n.Type, f.Name())
-			}
-		}
-		for _, e := range pat.Edges {
-			if e.Type != "" && !f.KeepsEdgeType(e.Type) {
-				return fmt.Errorf("rewrite: query uses edge type %s, which %s drops", e.Type, f.Name())
+			for _, hop := range t.hops {
+				for e, ok := range hop {
+					if ok && !f.KeepsEdgeType(edgeTypes[e].Name) {
+						return fmt.Errorf("rewrite: the pattern can bind edge type %s, which %s drops", edgeTypes[e].Name, f.Name())
+					}
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// --- pattern graph helpers ---
-
-// stepRef extends step with the identity of the original edge
-// pattern, needed to mark steps consumed.
-type stepRef struct {
-	step
-	edgeRef *gql.EdgePattern
+// overKHopConnector rewrites m, one simple chain, into a traversal of
+// kc's connector edges between the chain's two ends.
+//
+// Bound arithmetic: if the chain spans path lengths [L, U] in the base
+// graph, the connector traversal spans [max(1, ⌈L/k⌉), ⌊U/k⌋] hops. (For
+// the paper's Listing 1 — L=2, U=10, k=2 — this yields *1..5.)
+//
+// The rewrite is result-preserving: at each length l in [L, U] the chain
+// must bind exactly the schema walks that l/k connector edges bind, and
+// none at all where k does not divide l. (On the bipartite lineage schema
+// job-to-job walks have even lengths, so only k=2 passes; on a
+// homogeneous schema odd lengths exist and every k>1 is refused — those
+// rewritings are the paper's "approximate" homogeneous scenarios.)
+func overKHopConnector(q gql.Query, m *gql.MatchQuery, kc views.KHopConnector, schema *graph.Schema) (gql.Query, error) {
+	if kc.DedupPairs {
+		return nil, fmt.Errorf("rewrite: %s keeps one edge per vertex pair, not one per path", kc.Name())
+	}
+	c, err := chainOf(m)
+	if err != nil {
+		return nil, err
+	}
+	n := len(c.steps)
+	if !slices.Equal(c.labels[0], typed(kc.SrcType)) || !slices.Equal(c.labels[n], typed(kc.DstType)) {
+		return nil, fmt.Errorf("rewrite: the chain's ends are typed %v and %v; %s connects %q to %q",
+			c.labels[0], c.labels[n], kc.Name(), kc.SrcType, kc.DstType)
+	}
+	interior := make(map[string]bool)
+	for _, v := range c.vars[1:n] {
+		interior[v] = v != ""
+	}
+	// The variables RETURN and WHERE read.
+	used := constraints.ProjectedVars(&gql.MatchQuery{Return: append(slices.Clip(m.Return), gql.ReturnItem{Expr: m.Where})})
+	for _, v := range used {
+		if interior[v] {
+			return nil, fmt.Errorf("rewrite: interior variable %s is projected or filtered on; cannot contract", v)
+		}
+	}
+	edgeVar, edgeVars, varSteps := "r_conn", 0, 0
+	for _, e := range c.steps {
+		if e.Var != "" {
+			edgeVar = e.Var
+			edgeVars++
+		}
+		if e.MinHops != e.MaxHops {
+			varSteps++
+		}
+	}
+	if edgeVars > 1 {
+		return nil, fmt.Errorf("rewrite: the chain binds %d edge variables; at most one survives contraction", edgeVars)
+	}
+	if varSteps > 1 {
+		return nil, fmt.Errorf("rewrite: the chain has %d variable-length steps; its labels have no fixed positions", varSteps)
+	}
+	lo, hi := c.span()
+	newLo, newHi := max((lo+kc.K-1)/kc.K, 1), hi/kc.K
+	if newHi < newLo {
+		return nil, fmt.Errorf("rewrite: the chain spans %d..%d hops; no multiple of k=%d fits", lo, hi, kc.K)
+	}
+	for l := lo; l <= hi; l++ {
+		got := live(schema, c.layout(l))
+		if l > 0 && l%kc.K == 0 {
+			if !reflect.DeepEqual(got, live(schema, connectorLayout(kc, l/kc.K))) {
+				return nil, fmt.Errorf("rewrite: at %d hops the chain binds other schema walks than %d %s edges", l, l/kc.K, kc.Name())
+			}
+		} else if slices.Contains(got.at[0], true) {
+			return nil, fmt.Errorf("rewrite: the chain matches %d-hop walks, which no whole number of %s edges covers", l, kc.Name())
+		}
+	}
+	nm := &gql.MatchQuery{Where: m.Where, Return: m.Return, Patterns: []gql.PathPattern{{
+		Nodes: []gql.NodePattern{{Var: c.vars[0], Type: kc.SrcType}, {Var: c.vars[n], Type: kc.DstType}},
+		Edges: []gql.EdgePattern{{
+			Var:       edgeVar,
+			Type:      kc.Name(),
+			VarLength: newLo != 1 || newHi != 1,
+			MinHops:   newLo,
+			MaxHops:   newHi,
+		}},
+	}}}
+	return gql.ReplaceInnermostMatch(q, nm), nil
 }
 
-// unifySteps flattens all patterns into forward-oriented steps. Anonymous
-// vertices get synthesized names matching the constraint miner's.
-func unifySteps(m *gql.MatchQuery) []stepRef {
-	var steps []stepRef
-	for pi := range m.Patterns {
-		pat := &m.Patterns[pi]
-		names := make([]string, len(pat.Nodes))
-		for ni, n := range pat.Nodes {
-			if n.Var != "" {
-				names[ni] = n.Var
-			} else {
-				names[ni] = fmt.Sprintf("anon_%d_%d", pi, ni)
-			}
-		}
-		for ei := range pat.Edges {
-			e := &pat.Edges[ei]
-			s := stepRef{
-				step: step{
-					from:     names[ei],
-					to:       names[ei+1],
-					fromType: pat.Nodes[ei].Type,
-					toType:   pat.Nodes[ei+1].Type,
-					edge:     *e,
-					pattern:  pi,
-				},
-				edgeRef: e,
-			}
-			if e.Reversed {
-				s.from, s.to = s.to, s.from
-				s.fromType, s.toType = s.toType, s.fromType
-				s.edge.Reversed = false
-			}
-			steps = append(steps, s)
+// connectorLayout lays j edges of kc out as a walk of j·k hops: SrcType
+// at the first position, DstType at the last, both at the k-th positions
+// between (each ends one connector edge and starts the next), and
+// EdgeTypes on every hop.
+func connectorLayout(kc views.KHopConnector, j int) walk {
+	src, dst := typed(kc.SrcType), typed(kc.DstType)
+	var edges label
+	if len(kc.EdgeTypes) > 0 {
+		edges = kc.EdgeTypes
+	}
+	w := walk{at: []label{src}}
+	for i := 1; i <= j*kc.K; i++ {
+		w.hops = append(w.hops, edges)
+		switch {
+		case i == j*kc.K:
+			w.at = append(w.at, dst)
+		case i%kc.K == 0:
+			w.at = append(w.at, src.and(dst))
+		default:
+			w.at = append(w.at, nil)
 		}
 	}
-	return steps
+	return w
 }
 
-// chase walks the unique forward chain from src to dst through the step
-// graph, returning the steps it consumed (at least one).
-func chase(steps []stepRef, src, dst string) ([]stepRef, error) {
-	if src == dst {
-		return nil, fmt.Errorf("rewrite: both anchors are %s; a connector contracts a path between two vertices", src)
+// --- the schema typing ---
+
+// label is the set of type names a walk position or hop may bind; nil
+// means any type.
+type label []string
+
+func typed(t string) label {
+	if t == "" {
+		return nil
 	}
-	out := make(map[string][]stepRef)
-	for _, s := range steps {
-		out[s.from] = append(out[s.from], s)
-	}
-	var segment []stepRef
-	at := src
-	seen := map[string]bool{src: true}
-	for at != dst {
-		nexts := out[at]
-		if len(nexts) == 0 {
-			return nil, fmt.Errorf("rewrite: no path from %s to %s in the query pattern", src, dst)
-		}
-		if len(nexts) > 1 {
-			return nil, fmt.Errorf("rewrite: pattern branches at %s; cannot contract a unique segment", at)
-		}
-		s := nexts[0]
-		segment = append(segment, s)
-		at = s.to
-		if seen[at] {
-			return nil, fmt.Errorf("rewrite: pattern cycles at %s", at)
-		}
-		seen[at] = true
-	}
-	return segment, nil
+	return label{t}
 }
 
-func exprVars(e gql.Expr) []string {
-	var out []string
-	var walk func(gql.Expr)
-	walk = func(e gql.Expr) {
-		switch e := e.(type) {
-		case *gql.Ident:
-			out = append(out, e.Name)
-		case *gql.PropAccess:
-			out = append(out, e.Base)
-		case *gql.BinaryExpr:
-			walk(e.Left)
-			walk(e.Right)
-		case *gql.UnaryExpr:
-			walk(e.Operand)
-		case *gql.FuncCall:
-			for _, a := range e.Args {
-				walk(a)
-			}
+func (a label) allows(t string) bool { return a == nil || slices.Contains(a, t) }
+
+// and intersects two labels.
+func (a label) and(b label) label {
+	if a == nil {
+		return b
+	}
+	out := label{}
+	for _, t := range a {
+		if b.allows(t) {
+			out = append(out, t)
 		}
 	}
-	walk(e)
 	return out
+}
+
+// walk is a pattern laid out as a walk: a label per position and a label
+// per hop.
+type walk struct {
+	at, hops []label
+}
+
+// typing is the schema typing of one walk: at[i][v] reports whether the
+// v-th of schema.VertexTypes() is live at position i, hops[i][e] whether
+// the e-th of schema.EdgeTypes() is live on hop i. A typing with nothing
+// live is empty: no schema walk agrees with the labels.
+type typing struct {
+	at   [][]bool
+	hops [][]bool
+}
+
+// live types w. A vertex type or schema edge is live where it lies on
+// some schema walk from w's first position to its last that agrees with
+// every label of w: forward reachability from the first position
+// intersected with backward reachability from the last.
+func live(schema *graph.Schema, w walk) typing {
+	at, hop := w.at, w.hops
+	vertexTypes, edgeTypes := schema.VertexTypes(), schema.EdgeTypes()
+	index := make(map[string]int, len(vertexTypes))
+	for i, v := range vertexTypes {
+		index[v] = i
+	}
+	fwd := make([][]bool, len(at))
+	fwd[0] = make([]bool, len(vertexTypes))
+	for i, v := range vertexTypes {
+		fwd[0][i] = at[0].allows(v)
+	}
+	for i, h := range hop {
+		fwd[i+1] = make([]bool, len(vertexTypes))
+		for _, e := range edgeTypes {
+			if fwd[i][index[e.From]] && h.allows(e.Name) && at[i+1].allows(e.To) {
+				fwd[i+1][index[e.To]] = true
+			}
+		}
+	}
+	t := typing{at: make([][]bool, len(at)), hops: make([][]bool, len(hop))}
+	t.at[len(hop)] = fwd[len(hop)]
+	for i := len(hop) - 1; i >= 0; i-- {
+		t.at[i], t.hops[i] = make([]bool, len(vertexTypes)), make([]bool, len(edgeTypes))
+		for j, e := range edgeTypes {
+			if fwd[i][index[e.From]] && hop[i].allows(e.Name) && t.at[i+1][index[e.To]] {
+				t.at[i][index[e.From]], t.hops[i][j] = true, true
+			}
+		}
+	}
+	return t
+}
+
+// --- pattern shapes ---
+
+// chain is a run of forward steps: steps[i] joins vertex i to vertex
+// i+1, and vertex i has the variable vars[i] ("" when anonymous) and the
+// label labels[i].
+type chain struct {
+	vars   []string
+	labels []label
+	steps  []gql.EdgePattern
+}
+
+// span returns the shortest and longest walk the chain matches, each
+// unbounded step capped at constraints.DefaultMaxHops.
+func (c chain) span() (lo, hi int) {
+	for _, e := range c.steps {
+		lo += e.MinHops
+		if e.MaxHops < 0 {
+			hi += constraints.DefaultMaxHops
+		} else {
+			hi += e.MaxHops
+		}
+	}
+	return lo, hi
+}
+
+// layout lays the chain out as a walk of l hops, for l in its span. The
+// chain's one variable-length step, if any, takes the hops the fixed
+// steps leave; its interior vertices are untyped.
+func (c chain) layout(l int) walk {
+	lo, _ := c.span()
+	w := walk{at: []label{c.labels[0]}}
+	for i, e := range c.steps {
+		hops := e.MinHops
+		if e.MaxHops != e.MinHops {
+			hops += l - lo
+		}
+		for range hops {
+			w.hops = append(w.hops, typed(e.Type))
+			w.at = append(w.at, nil)
+		}
+		w.at[len(w.at)-1] = w.at[len(w.at)-1].and(c.labels[i+1])
+	}
+	return w
+}
+
+// steps splits m into one-step chains, one per edge pattern, and a
+// zero-step chain per lone vertex.
+func steps(m *gql.MatchQuery) []chain {
+	var out []chain
+	for _, p := range m.Patterns {
+		if len(p.Edges) == 0 {
+			out = append(out, chain{labels: []label{typed(p.Nodes[0].Type)}})
+		}
+		for i, e := range p.Edges {
+			from, to := p.Nodes[i], p.Nodes[i+1]
+			if e.Reversed {
+				from, to = to, from
+			}
+			out = append(out, chain{labels: []label{typed(from.Type), typed(to.Type)}, steps: []gql.EdgePattern{e}})
+		}
+	}
+	return out
+}
+
+// chainOf orders m's steps, normalized to forward, into one simple chain
+// through every vertex of the pattern, or says why they form none. A
+// vertex's label intersects the types its variable is written with.
+func chainOf(m *gql.MatchQuery) (chain, error) {
+	type step struct {
+		to   string
+		edge gql.EdgePattern
+	}
+	var ids []string // vertex identities, in order of appearance
+	vars := make(map[string]string)
+	labels := make(map[string]label)
+	next := make(map[string]step)
+	into := make(map[string]bool)
+	for pi, p := range m.Patterns {
+		at := make([]string, len(p.Nodes))
+		for ni, n := range p.Nodes {
+			at[ni] = n.Var
+			if n.Var == "" {
+				at[ni] = fmt.Sprintf("%d.%d", pi, ni) // no variable is spelled so
+			}
+			if _, seen := vars[at[ni]]; !seen {
+				ids = append(ids, at[ni])
+				vars[at[ni]] = n.Var
+			}
+			labels[at[ni]] = labels[at[ni]].and(typed(n.Type))
+		}
+		for ei, e := range p.Edges {
+			from, to := at[ei], at[ei+1]
+			if e.Reversed {
+				from, to = to, from
+				e.Reversed = false
+			}
+			if _, dup := next[from]; dup || into[to] {
+				return chain{}, fmt.Errorf("rewrite: the pattern branches; a connector contracts one chain")
+			}
+			next[from] = step{to, e}
+			into[to] = true
+		}
+	}
+	var c chain
+	starts := 0
+	at := ""
+	for _, id := range ids {
+		if !into[id] {
+			starts++
+			at = id
+		}
+	}
+	if starts == 1 {
+		for {
+			c.vars = append(c.vars, vars[at])
+			c.labels = append(c.labels, labels[at])
+			s, ok := next[at]
+			if !ok {
+				break
+			}
+			c.steps = append(c.steps, s.edge)
+			at = s.to
+		}
+	}
+	if starts != 1 || len(c.steps) == 0 || len(c.steps) < len(next) {
+		return chain{}, fmt.Errorf("rewrite: the pattern is not one simple chain of edges")
+	}
+	return c, nil
 }

@@ -33,14 +33,8 @@ func lineageSchema() *graph.Schema {
 	)
 }
 
-func jobConnectorCandidate(k int) enum.Candidate {
-	return enum.Candidate{
-		View:     views.KHopConnector{SrcType: "Job", DstType: "Job", K: k},
-		Template: "kHopConnector",
-		SrcVar:   "q_j1",
-		DstVar:   "q_j2",
-		K:        k,
-	}
+func jobConnector(k int) views.KHopConnector {
+	return views.KHopConnector{SrcType: "Job", DstType: "Job", K: k}
 }
 
 // TestListing4Shape checks the Listing 1 -> Listing 4 transformation: the
@@ -49,7 +43,7 @@ func jobConnectorCandidate(k int) enum.Candidate {
 // hops for k=2).
 func TestListing4Shape(t *testing.T) {
 	q := gql.MustParse(blastRadius)
-	rw, err := Apply(q, jobConnectorCandidate(2), nil)
+	rw, err := Apply(q, jobConnector(2), lineageSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +96,7 @@ func TestRewriteEquivalence(t *testing.T) {
 	}
 
 	q := gql.MustParse(blastRadius)
-	rw, err := Apply(q, jobConnectorCandidate(2), nil)
+	rw, err := Apply(q, jobConnector(2), filtered.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +140,10 @@ func resultMap(r *exec.Result) map[string]float64 {
 	return out
 }
 
-// TestEnumeratedCandidateRewrites ties enumeration and rewriting: every
-// job-to-job k-hop candidate the enumerator emits for the blast radius
-// query must be rewritable.
+// TestEnumeratedCandidateRewrites ties enumeration and rewriting: of the
+// job-to-job k-hop candidates the enumerator emits for the blast radius
+// query (K=2,4,6,8,10), exactly K=2 rewrites — every even length from 2
+// to 10 is a job-to-job walk, and only 2 divides them all.
 func TestEnumeratedCandidateRewrites(t *testing.T) {
 	e := &enum.Enumerator{Schema: lineageSchema(), MaxK: 10}
 	q := gql.MustParse(blastRadius)
@@ -161,16 +156,18 @@ func TestEnumeratedCandidateRewrites(t *testing.T) {
 		if c.Template != "kHopConnector" {
 			continue
 		}
-		rw, err := Apply(q, c, nil)
+		k := c.View.(views.KHopConnector).K
+		rw, err := Apply(q, c.View, lineageSchema())
+		if (err == nil) != (k == 2) {
+			t.Errorf("candidate %s: err = %v", c.View.Name(), err)
+		}
 		if err != nil {
-			t.Errorf("candidate %s: %v", c.View.Name(), err)
 			continue
 		}
 		rewrites++
 		m := gql.InnermostMatch(rw)
 		e := m.Patterns[len(m.Patterns)-1].Edges[0]
 		// Bounds arithmetic: [max(1,ceil(2/k)), floor(10/k)].
-		k := c.K
 		wantLo, wantHi := (2+k-1)/k, 10/k
 		if wantLo < 1 {
 			wantLo = 1
@@ -179,8 +176,8 @@ func TestEnumeratedCandidateRewrites(t *testing.T) {
 			t.Errorf("K=%d: bounds %d..%d, want %d..%d", k, e.MinHops, maxHops(e), wantLo, wantHi)
 		}
 	}
-	if rewrites != 5 {
-		t.Errorf("rewrote %d candidates, want 5 (K=2,4,6,8,10)", rewrites)
+	if rewrites != 1 {
+		t.Errorf("rewrote %d candidates, want 1 (K=2)", rewrites)
 	}
 }
 
@@ -192,12 +189,8 @@ func maxHops(e gql.EdgePattern) int {
 }
 
 func TestRewritePreservesEdgeVarForPathFunctions(t *testing.T) {
-	q := gql.MustParse(`MATCH (a:User)-[r*2..4]->(b:User) RETURN b, PATH_MAX(r, 'ts') AS m`)
-	cand := enum.Candidate{
-		View:   views.KHopConnector{SrcType: "User", DstType: "User", K: 2},
-		SrcVar: "a", DstVar: "b", K: 2,
-	}
-	rw, err := Apply(q, cand, nil)
+	q := gql.MustParse(`MATCH (a:Job)-[r*2..4]->(b:Job) RETURN b, PATH_MAX(r, 'ts') AS m`)
+	rw, err := Apply(q, jobConnector(2), lineageSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,16 +206,12 @@ func TestRewritePreservesEdgeVarForPathFunctions(t *testing.T) {
 func TestRewriteRejectsEscapingIntermediates(t *testing.T) {
 	// q_f1 is projected, so the segment through it cannot be contracted.
 	q := gql.MustParse(`MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job) RETURN a, b, f`)
-	cand := enum.Candidate{
-		View:   views.KHopConnector{SrcType: "Job", DstType: "Job", K: 2},
-		SrcVar: "a", DstVar: "b", K: 2,
-	}
-	if _, err := Apply(q, cand, nil); err == nil {
+	if _, err := Apply(q, jobConnector(2), lineageSchema()); err == nil {
 		t.Error("projected intermediate accepted")
 	}
 	// Same for WHERE references.
 	q = gql.MustParse(`MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job) WHERE f.size > 10 RETURN a, b`)
-	if _, err := Apply(q, cand, nil); err == nil {
+	if _, err := Apply(q, jobConnector(2), lineageSchema()); err == nil {
 		t.Error("WHERE-referenced intermediate accepted")
 	}
 }
@@ -230,36 +219,55 @@ func TestRewriteRejectsEscapingIntermediates(t *testing.T) {
 func TestRewriteInfeasibleBounds(t *testing.T) {
 	// A 3-hop segment cannot be expressed over a 2-hop connector when
 	// the range contains no multiple of 2... here 3..3.
-	q := gql.MustParse(`MATCH (a:User)-[r*3..3]->(b:User) RETURN a, b`)
-	cand := enum.Candidate{
-		View:   views.KHopConnector{SrcType: "User", DstType: "User", K: 2},
-		SrcVar: "a", DstVar: "b", K: 2,
-	}
-	if _, err := Apply(q, cand, nil); err == nil {
+	q := gql.MustParse(`MATCH (a:Job)-[r*3..3]->(b:Job) RETURN a, b`)
+	if _, err := Apply(q, jobConnector(2), lineageSchema()); err == nil {
 		t.Error("3..3 over k=2 accepted")
 	}
 }
 
 func TestRewriteUnsupportedShapes(t *testing.T) {
-	cand := enum.Candidate{
-		View:   views.KHopConnector{SrcType: "Job", DstType: "Job", K: 2},
-		SrcVar: "a", DstVar: "b", K: 2,
+	for _, tc := range []struct{ what, src string }{
+		{"branching pattern", `MATCH (a:Job)-[:WRITES_TO]->(x:File), (a:Job)-[:WRITES_TO]->(y:File)-[:IS_READ_BY]->(b:Job) RETURN a, b`},
+		{"disconnected pattern", `MATCH (a:Job)-[:WRITES_TO]->(x:File) (b:Job)-[:WRITES_TO]->(y:File) RETURN a, b`},
+		{"lone vertex", `MATCH (a:Job) RETURN a`},
+	} {
+		if _, err := Apply(gql.MustParse(tc.src), jobConnector(2), lineageSchema()); err == nil {
+			t.Errorf("%s accepted", tc.what)
+		}
 	}
-	// Branching at a.
-	q := gql.MustParse(`MATCH (a:Job)-[:W]->(x:File), (a:Job)-[:W]->(y:File)-[:R]->(b:Job) RETURN a, b`)
-	if _, err := Apply(q, cand, nil); err == nil {
-		t.Error("branching pattern accepted")
+	// A cycle has no two ends to connect.
+	q := gql.MustParse(`MATCH (a:Job)-[:WRITES_TO]->(x:File)-[:IS_READ_BY]->(a:Job) RETURN a`)
+	if _, err := Apply(q, jobConnector(2), lineageSchema()); err == nil || !strings.Contains(err.Error(), "not one simple chain") {
+		t.Errorf("cycle: err = %v", err)
 	}
-	// No path between anchors.
-	q = gql.MustParse(`MATCH (a:Job)-[:W]->(x:File) (b:Job)-[:W]->(y:File) RETURN a, b`)
-	if _, err := Apply(q, cand, nil); err == nil {
-		t.Error("disconnected anchors accepted")
-	}
-	// Equal anchors: no path between two vertices to contract.
-	q = gql.MustParse(`MATCH (a:Job)-[:W]->(x:File)-[:R]->(a:Job) RETURN a`)
-	loop := enum.Candidate{View: cand.View, SrcVar: "a", DstVar: "a", K: 2}
-	if _, err := Apply(q, loop, nil); err == nil || !strings.Contains(err.Error(), "both anchors are a") {
-		t.Errorf("equal anchors: err = %v", err)
+}
+
+// TestApplyRefusesUnprovable: the rewrites no rule can prove exact.
+func TestApplyRefusesUnprovable(t *testing.T) {
+	chain := gql.MustParse(`MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job) RETURN a, b`)
+	for _, tc := range []struct {
+		what   string
+		q      gql.Query
+		v      views.View
+		schema *graph.Schema
+		msg    string
+	}{
+		// Without a schema no rule is proved, for either class.
+		{"nil schema, connector", chain, jobConnector(2), nil, "no schema"},
+		{"nil schema, filter", chain, views.VertexInclusionSummarizer{Types: []string{"Job", "File"}}, nil, "no schema"},
+		// With two variable-length steps the middle label has no fixed
+		// position in the walk.
+		{"two variable-length steps",
+			gql.MustParse(`MATCH (a:Job)-[*1..3]->(f:File)-[*1..3]->(b:Job) RETURN a, b`),
+			jobConnector(2), lineageSchema(), "variable-length steps"},
+		// A connector keeping one edge per pair answers per-path queries
+		// with too few rows.
+		{"DedupPairs", chain, views.KHopConnector{SrcType: "Job", DstType: "Job", K: 2, DedupPairs: true},
+			lineageSchema(), "one edge per vertex pair"},
+	} {
+		if _, err := Apply(tc.q, tc.v, tc.schema); err == nil || !strings.Contains(err.Error(), tc.msg) {
+			t.Errorf("%s: err = %v, want one mentioning %q", tc.what, err, tc.msg)
+		}
 	}
 }
 
@@ -276,12 +284,32 @@ func TestApplyTypeFilter(t *testing.T) {
 		{views.EdgeRemovalSummarizer{Types: []string{"WRITES_TO"}}, false},
 		{views.EdgeInclusionSummarizer{Types: []string{"WRITES_TO"}}, true},
 	} {
-		rw, err := Apply(q, enum.Candidate{View: tc.view}, nil)
+		rw, err := Apply(q, tc.view, lineageSchema())
 		if tc.ok && (err != nil || rw != q) {
 			t.Errorf("%s: rw, err = %v, %v; want q unchanged", tc.view.Name(), rw, err)
 		}
 		if !tc.ok && err == nil {
 			t.Errorf("%s: accepted a query using a type it drops", tc.view.Name())
+		}
+	} // Untyped vertices and edges and the interior of a variable-length
+	// step bind every type the schema lets them: on prov a Job writes
+	// only Files, but its out-edges also reach Tasks.
+	keepJF := views.VertexInclusionSummarizer{Types: []string{"Job", "File"}}
+	for _, tc := range []struct {
+		src  string
+		view views.View
+		ok   bool
+	}{
+		{`MATCH (x:Job)-[:WRITES_TO]->(f) RETURN x, f`, keepJF, true},
+		{`MATCH (x:Job)-[:WRITES_TO]->(f) RETURN x, f`, views.VertexInclusionSummarizer{Types: []string{"Job"}}, false},
+		{`MATCH (x:Job)-[e]->(y) RETURN x, y`, keepJF, false},
+		{`MATCH (x:File)-[r*1..3]->(y:File) RETURN x, y`, keepJF, true},
+		{`MATCH (x:File)-[r*1..3]->(y:File) RETURN x, y`, views.EdgeInclusionSummarizer{Types: []string{"WRITES_TO"}}, false},
+		{`MATCH (v) RETURN v`, keepJF, false},
+	} {
+		_, err := Apply(gql.MustParse(tc.src), tc.view, datagen.ProvSchema())
+		if (err == nil) != tc.ok {
+			t.Errorf("%s over %s: err = %v, want ok=%v", tc.src, tc.view.Name(), err, tc.ok)
 		}
 	}
 }
@@ -298,11 +326,8 @@ func TestApplyNoRule(t *testing.T) {
 		views.EdgeAggregatorSummarizer{EType: "WRITES_TO"},
 		views.SubgraphAggregatorSummarizer{VType: "Job", GroupBy: "pipelineName"},
 	} {
-		cand := enum.Candidate{View: v, SrcVar: "a", DstVar: "b"}
-		for _, schema := range []*graph.Schema{nil, lineageSchema()} {
-			if _, err := Apply(q, cand, schema); !errors.Is(err, ErrNoRule) {
-				t.Errorf("%s: err = %v, want ErrNoRule", v.Name(), err)
-			}
+		if _, err := Apply(q, v, lineageSchema()); !errors.Is(err, ErrNoRule) {
+			t.Errorf("%s: err = %v, want ErrNoRule", v.Name(), err)
 		}
 	}
 }
@@ -312,11 +337,7 @@ func TestApplyNoRule(t *testing.T) {
 func TestReversedSegmentRewrite(t *testing.T) {
 	// (f)<-[:WRITES_TO]-(a:Job) is Job->File forward.
 	q := gql.MustParse(`MATCH (f:File)<-[:WRITES_TO]-(a:Job) (f:File)-[:IS_READ_BY]->(b:Job) RETURN a, b`)
-	cand := enum.Candidate{
-		View:   views.KHopConnector{SrcType: "Job", DstType: "Job", K: 2},
-		SrcVar: "a", DstVar: "b", K: 2,
-	}
-	rw, err := Apply(q, cand, nil)
+	rw, err := Apply(q, jobConnector(2), lineageSchema())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,7 @@ func (a *Analyzer) AnalyzeWeighted(g *graph.Graph, queries []gql.Query, weights 
 // candidate does not apply to the query (rewrite.Apply has no rule for
 // it or refuses it).
 func (a *Analyzer) evaluate(g *graph.Graph, props *cost.GraphProperties, cand enum.Candidate, q gql.Query, baseCost float64) (*Evaluated, gql.Query, error) {
-	rw, err := rewrite.Apply(q, cand, a.Schema)
+	rw, err := rewrite.Apply(q, cand.View, a.Schema)
 	if err != nil {
 		return nil, nil, nil
 	}

@@ -17,8 +17,8 @@ import (
 	"kaskade/internal/views"
 )
 
-// Materialized is one materialized view: its definition, its anchor
-// metadata, and the physical view graph.
+// Materialized is one materialized view: its definition and the physical
+// view graph.
 type Materialized struct {
 	Candidate enum.Candidate
 	Graph     *graph.Graph
@@ -509,7 +509,8 @@ func (c *Catalog) rewrite(q gql.Query, count bool) (*Plan, error) {
 	best := &Plan{Query: q, Graph: c.Base, Cost: baseCost}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if len(c.byName) == 0 {
+	// Without a schema no rewrite rule can be proved (rewrite.Apply).
+	if len(c.byName) == 0 || c.Schema == nil {
 		c.countDecision(count, best)
 		return best, nil
 	}
@@ -518,13 +519,8 @@ func (c *Catalog) rewrite(q gql.Query, count bool) (*Plan, error) {
 		return nil, err
 	}
 	names := make([]string, 0, len(res.Candidates))
-	byName := map[string]enum.Candidate{}
 	for _, cand := range res.Candidates {
-		name := cand.View.Name()
-		if _, ok := byName[name]; !ok {
-			byName[name] = cand
-			names = append(names, name)
-		}
+		names = append(names, cand.View.Name())
 	}
 	sort.Strings(names)
 	for _, name := range names {
@@ -532,8 +528,7 @@ func (c *Catalog) rewrite(q gql.Query, count bool) (*Plan, error) {
 		if !ok {
 			continue // §V-C: prune candidates that are not materialized
 		}
-		cand := byName[name]
-		plan, err := c.planFor(q, cand, m)
+		plan, err := c.planFor(q, m)
 		if err != nil || plan == nil {
 			continue
 		}
@@ -565,13 +560,12 @@ func (c *Catalog) countDecision(count bool, best *Plan) {
 	}
 }
 
-// planFor prices q rewritten over the materialized view m, anchored
-// where enumeration bound cand. The rule is checked against m's own
-// definition: the catalog matches candidates to views by name, and a
-// name need not carry every option of the view it names.
-func (c *Catalog) planFor(q gql.Query, cand enum.Candidate, m *Materialized) (*Plan, error) {
-	cand.View = m.Candidate.View
-	rw, err := rewrite.Apply(q, cand, c.Schema)
+// planFor prices q rewritten over the materialized view m. The rule is
+// checked against m's own definition: the catalog matches candidates to
+// views by name, and a name need not carry every option of the view it
+// names.
+func (c *Catalog) planFor(q gql.Query, m *Materialized) (*Plan, error) {
+	rw, err := rewrite.Apply(q, m.Candidate.View, c.Schema)
 	if err != nil {
 		return nil, nil
 	}
@@ -579,7 +573,7 @@ func (c *Catalog) planFor(q gql.Query, cand enum.Candidate, m *Materialized) (*P
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Query: rw, Graph: m.Graph, ViewName: cand.View.Name(), Cost: rwCost}, nil
+	return &Plan{Query: rw, Graph: m.Graph, ViewName: m.Candidate.View.Name(), Cost: rwCost}, nil
 }
 
 func (c *Catalog) alpha() int {

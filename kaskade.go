@@ -357,7 +357,7 @@ func NewMetricsRing(capacity int) *MetricsRing { return metrics.NewRing(capacity
 
 // Optimizer-facing types.
 type (
-	// Candidate is an enumerated view with its rewrite anchors.
+	// Candidate is an enumerated view.
 	Candidate = enum.Candidate
 	// Selection is the outcome of view selection (§V-B).
 	Selection = workload.Selection
