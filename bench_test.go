@@ -219,7 +219,7 @@ func BenchmarkBlastRadius(b *testing.B) {
 
 func BenchmarkViewSelection(b *testing.B) {
 	g := filteredProvBench(b)
-	a := &workload.Analyzer{Schema: g.Schema(), MaxK: 10}
+	a := workload.NewAnalyzer(g.Schema())
 	qs := []gql.Query{gql.MustParse(harness.BlastRadiusQuery)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -314,17 +314,17 @@ func BenchmarkParallelVarLengthMatch(b *testing.B) {
 // builds: four independent views over one read-only base graph.
 func BenchmarkParallelViewMaterialization(b *testing.B) {
 	g := filteredProvBench(b)
-	cands := []enum.Candidate{
-		{View: views.KHopConnector{SrcType: "Job", DstType: "Job", K: 2}},
-		{View: views.KHopConnector{SrcType: "File", DstType: "File", K: 2}},
-		{View: views.VertexInclusionSummarizer{Types: []string{"Job"}}},
-		{View: views.EdgeInclusionSummarizer{Types: []string{"WRITES_TO"}}},
+	vs := []views.View{
+		views.KHopConnector{SrcType: "Job", DstType: "Job", K: 2},
+		views.KHopConnector{SrcType: "File", DstType: "File", K: 2},
+		views.VertexInclusionSummarizer{Types: []string{"Job"}},
+		views.EdgeInclusionSummarizer{Types: []string{"WRITES_TO"}},
 	}
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := workload.NewCatalog(g)
-				if err := c.AddAll(cands, w); err != nil {
+				if err := c.AddAll(vs, w); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -64,6 +64,24 @@ func deletesLineage(t *testing.T) *graph.Graph {
 	return g
 }
 
+// jobChain is a lineage chain of links+1 jobs: job i writes file i,
+// which job i+1 reads.
+func jobChain(t *testing.T, links int) *graph.Graph {
+	t.Helper()
+	g := graph.NewGraph(graph.MustSchema([]string{"Job", "File"}, []graph.EdgeType{
+		{From: "Job", To: "File", Name: "WRITES_TO"},
+		{From: "File", To: "Job", Name: "IS_READ_BY"},
+	}))
+	prev := g.MustAddVertex("Job", nil)
+	for range links {
+		f, next := g.MustAddVertex("File", nil), g.MustAddVertex("Job", nil)
+		g.MustAddEdge(prev, f, "WRITES_TO", nil)
+		g.MustAddEdge(f, next, "IS_READ_BY", nil)
+		prev = next
+	}
+	return g
+}
+
 // TestViewedMatchesRawOnRuleGaps: with one view in the catalog, each
 // statement returns what the base graph returns. Before the rewrite
 // rules were proved from the schema typing, every statement here was
@@ -78,7 +96,9 @@ func deletesLineage(t *testing.T) *graph.Graph {
 //   - an unbounded step was capped as a whole at 10 hops, not per step
 //     (10,723 vs 10,845);
 //   - a query naming the connector's edge type on the base graph, where
-//     no such edge exists, ran over the connector (926 vs 0).
+//     no such edge exists, ran over the connector (926 vs 0);
+//   - an unbounded step was proved up to 10 hops, but the executor
+//     walks it to the end of the graph (50 vs 78 on a 12-link jobChain).
 func TestViewedMatchesRawOnRuleGaps(t *testing.T) {
 	raw, summary := gapProv(t)
 	keepJob := `CREATE VIEW kj AS MATCH (v) WHERE LABEL(v) = 'Job' RETURN v`
@@ -99,6 +119,7 @@ func TestViewedMatchesRawOnRuleGaps(t *testing.T) {
 			`MATCH (a:Job)-[:WRITES_TO]->(f:File)-[r*0..]->(g:File)-[:IS_READ_BY]->(b:Job) RETURN a, b`},
 		{"connector edge type on the base graph", summary, createJJ, nil,
 			`MATCH (x:Job)-[r:CONN_2HOP_Job_Job*1..2]->(y:Job) RETURN x, y`},
+		{"unbounded step", jobChain(t, 12), createJJ, nil, `MATCH (a:Job)-[r*2..]->(b:Job) RETURN a, b`},
 	} {
 		sys := New(tc.g)
 		if tc.view != nil {
@@ -119,6 +140,34 @@ func TestViewedMatchesRawOnRuleGaps(t *testing.T) {
 		if sortedLines(got) != sortedLines(want) {
 			t.Errorf("%s: %q over view %q returns %d rows, raw %d", tc.name, tc.query, plan.ViewName, len(got.Rows), len(want.Rows))
 		}
+	}
+}
+
+// TestUnprojectedChainPlansOverConnector: the catalog tries every
+// materialized view through rewrite.Apply, so a chain whose ends are not
+// projected runs over the connector that answers it. Enumeration used to
+// choose which views the catalog tried, and it proposes no connector for
+// unprojected ends, so this query planned on the base graph.
+func TestUnprojectedChainPlansOverConnector(t *testing.T) {
+	_, summary := gapProv(t)
+	sys := New(summary)
+	if _, err := sys.Exec(context.Background(), createJJ); err != nil {
+		t.Fatal(err)
+	}
+	q := `MATCH (x:Job)-[p*2..2]->(y:Job) RETURN COUNT(*) AS n`
+	want, err := sys.QueryRaw(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, plan, err := sys.QueryWithPlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.ViewName != "CONN_2HOP_Job_Job" {
+		t.Errorf("planned over %q, want CONN_2HOP_Job_Job", plan.ViewName)
+	}
+	if sortedLines(got) != sortedLines(want) {
+		t.Errorf("over the view %s, raw %s", sortedLines(got), sortedLines(want))
 	}
 }
 

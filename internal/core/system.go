@@ -1,9 +1,10 @@
 // Package core wires Kaskade's components (Fig. 2 of the paper) into one
 // system: the constraint miner and inference-based view enumerator feed
-// the workload analyzer (view selection) and the query rewriter; an
-// execution engine evaluates plans over the raw graph or over
-// materialized views. The root kaskade package re-exports this as the
-// public API.
+// the workload analyzer (view selection); the query rewriter tries every
+// materialized view through rewrite.Apply and plans by proof alone, with
+// no inference on the query path; an execution engine evaluates plans
+// over the raw graph or over materialized views. The root kaskade
+// package re-exports this as the public API.
 package core
 
 import (
@@ -67,7 +68,7 @@ func New(g *graph.Graph) *System {
 	g.Freeze()
 	s := &System{
 		graph:    g,
-		analyzer: &workload.Analyzer{Schema: g.Schema()},
+		analyzer: workload.NewAnalyzer(g.Schema()),
 		catalog:  workload.NewCatalog(g),
 	}
 	r := metrics.NewRegistry()
@@ -172,13 +173,14 @@ func (s *System) QueryRaw(src string) (*exec.Result, error) {
 }
 
 // EnumerateViews runs constraint-based view enumeration (§IV) for one
-// query and returns the candidates. It shares the catalog's rule program.
+// query and returns the candidates. It shares the analyzer's rule
+// program with SelectViews; query planning consults none.
 func (s *System) EnumerateViews(src string) ([]enum.Candidate, error) {
 	q, err := gql.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.catalog.Enumerate(q)
+	res, err := s.analyzer.Enumerate(q)
 	if err != nil {
 		return nil, err
 	}
@@ -206,18 +208,18 @@ func (s *System) SelectViews(workloadQueries []string, budgetEdges int64) (*work
 // selection order regardless. Adoption bumps the catalog epoch, so
 // prepared queries pick up the new views on their next execution.
 func (s *System) AdoptSelection(sel *workload.Selection) error {
-	cands := make([]enum.Candidate, len(sel.Chosen))
+	vs := make([]views.View, len(sel.Chosen))
 	for i, ev := range sel.Chosen {
-		cands[i] = ev.Candidate
+		vs[i] = ev.Candidate.View
 	}
-	return s.catalog.AddAll(cands, s.Parallelism)
+	return s.catalog.AddAll(vs, s.Parallelism)
 }
 
 // MaterializeView materializes a single view directly (manual view
 // management). The build fans out over Parallelism workers when the view
 // class supports it.
 func (s *System) MaterializeView(v views.View) error {
-	return s.catalog.AddAll([]enum.Candidate{{View: v}}, s.Parallelism)
+	return s.catalog.AddAll([]views.View{v}, s.Parallelism)
 }
 
 // DropView evicts a materialized view from the catalog by name,
@@ -297,7 +299,7 @@ func (s *System) explainText(plan *workload.Plan) string {
 				// Exec recreates an identical view.
 				fmt.Fprintf(&b, "view: %s\n", m.Def.DDL)
 			} else {
-				fmt.Fprintf(&b, "view: %s (struct-defined; no DDL form)\n", m.Candidate.View.Describe())
+				fmt.Fprintf(&b, "view: %s (struct-defined; no DDL form)\n", m.Def.View.Describe())
 			}
 			fmt.Fprintf(&b, "rewrite hits: %d\n", m.RewriteHits())
 		}

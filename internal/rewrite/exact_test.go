@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -156,16 +157,36 @@ func TestRewriteBareVarLengthNoFixedEdges(t *testing.T) {
 	}
 }
 
-func TestRewriteUnboundedUpperCapped(t *testing.T) {
-	// -[*2..]-> has no upper bound; the rewriter caps the step at the
-	// mined default (10) before dividing.
+// TestRewriteRefusesUnboundedStep: a step with no upper bound matches
+// walks of any length, and the executor walks it to the end of the
+// graph. The k-hop rule used to cap *2.. at 10 hops and rewrite it to
+// *1..5 connector hops.
+func TestRewriteRefusesUnboundedStep(t *testing.T) {
 	q := gql.MustParse(`MATCH (a:Job)-[r*2..]->(b:Job) RETURN a, b`)
-	rw, err := Apply(q, jobConnector(2), lineageSchema())
-	if err != nil {
-		t.Fatal(err)
+	if rw, err := Apply(q, jobConnector(2), lineageSchema()); err == nil {
+		t.Errorf("unbounded step rewritten to %s", rw)
 	}
-	e := gql.InnermostMatch(rw).Patterns[0].Edges[0]
-	if e.MaxHops != 5 {
-		t.Errorf("capped upper = %d, want 5", e.MaxHops)
+}
+
+// TestFilterRefusesUnboundedStep: on a chain schema T0→…→T12, a filter
+// keeping T0…T10 holds every type the first 10 hops reach, but an
+// unbounded step from T0 also reaches T11 and T12. The type-filter rule
+// used to cap the step at 10 hops and accept the filter.
+func TestFilterRefusesUnboundedStep(t *testing.T) {
+	types := make([]string, 13)
+	var edges []graph.EdgeType
+	for i := range types {
+		types[i] = fmt.Sprintf("T%d", i)
+		if i > 0 {
+			edges = append(edges, graph.EdgeType{From: types[i-1], To: types[i], Name: fmt.Sprintf("E%d", i)})
+		}
+	}
+	schema := graph.MustSchema(types, edges)
+	keep := views.VertexInclusionSummarizer{Types: types[:11]}
+	if _, err := Apply(gql.MustParse(`MATCH (a:T0)-[r*1..]->(b) RETURN a, b`), keep, schema); err == nil {
+		t.Error("filter dropping T11 and T12 accepted for an unbounded step from T0")
+	}
+	if _, err := Apply(gql.MustParse(`MATCH (a:T0)-[r*1..10]->(b) RETURN a, b`), keep, schema); err != nil {
+		t.Errorf("filter refused for the 10-hop bounded step: %v", err)
 	}
 }

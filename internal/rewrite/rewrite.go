@@ -18,7 +18,9 @@
 //   - every other class has no rule: its views are materialized and
 //     listed, but no query is rewritten over them.
 //
-// Without a schema no rule can be proved, so Apply refuses every view.
+// Without a schema no rule can be proved, so Apply refuses every view;
+// so does a step with no upper bound, which the executor walks to the
+// end of the graph and no finite typing covers.
 package rewrite
 
 import (
@@ -47,6 +49,13 @@ func Apply(q gql.Query, v views.View, schema *graph.Schema) (gql.Query, error) {
 	m := gql.InnermostMatch(q)
 	if m == nil {
 		return nil, fmt.Errorf("rewrite: query has no MATCH block")
+	}
+	for _, p := range m.Patterns {
+		for _, e := range p.Edges {
+			if e.MaxHops < 0 {
+				return nil, fmt.Errorf("rewrite: %s: a step with no upper bound can match walks of any length", v.Name())
+			}
+		}
 	}
 	switch v := v.(type) {
 	case views.KHopConnector:
@@ -288,16 +297,11 @@ type chain struct {
 	steps  []gql.EdgePattern
 }
 
-// span returns the shortest and longest walk the chain matches, each
-// unbounded step capped at constraints.DefaultMaxHops.
+// span returns the shortest and longest walk the chain matches. Apply
+// has refused steps with no upper bound.
 func (c chain) span() (lo, hi int) {
 	for _, e := range c.steps {
-		lo += e.MinHops
-		if e.MaxHops < 0 {
-			hi += constraints.DefaultMaxHops
-		} else {
-			hi += e.MaxHops
-		}
+		lo, hi = lo+e.MinHops, hi+e.MaxHops
 	}
 	return lo, hi
 }

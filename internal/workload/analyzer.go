@@ -22,21 +22,23 @@ import (
 	"kaskade/internal/views"
 )
 
-// Analyzer drives view selection over a workload.
+// Analyzer drives view selection over a workload. It owns the
+// view-enumeration rule program for its schema, consulted once, on the
+// first enumeration, and forked per query; an Analyzer is safe for
+// concurrent use.
 type Analyzer struct {
-	Schema *graph.Schema
-	// MaxK bounds enumerated connectors (default enum.DefaultMaxK).
-	MaxK int
-	// Alpha is the degree percentile for size estimation (default
-	// cost.DefaultAlpha = 95, per §V-A).
-	Alpha int
+	schema     *graph.Schema
+	enumerator *enum.Enumerator
 }
 
-func (a *Analyzer) alpha() int {
-	if a.Alpha != 0 {
-		return a.Alpha
-	}
-	return cost.DefaultAlpha
+// NewAnalyzer returns an analyzer for graphs of the given schema.
+func NewAnalyzer(schema *graph.Schema) *Analyzer {
+	return &Analyzer{schema: schema, enumerator: &enum.Enumerator{Schema: schema}}
+}
+
+// Enumerate runs constraint-based view enumeration (§IV) for one query.
+func (a *Analyzer) Enumerate(q gql.Query) (*enum.Result, error) {
+	return a.enumerator.Enumerate(q)
 }
 
 // Evaluated is a candidate view priced against the workload.
@@ -49,8 +51,9 @@ type Evaluated struct {
 	Improvement float64
 	// Value is Improvement / CreationCost — the knapsack item value.
 	Value float64
-	// Rewrites maps workload query index -> the rewritten query (saved
-	// from enumeration, reused at query time per §V-C).
+	// Rewrites maps workload query index -> the query rewritten over
+	// the view. The catalog proves each rewriting again at query time
+	// (§V-C).
 	Rewrites map[int]gql.Query
 	Chosen   bool
 }
@@ -79,24 +82,20 @@ func (a *Analyzer) Analyze(g *graph.Graph, queries []gql.Query, budgetEdges int6
 // query's contribution to every applicable view's improvement is
 // multiplied by its weight.
 func (a *Analyzer) AnalyzeWeighted(g *graph.Graph, queries []gql.Query, weights []float64, budgetEdges int64) (*Selection, error) {
-	if a.Schema == nil {
-		a.Schema = g.Schema()
-	}
 	if weights != nil && len(weights) != len(queries) {
 		return nil, fmt.Errorf("workload: %d weights for %d queries", len(weights), len(queries))
 	}
 	props := cost.Collect(g)
-	en := &enum.Enumerator{Schema: a.Schema, MaxK: a.MaxK}
 
 	// Enumerate per query and merge candidates by view identity.
 	merged := make(map[string]*Evaluated)
 	var order []string
 	for qi, q := range queries {
-		res, err := en.Enumerate(q)
+		res, err := a.Enumerate(q)
 		if err != nil {
 			return nil, fmt.Errorf("workload: enumerating query %d: %w", qi, err)
 		}
-		baseCost, err := cost.EvalCost(q, props, a.Schema, a.alpha())
+		baseCost, err := cost.EvalCost(q, props, a.schema, cost.DefaultAlpha)
 		if err != nil {
 			return nil, err
 		}
@@ -155,7 +154,7 @@ func (a *Analyzer) AnalyzeWeighted(g *graph.Graph, queries []gql.Query, weights 
 // candidate does not apply to the query (rewrite.Apply has no rule for
 // it or refuses it).
 func (a *Analyzer) evaluate(g *graph.Graph, props *cost.GraphProperties, cand enum.Candidate, q gql.Query, baseCost float64) (*Evaluated, gql.Query, error) {
-	rw, err := rewrite.Apply(q, cand.View, a.Schema)
+	rw, err := rewrite.Apply(q, cand.View, a.schema)
 	if err != nil {
 		return nil, nil, nil
 	}
@@ -163,10 +162,10 @@ func (a *Analyzer) evaluate(g *graph.Graph, props *cost.GraphProperties, cand en
 	var vprops *cost.GraphProperties
 	switch v := cand.View.(type) {
 	case views.KHopConnector:
-		if est, err = cost.EstimateKHopPaths(props, a.Schema, v.K, a.alpha()); err != nil {
+		if est, err = cost.EstimateKHopPaths(props, a.schema, v.K, cost.DefaultAlpha); err != nil {
 			return nil, nil, err
 		}
-		if vprops, err = estimatedConnectorProps(props, v, a.alpha()); err != nil {
+		if vprops, err = estimatedConnectorProps(props, v); err != nil {
 			return nil, nil, err
 		}
 	case views.TypeFilter:
@@ -175,7 +174,7 @@ func (a *Analyzer) evaluate(g *graph.Graph, props *cost.GraphProperties, cand en
 	default:
 		return nil, nil, fmt.Errorf("workload: no size estimate for %s", v.Name())
 	}
-	rwCost, err := cost.EvalCost(rw, vprops, nil, a.alpha())
+	rwCost, err := cost.EvalCost(rw, vprops, nil, cost.DefaultAlpha)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -196,7 +195,7 @@ func (a *Analyzer) evaluate(g *graph.Graph, props *cost.GraphProperties, cand en
 // spans k base hops, so deg_α(view) = deg_α(base)^k. This keeps the
 // improvement ratio a function of plan structure (join levels saved)
 // rather than of mismatched statistics.
-func estimatedConnectorProps(base *cost.GraphProperties, v views.KHopConnector, alpha int) (*cost.GraphProperties, error) {
+func estimatedConnectorProps(base *cost.GraphProperties, v views.KHopConnector) (*cost.GraphProperties, error) {
 	nSrc, nDst := base.NumVertices, base.NumVertices
 	if s, ok := base.ByType[v.SrcType]; ok && v.SrcType != "" {
 		nSrc = s.Count
@@ -204,7 +203,7 @@ func estimatedConnectorProps(base *cost.GraphProperties, v views.KHopConnector, 
 	if s, ok := base.ByType[v.DstType]; ok && v.DstType != "" {
 		nDst = s.Count
 	}
-	baseDeg, err := base.Overall.Degree(alpha)
+	baseDeg, err := base.Overall.Degree(cost.DefaultAlpha)
 	if err != nil {
 		return nil, err
 	}

@@ -3,12 +3,10 @@ package workload
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"kaskade/internal/cost"
-	"kaskade/internal/enum"
 	"kaskade/internal/gql"
 	"kaskade/internal/graph"
 	"kaskade/internal/metrics"
@@ -20,12 +18,11 @@ import (
 // Materialized is one materialized view: its definition and the physical
 // view graph.
 type Materialized struct {
-	Candidate enum.Candidate
-	Graph     *graph.Graph
-	Props     *cost.GraphProperties
-	// Def is the named declarative definition: the DDL name and
-	// canonical CREATE VIEW text for CREATE VIEW statements, the
-	// structural name (and derived DDL where one exists) for
+	Graph *graph.Graph
+	Props *cost.GraphProperties
+	// Def is the named declarative definition: the view itself, and the
+	// DDL name and canonical CREATE VIEW text for CREATE VIEW statements,
+	// the structural name (and derived DDL where one exists) for
 	// struct-API views.
 	Def views.ViewDef
 
@@ -40,29 +37,26 @@ type Materialized struct {
 func (m *Materialized) RewriteHits() int64 { return m.hits.Load() }
 
 // Catalog holds the materialized views over a base graph and implements
-// view-based query rewriting (§V-C): on query arrival it enumerates the
-// applicable materialized views and picks the rewriting with the lowest
-// estimated evaluation cost.
+// view-based query rewriting (§V-C): on query arrival it asks
+// rewrite.Apply whether each materialized view answers the query and
+// picks the rewriting with the lowest estimated evaluation cost. The
+// query path consults no rule program; enumeration serves view
+// selection only.
 //
 // A Catalog is safe for concurrent use: reads (Rewrite, Get, Views,
 // TotalEdges) take a shared lock, mutations (Add, AddAll, DropView) an
 // exclusive one, and every mutation that lands or drops a view bumps
 // Epoch — the cheap freshness signal prepared queries poll to know
-// their cached plan may be stale. Base, BaseProps, Schema, and Alpha
-// are set at construction and read-only afterwards.
+// their cached plan may be stale. Base, BaseProps and Schema are set at
+// construction and read-only afterwards.
 type Catalog struct {
 	Base      *graph.Graph
 	BaseProps *cost.GraphProperties
 	Schema    *graph.Schema
-	Alpha     int
 
 	// metrics, when set (SetMetrics), receives rewrite hit/miss and
 	// materialization counts. Atomic so SetMetrics may race queries.
 	metrics atomic.Pointer[metrics.Registry]
-
-	// enumerator holds the view-enumeration rule program for Schema,
-	// built on first use and forked per query (safe for concurrent use).
-	enumerator *enum.Enumerator
 
 	mu     sync.RWMutex
 	epoch  atomic.Uint64
@@ -97,61 +91,23 @@ func (c *Catalog) Epoch() uint64 {
 	return e
 }
 
-// Materialize executes every chosen view of the selection over g and
-// returns the catalog.
-func Materialize(g *graph.Graph, sel *Selection) (*Catalog, error) {
-	c := NewCatalog(g)
-	for _, ev := range sel.Chosen {
-		if err := c.Add(ev.Candidate); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
 // NewCatalog returns an empty catalog over g (views added with Add).
 func NewCatalog(g *graph.Graph) *Catalog {
 	return &Catalog{
-		Base:       g,
-		BaseProps:  cost.Collect(g),
-		Schema:     g.Schema(),
-		Alpha:      cost.DefaultAlpha,
-		enumerator: &enum.Enumerator{Schema: g.Schema()},
-		byName:     make(map[string]*Materialized),
-		defs:       make(map[string]string),
+		Base:      g,
+		BaseProps: cost.Collect(g),
+		Schema:    g.Schema(),
+		byName:    make(map[string]*Materialized),
+		defs:      make(map[string]string),
 	}
 }
 
-// Enumerate runs constraint-based view enumeration (§IV) for one query
-// over the catalog's schema. The rule program is consulted once per
-// catalog, on the first call, and shared by every later one.
-func (c *Catalog) Enumerate(q gql.Query) (*enum.Result, error) {
-	return c.enumerator.Enumerate(q)
-}
-
-// Add materializes one candidate view into the catalog (idempotent by
-// view name). Materialization runs outside the catalog lock — only the
-// insertion excludes readers — so queries keep executing while a view
-// builds.
-func (c *Catalog) Add(cand enum.Candidate) error {
-	return c.add(cand, 1)
-}
-
-func (c *Catalog) add(cand enum.Candidate, workers int) error {
-	name := cand.View.Name()
-	if c.has(name) {
-		return nil
-	}
-	vg, err := views.Materialize(cand.View, c.Base, workers)
-	if err != nil {
-		return fmt.Errorf("workload: materializing %s: %w", name, err)
-	}
-	c.insert(name, &Materialized{
-		Candidate: cand,
-		Graph:     vg,
-		Props:     cost.Collect(vg),
-	})
-	return nil
+// Add materializes one view into the catalog (idempotent by view name):
+// AddAll with one view at one worker. Materialization runs outside the
+// catalog lock — only the insertion excludes readers — so queries keep
+// executing while a view builds.
+func (c *Catalog) Add(v views.View) error {
+	return c.AddAll([]views.View{v}, 1)
 }
 
 func (c *Catalog) has(name string) bool {
@@ -165,13 +121,8 @@ func (c *Catalog) has(name string) bool {
 // race for the name, and bumps the epoch when the catalog changed. The
 // view graph is frozen (CSR view built) before it becomes visible, so
 // every query rewritten over a landed view runs on the frozen path
-// without paying the index build on its first execution. Views landing
-// without an explicit Def (the struct API) are named after their
-// structural name, so SHOW VIEWS lists them alongside DDL-created ones.
+// without paying the index build on its first execution.
 func (c *Catalog) insert(name string, m *Materialized) {
-	if m.Def.View == nil {
-		m.Def = views.Define(m.Candidate.View)
-	}
 	m.Graph.Freeze()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -227,12 +178,7 @@ func (c *Catalog) CreateView(def views.ViewDef, workers int) error {
 	if err != nil {
 		return fmt.Errorf("workload: materializing %s: %w", def.Name, err)
 	}
-	m := &Materialized{
-		Candidate: enum.Candidate{View: def.View},
-		Graph:     vg,
-		Props:     cost.Collect(vg),
-		Def:       def,
-	}
+	m := &Materialized{Graph: vg, Props: cost.Collect(vg), Def: def}
 	m.Graph.Freeze()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -270,7 +216,7 @@ func (c *Catalog) checkNamesLocked(defName, structural string) error {
 	return nil
 }
 
-// AddAll materializes a batch of candidate views into the catalog,
+// AddAll materializes a batch of views into the catalog,
 // running independent materializations concurrently on up to `workers`
 // goroutines (0 or 1 = sequential, negative = one per available CPU).
 // Worker budget left over after one-per-view is pushed down into each
@@ -278,20 +224,21 @@ func (c *Catalog) checkNamesLocked(defName, structural string) error {
 // out), so a single huge connector still saturates the pool. Each build
 // derives a fresh graph from the read-only base, so builds never share
 // mutable state; catalog insertion happens on the calling goroutine
-// afterwards, in candidate order, which keeps Views() order,
+// afterwards, in argument order, which keeps Views() order,
 // idempotency, and first-error behavior identical to a loop of Add
-// calls.
-func (c *Catalog) AddAll(cands []enum.Candidate, workers int) error {
+// calls. Struct-API views register under their structural name, so
+// SHOW VIEWS lists them alongside DDL-created ones.
+func (c *Catalog) AddAll(vs []views.View, workers int) error {
 	type build struct {
-		cand enum.Candidate
+		view views.View
 		name string
 		mat  *Materialized
 		err  error
 	}
 	var builds []*build
-	seen := make(map[string]bool, len(cands))
-	for _, cand := range cands {
-		name := cand.View.Name()
+	seen := make(map[string]bool, len(vs))
+	for _, v := range vs {
+		name := v.Name()
 		if seen[name] {
 			continue
 		}
@@ -299,7 +246,7 @@ func (c *Catalog) AddAll(cands []enum.Candidate, workers int) error {
 		if c.has(name) {
 			continue
 		}
-		builds = append(builds, &build{cand: cand, name: name})
+		builds = append(builds, &build{view: v, name: name})
 	}
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -315,12 +262,12 @@ func (c *Catalog) AddAll(cands []enum.Candidate, workers int) error {
 		workers = len(builds)
 	}
 	materialize := func(b *build) {
-		vg, err := views.Materialize(b.cand.View, c.Base, inner)
+		vg, err := views.Materialize(b.view, c.Base, inner)
 		if err != nil {
 			b.err = err
 			return
 		}
-		b.mat = &Materialized{Candidate: b.cand, Graph: vg, Props: cost.Collect(vg)}
+		b.mat = &Materialized{Graph: vg, Props: cost.Collect(vg), Def: views.Define(b.view)}
 	}
 	if workers <= 1 {
 		// Sequential keeps Add's early stop: nothing past the first
@@ -413,7 +360,7 @@ func (c *Catalog) ListViews() []ViewInfo {
 		m := c.byName[n]
 		out = append(out, ViewInfo{
 			Name:     m.Def.Name,
-			Kind:     string(m.Candidate.View.Kind()),
+			Kind:     string(m.Def.View.Kind()),
 			DDL:      m.Def.DDL,
 			Vertices: m.Graph.NumVertices(),
 			Edges:    m.Graph.NumEdges(),
@@ -474,12 +421,14 @@ type Plan struct {
 	Cost     float64      // estimated evaluation cost of the plan
 }
 
-// Rewrite performs view-based query rewriting (§V-C): it enumerates the
-// query's candidates, keeps those whose views are materialized, and
-// returns the plan with the smallest estimated evaluation cost (the base
-// plan when no view helps). Rewritings use a single view, like the
-// paper's prototype. Rewrite holds the catalog's read lock, so it may
-// run concurrently with queries and with other Rewrites, and sees a
+// Rewrite performs view-based query rewriting (§V-C): it sends every
+// materialized view through rewrite.Apply, prices each rewriting that
+// Apply proves, and returns the plan with the smallest estimated
+// evaluation cost (the base plan when no view helps; among equally
+// cheap views, the smallest name). Rewritings use a single view, like
+// the paper's prototype. No rule program is consulted: a query plans by
+// proof alone. Rewrite holds the catalog's read lock, so it may run
+// concurrently with queries and with other Rewrites, and sees a
 // consistent view set even while Add/AddAll land new views.
 //
 // Rewrite is the execution path's entry point and counts its decision:
@@ -502,37 +451,20 @@ func (c *Catalog) PlanOnly(q gql.Query) (*Plan, error) {
 }
 
 func (c *Catalog) rewrite(q gql.Query, count bool) (*Plan, error) {
-	baseCost, err := cost.EvalCost(q, c.BaseProps, c.Schema, c.alpha())
+	baseCost, err := cost.EvalCost(q, c.BaseProps, c.Schema, cost.DefaultAlpha)
 	if err != nil {
 		return nil, err
 	}
 	best := &Plan{Query: q, Graph: c.Base, Cost: baseCost}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	// Without a schema no rewrite rule can be proved (rewrite.Apply).
-	if len(c.byName) == 0 || c.Schema == nil {
-		c.countDecision(count, best)
-		return best, nil
-	}
-	res, err := c.Enumerate(q)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(res.Candidates))
-	for _, cand := range res.Candidates {
-		names = append(names, cand.View.Name())
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		m, ok := c.byName[name]
-		if !ok {
-			continue // §V-C: prune candidates that are not materialized
-		}
-		plan, err := c.planFor(q, m)
-		if err != nil || plan == nil {
+	for _, name := range c.order {
+		plan := c.planFor(q, c.byName[name])
+		if plan == nil {
 			continue
 		}
-		if plan.Cost < best.Cost {
+		// Ties keep the base graph, then go to the smallest view name.
+		if plan.Cost < best.Cost || plan.Cost == best.Cost && best.ViewName != "" && name < best.ViewName {
 			best = plan
 		}
 	}
@@ -560,25 +492,16 @@ func (c *Catalog) countDecision(count bool, best *Plan) {
 	}
 }
 
-// planFor prices q rewritten over the materialized view m. The rule is
-// checked against m's own definition: the catalog matches candidates to
-// views by name, and a name need not carry every option of the view it
-// names.
-func (c *Catalog) planFor(q gql.Query, m *Materialized) (*Plan, error) {
-	rw, err := rewrite.Apply(q, m.Candidate.View, c.Schema)
+// planFor prices q rewritten over the materialized view m, or returns
+// nil when rewrite.Apply proves no rewriting or it cannot be priced.
+func (c *Catalog) planFor(q gql.Query, m *Materialized) *Plan {
+	rw, err := rewrite.Apply(q, m.Def.View, c.Schema)
 	if err != nil {
-		return nil, nil
+		return nil
 	}
-	rwCost, err := cost.EvalCost(rw, m.Props, m.Graph.Schema(), c.alpha())
+	rwCost, err := cost.EvalCost(rw, m.Props, m.Graph.Schema(), cost.DefaultAlpha)
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	return &Plan{Query: rw, Graph: m.Graph, ViewName: m.Candidate.View.Name(), Cost: rwCost}, nil
-}
-
-func (c *Catalog) alpha() int {
-	if c.Alpha != 0 {
-		return c.Alpha
-	}
-	return cost.DefaultAlpha
+	return &Plan{Query: rw, Graph: m.Graph, ViewName: m.Def.View.Name(), Cost: rwCost}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"kaskade/internal/enum"
 	"kaskade/internal/exec"
 	"kaskade/internal/gql"
 	"kaskade/internal/metrics"
@@ -87,7 +86,7 @@ func TestCatalogCreateViewRegistry(t *testing.T) {
 func TestCatalogStructViewsInRegistry(t *testing.T) {
 	c := ddlTestCatalog(t)
 	v := views.KHopConnector{SrcType: "Job", DstType: "Job", K: 2}
-	if err := c.Add(enum.Candidate{View: v}); err != nil {
+	if err := c.Add(v); err != nil {
 		t.Fatal(err)
 	}
 	infos := c.ListViews()
@@ -100,7 +99,7 @@ func TestCatalogStructViewsInRegistry(t *testing.T) {
 	// A struct view with options outside the DDL surface lists with an
 	// empty DDL column.
 	dedup := views.KHopConnector{SrcType: "Job", DstType: "File", K: 1, DedupPairs: true}
-	if err := c.Add(enum.Candidate{View: dedup}); err != nil {
+	if err := c.Add(dedup); err != nil {
 		t.Fatal(err)
 	}
 	infos = c.ListViews()
@@ -189,7 +188,7 @@ func TestDDLNameShadowingStructural(t *testing.T) {
 	// The real k-hop view arrives via the struct path; it lands even
 	// though its registry name is shadowed.
 	khop := views.KHopConnector{SrcType: "Job", DstType: "Job", K: 2}
-	if err := c.Add(enum.Candidate{View: khop}); err != nil {
+	if err := c.Add(khop); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.ListViews()) != 2 {

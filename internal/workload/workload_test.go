@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"kaskade/internal/datagen"
-	"kaskade/internal/enum"
 	"kaskade/internal/exec"
 	"kaskade/internal/gql"
 	"kaskade/internal/graph"
@@ -39,7 +38,7 @@ func filteredProv(t testing.TB) *graph.Graph {
 
 func TestAnalyzeSelectsJobConnector(t *testing.T) {
 	g := filteredProv(t)
-	a := &Analyzer{Schema: g.Schema(), MaxK: 10}
+	a := NewAnalyzer(g.Schema())
 	sel, err := a.Analyze(g, []gql.Query{gql.MustParse(blastRadius)}, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +67,7 @@ func TestAnalyzeSelectsJobConnector(t *testing.T) {
 
 func TestAnalyzeRespectsBudget(t *testing.T) {
 	g := filteredProv(t)
-	a := &Analyzer{Schema: g.Schema(), MaxK: 10}
+	a := NewAnalyzer(g.Schema())
 	// Zero budget: nothing materializable.
 	sel, err := a.Analyze(g, []gql.Query{gql.MustParse(blastRadius)}, 0)
 	if err != nil {
@@ -98,7 +97,7 @@ func TestAnalyzeRespectsBudget(t *testing.T) {
 // the even numbers), so only K=2 is priced into selection.
 func TestAnalyzeOnlySoundConnectorsPriced(t *testing.T) {
 	g := filteredProv(t)
-	a := &Analyzer{Schema: g.Schema(), MaxK: 10}
+	a := NewAnalyzer(g.Schema())
 	sel, err := a.Analyze(g, []gql.Query{gql.MustParse(blastRadius)}, 1<<40)
 	if err != nil {
 		t.Fatal(err)
@@ -121,14 +120,14 @@ func TestAnalyzeOnlySoundConnectorsPriced(t *testing.T) {
 
 func TestCatalogRewritePicksMaterializedView(t *testing.T) {
 	g := filteredProv(t)
-	a := &Analyzer{Schema: g.Schema(), MaxK: 10}
+	a := NewAnalyzer(g.Schema())
 	q := gql.MustParse(blastRadius)
 	sel, err := a.Analyze(g, []gql.Query{q}, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, err := Materialize(g, sel)
-	if err != nil {
+	cat := NewCatalog(g)
+	if err := cat.AddAll(viewsOf(sel), 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(cat.Views()) == 0 {
@@ -177,14 +176,14 @@ func TestCatalogRewriteFallsBackWithoutViews(t *testing.T) {
 // re-materialize the same view.
 func TestCatalogDropView(t *testing.T) {
 	g := filteredProv(t)
-	a := &Analyzer{Schema: g.Schema(), MaxK: 10}
+	a := NewAnalyzer(g.Schema())
 	q := gql.MustParse(blastRadius)
 	sel, err := a.Analyze(g, []gql.Query{q}, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, err := Materialize(g, sel)
-	if err != nil {
+	cat := NewCatalog(g)
+	if err := cat.AddAll(viewsOf(sel), 1); err != nil {
 		t.Fatal(err)
 	}
 	plan, err := cat.Rewrite(q)
@@ -228,7 +227,7 @@ func TestCatalogDropView(t *testing.T) {
 	}
 
 	// The same view can land again after the drop.
-	if err := cat.AddAll(candidatesOf(sel), 1); err != nil {
+	if err := cat.AddAll(viewsOf(sel), 1); err != nil {
 		t.Fatal(err)
 	}
 	plan3, err := cat.Rewrite(q)
@@ -240,20 +239,20 @@ func TestCatalogDropView(t *testing.T) {
 	}
 }
 
-// candidatesOf extracts a selection's chosen candidates.
-func candidatesOf(sel *Selection) []enum.Candidate {
-	cands := make([]enum.Candidate, len(sel.Chosen))
+// viewsOf extracts a selection's chosen views.
+func viewsOf(sel *Selection) []views.View {
+	vs := make([]views.View, len(sel.Chosen))
 	for i, ev := range sel.Chosen {
-		cands[i] = ev.Candidate
+		vs[i] = ev.Candidate.View
 	}
-	return cands
+	return vs
 }
 
 // TestAnalyzeWeighted: weighting a query up scales the improvements its
 // views earn, without changing which views apply.
 func TestAnalyzeWeighted(t *testing.T) {
 	g := filteredProv(t)
-	a := &Analyzer{Schema: g.Schema(), MaxK: 10}
+	a := NewAnalyzer(g.Schema())
 	qs := []gql.Query{gql.MustParse(blastRadius)}
 
 	uni, err := a.Analyze(g, qs, 1<<40)
@@ -369,5 +368,45 @@ func TestRunnerUnknownQuery(t *testing.T) {
 	g := filteredProv(t)
 	if _, err := BaseRunner(g, "Job", 1).Run("Q99"); err == nil {
 		t.Error("unknown query accepted")
+	}
+}
+
+// TestWarmPlanAllocations pins the query path as inference-free. With
+// four filter views over the 150-job prov graph, a warm plan of each ad
+// hoc shape is one cost estimate plus one rewrite.Apply and one estimate
+// per view. Planning that also ran view enumeration allocated 695 (scan)
+// and 966 (join) objects per plan.
+func TestWarmPlanAllocations(t *testing.T) {
+	cfg := datagen.DefaultProvConfig()
+	cfg.Jobs, cfg.Files, cfg.TasksPerJob, cfg.Machines, cfg.Users = 150, 300, 2, 10, 5
+	g, err := datagen.Prov(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCatalog(g)
+	if err := c.AddAll([]views.View{
+		views.VertexInclusionSummarizer{Types: []string{"File", "Job"}},
+		views.VertexRemovalSummarizer{Types: []string{"Machine", "Task", "User"}},
+		views.EdgeInclusionSummarizer{Types: []string{"IS_READ_BY", "WRITES_TO"}},
+		views.EdgeInclusionSummarizer{Types: []string{"WRITES_TO"}},
+	}, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		`MATCH (j:Job) WHERE j.CPU > 999 RETURN j.name AS name, j.CPU AS cpu`,
+		`MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.name = "job100" RETURN f.name AS name`,
+	} {
+		q := gql.MustParse(src)
+		if _, err := c.PlanOnly(q); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := c.PlanOnly(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 300 {
+			t.Errorf("%s: warm PlanOnly allocates %.0f objects/op, want <= 300", src, allocs)
+		}
 	}
 }
