@@ -1,7 +1,8 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for design choices of the view layer:
 // parallel-edge vs. deduplicated connector semantics, incremental view
-// maintenance vs. rematerialization, stitched vs. naive cost pricing,
-// and the Eq. 1 vs. Eq. 2/3 estimators.
+// maintenance vs. rematerialization, the Eq. 1 vs. Eq. 3 size
+// estimators vs. the exact count, and the cost of the blast radius
+// rewritten over k = 2 and k = 4 connectors.
 package kaskade_test
 
 import (

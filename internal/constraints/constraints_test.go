@@ -1,100 +1,12 @@
 package constraints
 
 import (
-	"strings"
 	"testing"
 
+	"kaskade/internal/datagen"
 	"kaskade/internal/gql"
 	"kaskade/internal/graph"
 )
-
-const blastRadius = `
-MATCH (q_j1:Job)-[:WRITES_TO]->(q_f1:File)
-      (q_f1:File)-[r*0..8]->(q_f2:File)
-      (q_f2:File)-[:IS_READ_BY]->(q_j2:Job)
-RETURN q_j1 AS A, q_j2 AS B`
-
-// TestQueryFactsMatchListing verifies §IV-A1: the fact set extracted from
-// the blast-radius MATCH clause is exactly the one shown in the paper.
-func TestQueryFactsMatchListing(t *testing.T) {
-	m := gql.MustParse(blastRadius).(*gql.MatchQuery)
-	facts, err := QueryFacts(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{
-		"queryVertex('q_j1').",
-		"queryVertex('q_f1').",
-		"queryVertex('q_f2').",
-		"queryVertex('q_j2').",
-		"queryVertexType('q_f1', 'File').",
-		"queryVertexType('q_f2', 'File').",
-		"queryVertexType('q_j1', 'Job').",
-		"queryVertexType('q_j2', 'Job').",
-		"queryEdge('q_j1', 'q_f1').",
-		"queryEdge('q_f2', 'q_j2').",
-		"queryEdgeType('q_j1', 'q_f1', 'WRITES_TO').",
-		"queryEdgeType('q_f2', 'q_j2', 'IS_READ_BY').",
-		"queryVariableLengthPath('q_f1', 'q_f2', 0, 8).",
-	}
-	got := make(map[string]bool, len(facts))
-	for _, f := range facts {
-		got[f] = true
-	}
-	for _, w := range want {
-		if !got[w] {
-			t.Errorf("missing fact %s\nall facts:\n%s", w, strings.Join(facts, "\n"))
-		}
-	}
-	if len(facts) != len(want) {
-		t.Errorf("fact count = %d, want %d:\n%s", len(facts), len(want), strings.Join(facts, "\n"))
-	}
-}
-
-func TestQueryFactsAnonymousAndReversed(t *testing.T) {
-	m := gql.MustParse(`MATCH (a:File)<-[:WRITES_TO]-()-[r*]->(b) RETURN a, b`).(*gql.MatchQuery)
-	facts, err := QueryFacts(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(facts, "\n")
-	// Reversed edge is emitted forward: anon -> a.
-	if !strings.Contains(joined, "queryEdge('anon_0_1', 'a')") {
-		t.Errorf("reversed edge not normalized:\n%s", joined)
-	}
-	// Unbounded *: upper becomes DefaultMaxHops.
-	if !strings.Contains(joined, "queryVariableLengthPath('anon_0_1', 'b', 1, 10)") {
-		t.Errorf("unbounded path not capped:\n%s", joined)
-	}
-}
-
-func TestSchemaFacts(t *testing.T) {
-	s := graph.MustSchema(
-		[]string{"Job", "File"},
-		[]graph.EdgeType{
-			{From: "Job", To: "File", Name: "WRITES_TO"},
-			{From: "File", To: "Job", Name: "IS_READ_BY"},
-		},
-	)
-	facts, err := SchemaFacts(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(facts, "\n")
-	for _, w := range []string{
-		"schemaVertex('File').",
-		"schemaVertex('Job').",
-		"schemaEdge('Job', 'File', 'WRITES_TO').",
-		"schemaEdge('File', 'Job', 'IS_READ_BY').",
-	} {
-		if !strings.Contains(joined, w) {
-			t.Errorf("missing %s in:\n%s", w, joined)
-		}
-	}
-	if _, err := SchemaFacts(nil); err == nil {
-		t.Error("nil schema accepted")
-	}
-}
 
 func TestProjectedVars(t *testing.T) {
 	m := gql.MustParse(`MATCH (a:Job)-[:W]->(b:File) RETURN a.name, COUNT(b) AS n`).(*gql.MatchQuery)
@@ -145,8 +57,43 @@ func TestProceduralExploresMore(t *testing.T) {
 	}
 }
 
-func TestQueryFactsErrors(t *testing.T) {
-	if _, err := QueryFacts(nil); err == nil {
-		t.Error("nil match accepted")
+// TestSchemaWalksCountsEveryWalk checks the dynamic program against a
+// walk-by-walk listing on the datagen schemas and a two-type lineage
+// schema, at every maximum length up to 6.
+func TestSchemaWalksCountsEveryWalk(t *testing.T) {
+	lineage := []graph.EdgeType{
+		{From: "Job", To: "File", Name: "WRITES_TO"},
+		{From: "File", To: "Job", Name: "IS_READ_BY"},
+	}
+	var list func(edges []graph.EdgeType, at string, left int) int
+	list = func(edges []graph.EdgeType, at string, left int) int {
+		if left == 0 {
+			return 1
+		}
+		n := 0
+		for _, e := range edges {
+			if at == "" || e.From == at {
+				n += list(edges, e.To, left-1)
+			}
+		}
+		return n
+	}
+	for name, edges := range map[string][]graph.EdgeType{
+		"lineage": lineage,
+		"prov":    datagen.ProvSchema().EdgeTypes(),
+		"dblp":    datagen.DBLPSchema().EdgeTypes(),
+		"roadnet": datagen.RoadNetSchema().EdgeTypes(),
+		"soc":     datagen.SocialSchema().EdgeTypes(),
+	} {
+		want := 0
+		for maxK := 2; maxK <= 6; maxK++ {
+			want += list(edges, "", maxK)
+			if got := SchemaWalks(edges, maxK); got != want {
+				t.Errorf("%s: %d walks of length 2..%d, listing finds %d", name, got, maxK, want)
+			}
+		}
+	}
+	if got := SchemaWalks(lineage, 1); got != 0 {
+		t.Errorf("no length in 2..1, yet %d walks", got)
 	}
 }

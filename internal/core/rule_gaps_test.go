@@ -98,7 +98,9 @@ func jobChain(t *testing.T, links int) *graph.Graph {
 //   - a query naming the connector's edge type on the base graph, where
 //     no such edge exists, ran over the connector (926 vs 0);
 //   - an unbounded step was proved up to 10 hops, but the executor
-//     walks it to the end of the graph (50 vs 78 on a 12-link jobChain).
+//     walks it to the end of the graph (50 vs 78 on a 12-link jobChain);
+//   - a read path variable bound connector edges, not the 2-hop paths
+//     raw binds (926 rows of l = 1 vs 926 of l = 2).
 func TestViewedMatchesRawOnRuleGaps(t *testing.T) {
 	raw, summary := gapProv(t)
 	keepJob := `CREATE VIEW kj AS MATCH (v) WHERE LABEL(v) = 'Job' RETURN v`
@@ -120,6 +122,7 @@ func TestViewedMatchesRawOnRuleGaps(t *testing.T) {
 		{"connector edge type on the base graph", summary, createJJ, nil,
 			`MATCH (x:Job)-[r:CONN_2HOP_Job_Job*1..2]->(y:Job) RETURN x, y`},
 		{"unbounded step", jobChain(t, 12), createJJ, nil, `MATCH (a:Job)-[r*2..]->(b:Job) RETURN a, b`},
+		{"read path variable", summary, createJJ, nil, `MATCH (x:Job)-[p*2..2]->(y:Job) RETURN LENGTH(p) AS l, COUNT(*) AS n`},
 	} {
 		sys := New(tc.g)
 		if tc.view != nil {

@@ -1,8 +1,8 @@
 // Package core wires Kaskade's components (Fig. 2 of the paper) into one
-// system: the constraint miner and inference-based view enumerator feed
-// the workload analyzer (view selection); the query rewriter tries every
+// system: view enumeration, the inverse of the rewrite rules, feeds the
+// workload analyzer (view selection); the query rewriter tries every
 // materialized view through rewrite.Apply and plans by proof alone, with
-// no inference on the query path; an execution engine evaluates plans
+// no enumeration on the query path; an execution engine evaluates plans
 // over the raw graph or over materialized views. The root kaskade
 // package re-exports this as the public API.
 package core
@@ -10,7 +10,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -172,9 +171,9 @@ func (s *System) QueryRaw(src string) (*exec.Result, error) {
 	return s.QueryContext(context.Background(), src, WithoutViews())
 }
 
-// EnumerateViews runs constraint-based view enumeration (§IV) for one
-// query and returns the candidates. It shares the analyzer's rule
-// program with SelectViews; query planning consults none.
+// EnumerateViews runs view enumeration (§IV) for one query and returns
+// the candidates: the views rewrite.Apply accepts for it, as SelectViews
+// prices them. Query planning enumerates nothing.
 func (s *System) EnumerateViews(src string) ([]enum.Candidate, error) {
 	q, err := gql.Parse(src)
 	if err != nil {
@@ -367,19 +366,18 @@ func ViewInventory() string {
 	return b.String()
 }
 
-// DescribeCandidates renders enumerated candidates deterministically,
+// DescribeCandidates renders enumerated candidates in enumeration order,
 // appending the canonical DDL pattern where the candidate is
 // DDL-expressible — the text an operator can hand straight back to
 // CREATE VIEW.
 func DescribeCandidates(cands []enum.Candidate) string {
 	lines := make([]string, 0, len(cands))
 	for _, c := range cands {
-		line := fmt.Sprintf("%-28s %s", c.Template, c.View.Describe())
+		line := c.View.Describe()
 		if pat, err := views.CanonicalPattern(c.View); err == nil {
-			line += "\n" + fmt.Sprintf("%-28s ddl: %s", "", pat)
+			line += "\n  ddl: " + pat
 		}
 		lines = append(lines, line)
 	}
-	sort.Strings(lines)
 	return strings.Join(lines, "\n")
 }

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"kaskade/internal/datagen"
+	"kaskade/internal/gql"
 	"kaskade/internal/graph"
+	"kaskade/internal/rewrite"
 	"kaskade/internal/views"
 )
 
@@ -127,8 +129,11 @@ func TestSystemEnumerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cands) < 5 {
-		t.Errorf("only %d candidates", len(cands))
+	q := gql.MustParse(blastRadius)
+	for _, c := range cands {
+		if _, err := rewrite.Apply(q, c.View, sys.Graph().Schema()); err != nil {
+			t.Errorf("candidate %s is refused: %v", c.View.Name(), err)
+		}
 	}
 	desc := DescribeCandidates(cands)
 	if !strings.Contains(desc, "2-hop connector Job->Job") {

@@ -165,9 +165,12 @@ func TestAblationShape(t *testing.T) {
 				r.MaxK, r.UnconstrainedSolutions, r.ConstrainedCandidates)
 		}
 	}
-	// Unconstrained space grows with k (cyclic schema).
-	if rows[4].UnconstrainedSolutions <= rows[0].UnconstrainedSolutions {
-		t.Error("unconstrained space should grow with k")
+	// The unconstrained space is every prov schema walk of 2..max_k
+	// edges, and grows with k (cyclic schema).
+	for i, want := range []int{9, 36, 75, 126, 189} {
+		if got := rows[i].UnconstrainedSolutions; got != want {
+			t.Errorf("maxK=%d: %d unconstrained solutions, want %d", rows[i].MaxK, got, want)
+		}
 	}
 	if rows[4].ProceduralExplored <= rows[0].ProceduralExplored {
 		t.Error("Alg. 1 explored count should grow with k")

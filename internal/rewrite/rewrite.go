@@ -1,6 +1,7 @@
 // Package rewrite implements view-based query rewriting (§V-C). Apply is
-// its one entry point and the one place that decides whether a view
-// answers a query. Both rules are proved from the query's own shape and
+// the one place that decides whether a view answers a query, and
+// Candidates, its inverse, proposes the views Apply accepts (§IV view
+// enumeration). Both rules are proved from the query's own shape and
 // one schema typing (live): the vertex types and schema edges that lie
 // on some schema walk agreeing with a pattern's labels.
 //
@@ -9,12 +10,12 @@
 //     when it keeps every live vertex and edge type of every step of the
 //     pattern, at every length the step can match;
 //   - a k-hop connector replaces the whole pattern, which must be one
-//     simple chain, with a traversal of connector edges between the
-//     chain's two ends, recomputing the variable-length bounds (the
-//     Listing 1 → Listing 4 transformation). At every length the chain
-//     can match, its typing must equal that of the connector edges
-//     covering the length, or be empty where no whole number of them
-//     does;
+//     simple chain whose interior vertices and edges RETURN and WHERE do
+//     not read, with a traversal of connector edges between the chain's
+//     two ends, recomputing the variable-length bounds (the Listing 1 →
+//     Listing 4 transformation). At every length the chain can match,
+//     its typing must equal that of the connector edges covering the
+//     length, or be empty where no whole number of them does;
 //   - every other class has no rule: its views are materialized and
 //     listed, but no query is rewritten over them.
 //
@@ -67,6 +68,83 @@ func Apply(q gql.Query, v views.View, schema *graph.Schema) (gql.Query, error) {
 		return q, nil
 	}
 	return nil, fmt.Errorf("rewrite: %s: %w", v.Name(), ErrNoRule)
+}
+
+// Candidates proposes the views Apply accepts for q on a graph of the
+// given schema, read off the rules' own typing, in this order: the k-hop
+// connectors between the ends of q's chain, k = 2..maxK; the vertex
+// filter keeping the live vertex types; the one dropping every other
+// vertex type; and the edge filter keeping the live edge types. These
+// are the smallest filters of their class, since a filter answers q
+// exactly when it keeps every live type. An empty keep or drop set is
+// never proposed, nor is any view for a pattern with a step no schema
+// walk agrees with: that pattern matches nothing.
+func Candidates(q gql.Query, schema *graph.Schema, maxK int) []views.View {
+	m := gql.InnermostMatch(q)
+	if schema == nil || m == nil {
+		return nil
+	}
+	vertexTypes, edgeTypes := schema.VertexTypes(), schema.EdgeTypes()
+	liveV, liveE := make([]bool, len(vertexTypes)), make([]bool, len(edgeTypes))
+	for _, c := range steps(m) {
+		lo, hi := c.span()
+		matches := false
+		for l := lo; l <= hi; l++ {
+			t := live(schema, c.layout(l))
+			matches = matches || slices.Contains(t.at[0], true)
+			for _, at := range t.at {
+				for v, ok := range at {
+					liveV[v] = liveV[v] || ok
+				}
+			}
+			for _, hop := range t.hops {
+				for e, ok := range hop {
+					liveE[e] = liveE[e] || ok
+				}
+			}
+		}
+		if !matches {
+			return nil
+		}
+	}
+	var out []views.View
+	if c, err := chainOf(m); err == nil {
+		src, dst := c.labels[0], c.labels[len(c.steps)]
+		if _, hi := c.span(); len(src) == 1 && len(dst) == 1 {
+			for k := 2; k <= min(maxK, hi); k++ { // a longer connector edge fits no walk of the chain
+				out = append(out, views.KHopConnector{SrcType: src[0], DstType: dst[0], K: k})
+			}
+		}
+	}
+	var keepV, dropV, keepE []string
+	for v, t := range vertexTypes {
+		if liveV[v] {
+			keepV = append(keepV, t)
+		} else {
+			dropV = append(dropV, t)
+		}
+	}
+	for e, t := range edgeTypes {
+		if liveE[e] && !slices.Contains(keepE, t.Name) {
+			keepE = append(keepE, t.Name)
+		}
+	}
+	for _, types := range [][]string{keepV, dropV, keepE} {
+		slices.Sort(types)
+	}
+	if len(keepV) > 0 {
+		out = append(out, views.VertexInclusionSummarizer{Types: keepV})
+	}
+	if len(dropV) > 0 {
+		out = append(out, views.VertexRemovalSummarizer{Types: dropV})
+	}
+	if len(keepE) > 0 {
+		out = append(out, views.EdgeInclusionSummarizer{Types: keepE})
+	}
+	return slices.DeleteFunc(out, func(v views.View) bool {
+		_, err := Apply(q, v, schema)
+		return err != nil
+	})
 }
 
 // keepsLiveTypes is the type filters' rule: q runs unchanged on f's
@@ -125,15 +203,20 @@ func overKHopConnector(q gql.Query, m *gql.MatchQuery, kc views.KHopConnector, s
 		return nil, fmt.Errorf("rewrite: the chain's ends are typed %v and %v; %s connects %q to %q",
 			c.labels[0], c.labels[n], kc.Name(), kc.SrcType, kc.DstType)
 	}
+	// The chain's interior vertices and its edges vanish into connector
+	// edges: a connector edge is not the path it contracts.
 	interior := make(map[string]bool)
 	for _, v := range c.vars[1:n] {
 		interior[v] = v != ""
+	}
+	for _, e := range c.steps {
+		interior[e.Var] = e.Var != ""
 	}
 	// The variables RETURN and WHERE read.
 	used := constraints.ProjectedVars(&gql.MatchQuery{Return: append(slices.Clip(m.Return), gql.ReturnItem{Expr: m.Where})})
 	for _, v := range used {
 		if interior[v] {
-			return nil, fmt.Errorf("rewrite: interior variable %s is projected or filtered on; cannot contract", v)
+			return nil, fmt.Errorf("rewrite: variable %s inside the chain is projected or filtered on; cannot contract", v)
 		}
 	}
 	edgeVar, edgeVars, varSteps := "r_conn", 0, 0

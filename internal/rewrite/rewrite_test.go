@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"kaskade/internal/datagen"
-	"kaskade/internal/enum"
 	"kaskade/internal/exec"
 	"kaskade/internal/gql"
 	"kaskade/internal/graph"
@@ -141,43 +140,29 @@ func resultMap(r *exec.Result) map[string]float64 {
 }
 
 // TestEnumeratedCandidateRewrites ties enumeration and rewriting: of the
-// job-to-job k-hop candidates the enumerator emits for the blast radius
-// query (K=2,4,6,8,10), exactly K=2 rewrites — every even length from 2
-// to 10 is a job-to-job walk, and only 2 divides them all.
+// job-to-job k-hop connectors the lineage schema admits for the blast
+// radius query (K=2,4,6,8,10), Candidates proposes exactly K=2 — every
+// even length from 2 to 10 is a job-to-job walk, and only 2 divides them
+// all — and it rewrites with bounds [max(1,ceil(2/2)), floor(10/2)].
 func TestEnumeratedCandidateRewrites(t *testing.T) {
-	e := &enum.Enumerator{Schema: lineageSchema(), MaxK: 10}
 	q := gql.MustParse(blastRadius)
-	res, err := e.Enumerate(q)
+	var conns []views.View
+	for _, v := range Candidates(q, lineageSchema(), 10) {
+		if _, ok := v.(views.KHopConnector); ok {
+			conns = append(conns, v)
+		}
+	}
+	if len(conns) != 1 || conns[0].Name() != jobConnector(2).Name() {
+		t.Fatalf("connector candidates = %v, want [%s]", conns, jobConnector(2).Name())
+	}
+	rw, err := Apply(q, conns[0], lineageSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewrites := 0
-	for _, c := range res.Candidates {
-		if c.Template != "kHopConnector" {
-			continue
-		}
-		k := c.View.(views.KHopConnector).K
-		rw, err := Apply(q, c.View, lineageSchema())
-		if (err == nil) != (k == 2) {
-			t.Errorf("candidate %s: err = %v", c.View.Name(), err)
-		}
-		if err != nil {
-			continue
-		}
-		rewrites++
-		m := gql.InnermostMatch(rw)
-		e := m.Patterns[len(m.Patterns)-1].Edges[0]
-		// Bounds arithmetic: [max(1,ceil(2/k)), floor(10/k)].
-		wantLo, wantHi := (2+k-1)/k, 10/k
-		if wantLo < 1 {
-			wantLo = 1
-		}
-		if e.MinHops != wantLo || maxHops(e) != wantHi {
-			t.Errorf("K=%d: bounds %d..%d, want %d..%d", k, e.MinHops, maxHops(e), wantLo, wantHi)
-		}
-	}
-	if rewrites != 1 {
-		t.Errorf("rewrote %d candidates, want 1 (K=2)", rewrites)
+	m := gql.InnermostMatch(rw)
+	e := m.Patterns[len(m.Patterns)-1].Edges[0]
+	if e.MinHops != 1 || maxHops(e) != 5 {
+		t.Errorf("bounds %d..%d, want 1..5", e.MinHops, maxHops(e))
 	}
 }
 
@@ -188,18 +173,29 @@ func maxHops(e gql.EdgePattern) int {
 	return e.MaxHops
 }
 
-func TestRewritePreservesEdgeVarForPathFunctions(t *testing.T) {
-	q := gql.MustParse(`MATCH (a:Job)-[r*2..4]->(b:Job) RETURN b, PATH_MAX(r, 'ts') AS m`)
-	rw, err := Apply(q, jobConnector(2), lineageSchema())
+// TestRewriteContractsOnlyDeadEdgeVars: over the connector a chain's
+// edge variable would bind connector edges, not the base path it binds
+// raw (LENGTH(r) would read 1 for a 2-hop path), so a chain whose edge
+// variable RETURN or WHERE reads is refused. A dead edge variable
+// names the connector traversal.
+func TestRewriteContractsOnlyDeadEdgeVars(t *testing.T) {
+	for _, src := range []string{
+		`MATCH (a:Job)-[r*2..4]->(b:Job) RETURN b, PATH_MAX(r, 'ts') AS m`,
+		`MATCH (a:Job)-[r*2..4]->(b:Job) RETURN LENGTH(r) AS l, COUNT(*) AS n`,
+		`MATCH (a:Job)-[r*2..4]->(b:Job) WHERE LENGTH(r) = 2 RETURN a, b`,
+		`MATCH (a:Job)-[w:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job) RETURN a, w`,
+	} {
+		if _, err := Apply(gql.MustParse(src), jobConnector(2), lineageSchema()); err == nil {
+			t.Errorf("%s: a read edge variable was contracted", src)
+		}
+	}
+	rw, err := Apply(gql.MustParse(`MATCH (a:Job)-[r*2..4]->(b:Job) RETURN a, b`), jobConnector(2), lineageSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := gql.InnermostMatch(rw)
-	if m.Patterns[0].Edges[0].Var != "r" {
-		t.Errorf("edge var = %q, want r preserved", m.Patterns[0].Edges[0].Var)
-	}
-	if m.Patterns[0].Edges[0].MinHops != 1 || m.Patterns[0].Edges[0].MaxHops != 2 {
-		t.Errorf("bounds = %d..%d, want 1..2", m.Patterns[0].Edges[0].MinHops, m.Patterns[0].Edges[0].MaxHops)
+	e := gql.InnermostMatch(rw).Patterns[0].Edges[0]
+	if e.Var != "r" || e.MinHops != 1 || e.MaxHops != 2 {
+		t.Errorf("connector step = %s %d..%d, want r 1..2", e.Var, e.MinHops, e.MaxHops)
 	}
 }
 

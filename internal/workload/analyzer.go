@@ -22,23 +22,21 @@ import (
 	"kaskade/internal/views"
 )
 
-// Analyzer drives view selection over a workload. It owns the
-// view-enumeration rule program for its schema, consulted once, on the
-// first enumeration, and forked per query; an Analyzer is safe for
-// concurrent use.
+// Analyzer drives view selection over a workload of one schema. It
+// holds no state between calls, so an Analyzer is safe for concurrent
+// use.
 type Analyzer struct {
-	schema     *graph.Schema
-	enumerator *enum.Enumerator
+	schema *graph.Schema
 }
 
 // NewAnalyzer returns an analyzer for graphs of the given schema.
 func NewAnalyzer(schema *graph.Schema) *Analyzer {
-	return &Analyzer{schema: schema, enumerator: &enum.Enumerator{Schema: schema}}
+	return &Analyzer{schema: schema}
 }
 
-// Enumerate runs constraint-based view enumeration (§IV) for one query.
+// Enumerate runs view enumeration (§IV) for one query.
 func (a *Analyzer) Enumerate(q gql.Query) (*enum.Result, error) {
-	return a.enumerator.Enumerate(q)
+	return (&enum.Enumerator{Schema: a.schema}).Enumerate(q)
 }
 
 // Evaluated is a candidate view priced against the workload.

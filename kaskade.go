@@ -2,8 +2,8 @@
 // ("Kaskade: Graph Views for Efficient Graph Analytics", da Trindade et
 // al., ICDE 2020): a graph query optimization framework that mines
 // structural constraints from graph schemas and query workloads, derives
-// materialized graph views (connectors and summarizers) via inference-
-// based view enumeration, selects the most beneficial views under a
+// materialized graph views (connectors and summarizers) from each query's
+// schema typing, selects the most beneficial views under a
 // space budget with a cost model and a 0/1 knapsack, and rewrites
 // incoming queries over the materialized views.
 //
@@ -23,12 +23,13 @@
 //	res, _ := sys.Query(blastRadiusQuery) // runs over the 2-hop connector
 //
 // The packages under internal/ implement every substrate the paper
-// depends on: a property-graph engine (for Neo4j), a Prolog-style
-// inference engine (for SWI-Prolog), a hybrid Cypher+SQL language and
-// executor, the §V-A cost model, a branch-and-bound knapsack (for
-// OR-Tools), synthetic dataset generators standing in for the
-// evaluation's graphs, and the full benchmark harness that regenerates
-// every table and figure of the paper.
+// depends on: a property-graph engine (for Neo4j), a hybrid Cypher+SQL
+// language and executor, the §V-A cost model, a branch-and-bound
+// knapsack (for OR-Tools), synthetic dataset generators standing in for
+// the evaluation's graphs, and the full benchmark harness that
+// regenerates every table and figure of the paper. View enumeration
+// needs no logic engine (for SWI-Prolog): it proposes the views the
+// rewrite rules prove, read off the same schema typing.
 //
 // # Query API
 //
@@ -357,7 +358,8 @@ func NewMetricsRing(capacity int) *MetricsRing { return metrics.NewRing(capacity
 
 // Optimizer-facing types.
 type (
-	// Candidate is an enumerated view.
+	// Candidate is an enumerated view: one the rewrite rules prove
+	// answers the query it was enumerated for.
 	Candidate = enum.Candidate
 	// Selection is the outcome of view selection (§V-B).
 	Selection = workload.Selection
