@@ -160,10 +160,10 @@ func viewSpace(schema *graph.Schema, maxK int) []views.View {
 }
 
 // bindsNothing reports whether some step of q's pattern — one edge
-// pattern, or a lone vertex — binds nothing on the schema: the filter
-// dropping every vertex type answers that step alone.
+// pattern, or a lone vertex — binds nothing on the schema: Apply refuses
+// that step alone even the filter that drops nothing.
 func bindsNothing(q gql.Query, schema *graph.Schema) bool {
-	dropAll := views.VertexRemovalSummarizer{Types: schema.VertexTypes()}
+	var dropNone views.VertexRemovalSummarizer
 	for _, p := range gql.InnermostMatch(q).Patterns {
 		var parts []gql.PathPattern
 		if len(p.Edges) == 0 {
@@ -173,7 +173,7 @@ func bindsNothing(q gql.Query, schema *graph.Schema) bool {
 			parts = append(parts, gql.PathPattern{Nodes: p.Nodes[i : i+2], Edges: []gql.EdgePattern{e}})
 		}
 		for _, part := range parts {
-			if _, err := rewrite.Apply(&gql.MatchQuery{Patterns: []gql.PathPattern{part}}, dropAll, schema); err == nil {
+			if _, err := rewrite.Apply(&gql.MatchQuery{Patterns: []gql.PathPattern{part}}, dropNone, schema); err != nil {
 				return true
 			}
 		}
@@ -210,7 +210,7 @@ func subset(a, b []string) bool {
 // each class: its keep set is the intersection of the accepted keep
 // sets (a subset of each), its drop set the union of the accepted drop
 // sets (a superset of each). A pattern with a step that binds nothing
-// gets no candidate.
+// gets no candidate, and Apply accepts no view for it.
 func TestEnumerateAgreesWithApply(t *testing.T) {
 	proposedKinds := map[string]bool{}
 	empty := 0
@@ -230,16 +230,21 @@ func TestEnumerateAgreesWithApply(t *testing.T) {
 				t.Errorf("%s: candidate %s is refused: %v", c.name, cand.View.Name(), err)
 			}
 		}
+		maxK := c.maxK
+		if maxK == 0 {
+			maxK = DefaultMaxK
+		}
 		if bindsNothing(c.query, c.schema) {
 			empty++
 			if len(res.Candidates) > 0 {
 				t.Errorf("%s: the pattern binds nothing, yet %d candidates", c.name, len(res.Candidates))
 			}
+			for _, v := range viewSpace(c.schema, maxK) {
+				if _, err := rewrite.Apply(c.query, v, c.schema); err == nil {
+					t.Errorf("%s: the pattern binds nothing, yet Apply accepts %s", c.name, v.Name())
+				}
+			}
 			continue
-		}
-		maxK := c.maxK
-		if maxK == 0 {
-			maxK = DefaultMaxK
 		}
 		accepted := map[string][][]string{} // type sets of accepted filters, by class
 		for _, v := range viewSpace(c.schema, maxK) {

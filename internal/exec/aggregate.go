@@ -19,10 +19,12 @@ type aggregator struct {
 	order    []string // group keys in first-seen order
 
 	// feed-path scratch. feed is goroutine-confined (each chunk owns its
-	// aggregator; an inline match has one), so the per-row key and
-	// argument slices are reused across rows instead of reallocated.
-	keyBuf []Value
-	argBuf []Value
+	// aggregator; an inline match has one), so the per-row key values,
+	// their encoding and the argument slice are reused across rows
+	// instead of reallocated.
+	keyBuf   []Value
+	keyBytes []byte
+	argBuf   []Value
 }
 
 type aggGroup struct {
@@ -57,6 +59,84 @@ func newAggregator(items []gql.ReturnItem, groupBy []gql.Expr) *aggregator {
 	return a
 }
 
+// fold is an aggregation a MATCH driver runs in its yield: either the
+// MATCH's own RETURN under implicit grouping, fed straight from the
+// matcher, or a SELECT's aggregation over the MATCH (ret non-nil),
+// whose input rows are the MATCH's RETURN rows. stage names the profile
+// stage that finishes it.
+type fold struct {
+	items   []gql.ReturnItem
+	groupBy []gql.Expr
+	ret     []gql.ReturnItem // a SELECT's fold: the MATCH's RETURN
+	cols    []string         // and its column names
+	where   gql.Expr         // a SELECT's fold: its WHERE
+	stage   string
+}
+
+// folder is one goroutine's share of a fold: its aggregator and, for a
+// SELECT's fold, the scratch row each match's RETURN is evaluated into
+// and the first error the SELECT raised.
+type folder struct {
+	*fold
+	agg     *aggregator
+	sc      rowScope
+	tailErr error
+}
+
+// newFolder starts a share of fo (nil for a nil fold: no aggregation).
+func (fo *fold) newFolder() *folder {
+	if fo == nil {
+		return nil
+	}
+	fd := &folder{fold: fo, agg: newAggregator(fo.items, fo.groupBy)}
+	if fo.ret != nil {
+		fd.sc = rowScope{cols: fo.cols, row: make(Row, len(fo.ret))}
+	}
+	return fd
+}
+
+// feed folds the current match. What fails in the MATCH — evaluating a
+// SELECT's fold's RETURN, or anything the MATCH's own aggregation
+// raises — is returned and ends the match. What fails in a SELECT is
+// kept as tailErr, the first such error, and stops the feeding only:
+// the match goes on, so a later row limit, cancellation or RETURN error
+// still wins, as it does when the SELECT reads a finished subquery.
+func (fd *folder) feed(m *matcher) error {
+	if fd.ret == nil {
+		return fd.agg.feed(m)
+	}
+	for i, item := range fd.ret {
+		v, err := evalExpr(item.Expr, m)
+		if err != nil {
+			return err
+		}
+		fd.sc.row[i] = v
+	}
+	if fd.tailErr == nil {
+		fd.tailErr = filterFeed(fd.where, fd.agg, &fd.sc)
+	}
+	return nil
+}
+
+// merge folds a chunk's folder into fd, the merge target, in partition
+// order. A SELECT's fold stops merging at its first error, kept as
+// tailErr whether the merge raised it or the chunk did; the MATCH's own
+// aggregation returns a merge error, which ends the match.
+func (fd *folder) merge(ch *folder) error {
+	if fd.tailErr != nil {
+		return nil
+	}
+	if err := fd.agg.mergeFrom(ch.agg); err != nil {
+		if fd.ret == nil {
+			return err
+		}
+		fd.tailErr = err
+		return nil
+	}
+	fd.tailErr = ch.tailErr
+	return nil
+}
+
 func collectAggregates(e gql.Expr) []*gql.FuncCall {
 	switch e := e.(type) {
 	case *gql.FuncCall:
@@ -76,17 +156,19 @@ func collectAggregates(e gql.Expr) []*gql.FuncCall {
 	return nil
 }
 
-// evalKey evaluates the grouping key expressions into buf and encodes
-// the group key. buf must have len(a.keyExprs).
-func (a *aggregator) evalKey(sc scope, buf []Value) (string, error) {
+// evalKey evaluates the grouping key expressions into a.keyBuf and
+// encodes them into a.keyBytes (see appendGroupKey).
+func (a *aggregator) evalKey(sc scope) error {
 	for i, ke := range a.keyExprs {
 		v, err := evalExpr(ke, sc)
 		if err != nil {
-			return "", err
+			return err
 		}
-		buf[i] = v
+		a.keyBuf[i] = v
 	}
-	return groupKey(buf), nil
+	var err error
+	a.keyBytes, err = appendGroupKey(a.keyBytes[:0], a.keyBuf)
+	return err
 }
 
 // evalArgs evaluates the aggregate arguments into buf (len ==
@@ -120,17 +202,19 @@ func (a *aggregator) evalArgs(sc scope, buf []Value) error {
 // representative. feed is goroutine-confined, so it evaluates into the
 // reusable scratch buffers — the accumulators consume argument values
 // immediately (retained ones were exported by evalArgs), never the
-// slice itself.
+// slice itself — and looks the group up by the scratch key bytes, which
+// the map index does without copying them: a key string is allocated
+// only for a new group.
 func (a *aggregator) feed(sc scope) error {
-	key, err := a.evalKey(sc, a.keyBuf)
-	if err != nil {
+	if err := a.evalKey(sc); err != nil {
 		return err
 	}
 	if err := a.evalArgs(sc, a.argBuf); err != nil {
 		return err
 	}
-	g, ok := a.groups[key]
+	g, ok := a.groups[string(a.keyBytes)]
 	if !ok {
+		key := string(a.keyBytes)
 		g = &aggGroup{repEnv: sc.snapshot(), accs: make([]accumulator, len(a.aggNodes))}
 		for i, node := range a.aggNodes {
 			g.accs[i] = newAccumulator(node.Name)
@@ -186,9 +270,9 @@ func (a *aggregator) finish() ([]Row, error) {
 		groups = []string{""}
 	}
 	var out []Row
+	aggVals := make(map[*gql.FuncCall]Value, len(a.aggNodes))
 	for _, key := range groups {
 		g := a.groups[key]
-		aggVals := make(map[*gql.FuncCall]Value, len(a.aggNodes))
 		for i, node := range a.aggNodes {
 			aggVals[node] = g.accs[i].result()
 		}

@@ -25,18 +25,19 @@ import (
 // change.
 //
 // How a chunk's yields travel to the merge depends on whether the
-// RETURN items aggregate:
+// driver runs a fold:
 //
 //   - Pure projection: workers publish each projected row as it is
 //     produced, and the merge streams the front partition's prefix
 //     while the chunk is still matching — a streaming consumer sees
 //     chunk 0's first row long before chunk 0 (or the full binding
 //     space) completes.
-//   - Aggregation: each chunk feeds its own partial accumulators, and
-//     the merge combines per-chunk states in partition order. Every
-//     accumulator merges exactly (SUM and AVG keep an exact running
-//     sum), so the combined result is byte-identical to one inline
-//     feed, with no per-yield buffer at all.
+//   - A fold (the MATCH's own aggregation, or a SELECT's fused over
+//     it): each chunk feeds its own folder, and the merge combines
+//     per-chunk states in partition order. Every accumulator merges
+//     exactly (SUM and AVG keep an exact running sum), so the combined
+//     result is byte-identical to one inline feed, with no per-yield
+//     buffer at all.
 //
 // Cancellation flows through three layers — the pool stops handing out
 // chunks (par.DoContext), each in-flight matcher polls the context
@@ -55,8 +56,7 @@ import (
 const chunkTarget = 16
 
 // matchChunk holds one partition's yields: projected rows for a pure
-// projection, or a chunk-local partial aggregator (agg) for an
-// aggregate query. yields counts yield *events*, which can exceed the
+// projection, or a chunk-local folder (fd) for a fold. yields counts yield *events*, which can exceed the
 // recorded rows by one when the last yield's evaluation errored — the
 // merge phase needs the event position to reproduce the inline
 // schedule's check-limit-then-evaluate order.
@@ -67,7 +67,7 @@ const chunkTarget = 16
 // atomic front index): rows of chunks the merge has not reached yet
 // buffer lock-free in the worker and flush when the front arrives or
 // the chunk completes, so trailing chunks pay no per-row
-// synchronization. An aggregating chunk writes its fields unlocked and
+// synchronization. A folding chunk writes its fields unlocked and
 // publishes once, at chunk completion (the done flag is always set
 // under mu, which orders those writes before the merge's reads). err is
 // the chunk's terminal error, written by the claim loop before its
@@ -77,7 +77,7 @@ type matchChunk struct {
 	wake   chan struct{} // cap 1; nudged on publish and completion
 	yields int
 	rows   []Row
-	agg    *aggregator
+	fd     *folder
 	done   bool
 	err    error
 }
@@ -122,9 +122,10 @@ func firstNodeCandidates(g *graph.Graph, patterns []gql.PathPattern) (ids []grap
 
 // matchChunked is the chunked schedule: the n candidates (see
 // matcher.matchCands for ids) fanned out across `workers` goroutines and
-// merged back into yield in candidate order. matchStart times the match
-// stage from candidate resolution on.
-func (ex *Executor) matchChunked(ctx context.Context, q *gql.MatchQuery, f *graph.Frozen, ids []graph.VertexID, n, workers int, matchStart time.Time, yield func(Row, error) bool) {
+// merged back into yield in candidate order, folded by fo when it is
+// non-nil. matchStart times the match stage from candidate resolution
+// on.
+func (ex *Executor) matchChunked(ctx context.Context, q *gql.MatchQuery, f *graph.Frozen, fo *fold, ids []graph.VertexID, n, workers int, matchStart time.Time, yield func(Row, error) bool) {
 	// Contiguous chunks in candidate order; concatenating chunk results
 	// in chunk-index order reproduces the inline enumeration.
 	chunkSize, numChunks := par.Chunks(n, workers, chunkTarget)
@@ -140,8 +141,8 @@ func (ex *Executor) matchChunked(ctx context.Context, q *gql.MatchQuery, f *grap
 		chunks[i].wake = make(chan struct{}, 1)
 	}
 	// The merge target; nil for a pure projection. Workers never
-	// touch it — each aggregating chunk folds into its own.
-	agg := newAggregator(q.Return, nil)
+	// touch it — each folding chunk feeds its own.
+	fd := fo.newFolder()
 	// front is the partition the merge currently consumes. Projecting
 	// workers publish per row only while their chunk is the front;
 	// it starts at 0, so chunk 0's first row is visible immediately.
@@ -164,7 +165,7 @@ func (ex *Executor) matchChunked(ctx context.Context, q *gql.MatchQuery, f *grap
 				}
 				lo := ci * chunkSize
 				hi := min(lo+chunkSize, n)
-				chunks[ci].err = ex.matchChunkRange(m, q, agg != nil, ids, lo, hi, &chunks[ci], ci, &front)
+				chunks[ci].err = ex.matchChunkRange(m, q, fo, ids, lo, hi, &chunks[ci], ci, &front)
 			}
 		}, func(ci int) {
 			// Chunk-completion hook: the merge loop rendezvouses on
@@ -187,19 +188,19 @@ func (ex *Executor) matchChunked(ctx context.Context, q *gql.MatchQuery, f *grap
 		for {
 			// Under mu, read only what is published incrementally:
 			// the done flag always, the row prefix of a projection.
-			// An aggregating chunk writes its fields unlocked and
+			// A folding chunk writes its fields unlocked and
 			// orders them before the merge's reads via complete()'s
 			// critical section, so they must not be touched until
 			// done is observed.
 			ch.mu.Lock()
 			done := ch.done
 			var published []Row
-			if agg == nil {
+			if fd == nil {
 				published = ch.rows // entries are immutable once appended
 			}
 			ch.mu.Unlock()
 
-			if agg == nil {
+			if fd == nil {
 				// Stream the freshly published prefix. The global
 				// row count and limit check advance at the position
 				// the inline schedule checks them — before
@@ -221,7 +222,7 @@ func (ex *Executor) matchChunked(ctx context.Context, q *gql.MatchQuery, f *grap
 				// A done observed under mu happened after the
 				// chunk's final publish, so consumed covers every
 				// recorded row and the remaining fields are frozen.
-				if err := ex.mergeChunk(agg, ch, consumed, &rows, yield); err != nil {
+				if err := ex.mergeChunk(fd, ch, consumed, &rows, yield); err != nil {
 					return // mergeChunk already yielded the terminal error
 				}
 				break
@@ -242,7 +243,7 @@ func (ex *Executor) matchChunked(ctx context.Context, q *gql.MatchQuery, f *grap
 		// the inline schedule's pre-aggregation row count.
 		ex.Prof.add("match", int64(rows), numChunks, time.Since(matchStart))
 	}
-	ex.finishAgg(agg, yield)
+	ex.finishFold(fd, yield)
 }
 
 // errMergeStop signals mergeChunk's caller that the stream terminated
@@ -254,9 +255,9 @@ var errMergeStop = errors.New("exec: merge stopped")
 // which point every field is frozen. It returns nil when the merge
 // should advance to the next partition, errMergeStop when the stream is
 // over (terminal error already yielded, or consumer stopped).
-func (ex *Executor) mergeChunk(agg *aggregator, ch *matchChunk, consumed int, rows *int, yield func(Row, error) bool) error {
+func (ex *Executor) mergeChunk(fd *folder, ch *matchChunk, consumed int, rows *int, yield func(Row, error) bool) error {
 	yields, chErr := ch.yields, ch.err
-	if agg == nil {
+	if fd == nil {
 		// The streaming loop above already yielded every recorded row;
 		// what remains are trailing entry-less events — at most the one
 		// whose evaluation errored, or the local-limit overflow event —
@@ -275,8 +276,8 @@ func (ex *Executor) mergeChunk(agg *aggregator, ch *matchChunk, consumed int, ro
 		}
 		return nil
 	}
-	// The chunk's yields were folded into its partial accumulators as
-	// they happened; only the event count travels here. The limit gate
+	// The chunk's yields were folded into its folder as they happened;
+	// only the event count travels here. The limit gate
 	// trips iff the inline schedule would have checked rows > MaxRows at
 	// one of this chunk's events — and since a chunk error is positioned
 	// at (or after) the chunk's last event, the gate wins exactly when
@@ -290,8 +291,8 @@ func (ex *Executor) mergeChunk(agg *aggregator, ch *matchChunk, consumed int, ro
 		yield(nil, chErr)
 		return errMergeStop
 	}
-	if ch.agg != nil {
-		if err := agg.mergeFrom(ch.agg); err != nil {
+	if ch.fd != nil {
+		if err := fd.merge(ch.fd); err != nil {
 			yield(nil, err)
 			return errMergeStop
 		}
@@ -309,10 +310,10 @@ type partitionLimitError struct{}
 func (*partitionLimitError) Error() string { return "exec: partition row limit" }
 
 // matchChunkRange runs the candidate loop over chunk ci's candidates
-// [lo, hi), recording yields into ch. An aggregate query evaluates its
-// group keys and argument expressions here, on the worker, and
-// accumulates into the chunk's own aggregator (ch.agg), untouched by
-// anyone else until the merge.
+// [lo, hi), recording yields into ch. A fold evaluates its rows, group
+// keys and argument expressions here, on the worker, and accumulates
+// into the chunk's own folder (ch.fd), untouched by anyone else until
+// the merge.
 //
 // Yield-event accounting mirrors the inline schedule's order either
 // way: count the row and check the limit BEFORE evaluating any
@@ -329,15 +330,15 @@ func (*partitionLimitError) Error() string { return "exec: partition row limit" 
 // the finalize before the chunk completes. The merge reads ch.yields
 // and ch.err only after done, so they need no per-yield
 // synchronization.
-func (ex *Executor) matchChunkRange(m *matcher, q *gql.MatchQuery, aggregate bool, ids []graph.VertexID, lo, hi int, ch *matchChunk, ci int, front *atomic.Int64) error {
-	if aggregate {
-		ch.agg = newAggregator(q.Return, nil)
+func (ex *Executor) matchChunkRange(m *matcher, q *gql.MatchQuery, fo *fold, ids []graph.VertexID, lo, hi int, ch *matchChunk, ci int, front *atomic.Int64) error {
+	if fo != nil {
+		ch.fd = fo.newFolder()
 		m.yield = func() error {
 			ch.yields++
 			if ex.MaxRows > 0 && ch.yields > ex.MaxRows {
 				return errPartitionLimit
 			}
-			return ch.agg.feed(m)
+			return ch.fd.feed(m)
 		}
 	} else {
 		events := 0

@@ -30,7 +30,11 @@ type StageProfile struct {
 // subquery stages appear first, followed by the relational tail
 // (filter/project or aggregate, then order/limit). Rows on the final
 // stage therefore equals Total rows returned, byte-for-byte what the
-// buffered Execute path holds.
+// buffered Execute path holds. The tail consumes rows as they are
+// produced, so its per-row work is timed inside the stage that feeds
+// it; a tail stage's time is what runs after its input ends. A SELECT
+// that aggregates inside its MATCH's yield shows the match stage, then
+// its "select: aggregate" stage timing the groups' finish.
 type Profile struct {
 	Workers int
 	Stages  []StageProfile

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 	"time"
 
@@ -194,23 +195,34 @@ func returnCols(items []gql.ReturnItem) []string {
 	return cols
 }
 
-// streamMatch is the one MATCH driver: it enumerates pattern matches
-// and streams the projected rows, with Cypher-style implicit grouping
-// when aggregates appear (aggregation is blocking: grouped rows stream
-// only after the match completes). The frozen snapshot is resolved up
-// front, so a declared property holding the wrong kind fails the query
-// with FreezeChecked's error. When the rows are consumed, the first
-// node's candidates are resolved once and the worker count picks the
-// schedule: one worker walks them inline on the consuming goroutine,
-// with no goroutine, chunk or row buffer; more run the chunked core
-// (parallel.go). Both run matcher.matchCands, and the chunked merge
-// reproduces the inline order.
+// streamMatch runs a MATCH: it streams the projected rows or, when the
+// RETURN aggregates, the groups of its implicit grouping. The frozen
+// snapshot is resolved up front, so a declared property holding the
+// wrong kind fails the query with FreezeChecked's error.
 func (ex *Executor) streamMatch(ctx context.Context, q *gql.MatchQuery) ([]string, iter.Seq2[Row, error], error) {
 	f, err := ex.G.FreezeChecked()
 	if err != nil {
 		return nil, nil, err
 	}
-	body := func(yield func(Row, error) bool) {
+	var fo *fold
+	if hasAggregates(q.Return) {
+		fo = &fold{items: q.Return, stage: "aggregate"}
+	}
+	return returnCols(q.Return), ex.matchBody(ctx, q, f, fo), nil
+}
+
+// matchBody is the one MATCH driver: it enumerates q's matches over f
+// and yields either each match's projected RETURN row (fo nil) or, once
+// the match completes, the groups of the fold fo that every match feeds
+// (aggregation is blocking). When the rows are consumed, the first
+// node's candidates are resolved once and the worker count picks the
+// schedule: one worker walks them inline on the consuming goroutine,
+// with no goroutine, chunk or row buffer, feeding one folder; more run
+// the chunked core (parallel.go), one folder per chunk merged in
+// partition order. Both run matcher.matchCands, and the chunked merge
+// reproduces the inline order.
+func (ex *Executor) matchBody(ctx context.Context, q *gql.MatchQuery, f *graph.Frozen, fo *fold) iter.Seq2[Row, error] {
+	return func(yield func(Row, error) bool) {
 		matchStart := time.Now()
 		ids, n, ok := firstNodeCandidates(ex.G, q.Patterns)
 		if pf := ex.columnPrefilter(q, f); pf != nil {
@@ -227,10 +239,10 @@ func (ex *Executor) streamMatch(ctx context.Context, q *gql.MatchQuery) ([]strin
 			ex.Prof.Workers = workers
 		}
 		if workers > 1 {
-			ex.matchChunked(ctx, q, f, ids, n, workers, matchStart, yield)
+			ex.matchChunked(ctx, q, f, fo, ids, n, workers, matchStart, yield)
 			return
 		}
-		agg := newAggregator(q.Return, nil)
+		fd := fo.newFolder()
 		m := ex.newMatcher(ctx, q, f)
 		defer m.flushPropReads(ex.Metrics)
 		rows := 0
@@ -241,8 +253,8 @@ func (ex *Executor) streamMatch(ctx context.Context, q *gql.MatchQuery) ([]strin
 			if ex.MaxRows > 0 && rows > ex.MaxRows {
 				return ErrRowLimit
 			}
-			if agg != nil {
-				return agg.feed(m)
+			if fd != nil {
+				return fd.feed(m)
 			}
 			row, err := project(q.Return, m)
 			if err != nil {
@@ -270,9 +282,13 @@ func (ex *Executor) streamMatch(ctx context.Context, q *gql.MatchQuery) ([]strin
 		if ex.Prof != nil {
 			ex.Prof.add("match", int64(rows), 0, time.Since(matchStart))
 		}
-		ex.finishAgg(agg, yield)
+		ex.finishFold(fd, yield)
 	}
-	return returnCols(q.Return), body, nil
+}
+
+// hasAggregates reports whether any item calls an aggregate.
+func hasAggregates(items []gql.ReturnItem) bool {
+	return slices.ContainsFunc(items, func(it gql.ReturnItem) bool { return gql.HasAggregate(it.Expr) })
 }
 
 // project evaluates the RETURN items over the current match into a row
@@ -289,20 +305,26 @@ func project(items []gql.ReturnItem, sc scope) (Row, error) {
 	return row, nil
 }
 
-// finishAgg finishes a completed match's aggregation, if any, and
-// streams its groups — the tail both match schedules share.
-func (ex *Executor) finishAgg(agg *aggregator, yield func(Row, error) bool) {
-	if agg == nil {
+// finishFold finishes a completed match's fold, if any, and streams its
+// groups — the tail both match schedules share. A SELECT error kept
+// while the match ran surfaces here, now that the match itself
+// succeeded.
+func (ex *Executor) finishFold(fd *folder, yield func(Row, error) bool) {
+	if fd == nil {
+		return
+	}
+	if fd.tailErr != nil {
+		yield(nil, fd.tailErr)
 		return
 	}
 	start := time.Now()
-	out, err := agg.finish()
+	out, err := fd.agg.finish()
 	if err != nil {
 		yield(nil, err)
 		return
 	}
 	if ex.Prof != nil {
-		ex.Prof.add("aggregate", int64(len(out)), 0, time.Since(start))
+		ex.Prof.add(fd.stage, int64(len(out)), 0, time.Since(start))
 	}
 	for _, row := range out {
 		if !yield(row, nil) {
@@ -333,68 +355,28 @@ func (ex *Executor) streamSelect(ctx context.Context, q *gql.SelectQuery) ([]str
 	return cols, body, nil
 }
 
-// evalSelect is the buffered relational tail shared by both execution
-// forms. The subquery reaches the execution core directly (not through
+// evalSelect is the relational tail shared by both execution forms.
+// It buffers only its own output: a SELECT that aggregates over a MATCH
+// with no aggregates of its own runs inside the match (fusedSelect), and
+// any other reads its subquery's rows as they arrive (streamTail). The
+// subquery reaches the execution core directly (not through
 // ExecuteContext) so a metrics-instrumented executor observes the
 // SELECT as one execution, not two.
+//
+// Either way the SELECT's errors — its WHERE, keys, items and
+// accumulators — cannot mask an error of the subquery it reads: on the
+// first one the tail stops and the subquery runs on, and the subquery's
+// error (row limit, cancellation, evaluation) is returned if one comes.
 func (ex *Executor) evalSelect(ctx context.Context, q *gql.SelectQuery) (*Result, error) {
-	subCols, subBody, err := ex.stream(ctx, q.From)
+	out := &Result{Cols: returnCols(q.Items)}
+	var err error
+	if m, ok := q.From.(*gql.MatchQuery); ok && (len(q.GroupBy) > 0 || hasAggregates(q.Items)) && !hasAggregates(m.Return) {
+		out.Rows, err = ex.fusedSelect(ctx, q, m)
+	} else {
+		out.Rows, err = ex.streamTail(ctx, q)
+	}
 	if err != nil {
 		return nil, err
-	}
-	sub := &Result{Cols: subCols}
-	for row, err := range subBody {
-		if err != nil {
-			return nil, err
-		}
-		sub.Rows = append(sub.Rows, row)
-	}
-	tailStart := time.Now()
-	out := &Result{Cols: returnCols(q.Items)}
-
-	agg := newAggregator(q.Items, q.GroupBy)
-	sc := make(mapScope, len(sub.Cols))
-	for _, row := range sub.Rows {
-		for i, c := range sub.Cols {
-			sc[c] = row[i]
-		}
-		if q.Where != nil {
-			ok, err := evalBool(q.Where, sc)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		if agg != nil {
-			if err := agg.feed(sc); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		outRow := make(Row, len(q.Items))
-		for i, item := range q.Items {
-			v, err := evalExpr(item.Expr, sc)
-			if err != nil {
-				return nil, err
-			}
-			outRow[i] = v
-		}
-		out.Rows = append(out.Rows, outRow)
-	}
-	if agg != nil {
-		out.Rows, err = agg.finish()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if ex.Prof != nil {
-		stage := "select: filter/project"
-		if agg != nil {
-			stage = "select: aggregate"
-		}
-		ex.Prof.add(stage, int64(len(out.Rows)), 0, time.Since(tailStart))
 	}
 	if len(q.OrderBy) > 0 {
 		orderStart := time.Now()
@@ -414,13 +396,112 @@ func (ex *Executor) evalSelect(ctx context.Context, q *gql.SelectQuery) (*Result
 	return out, nil
 }
 
+// fusedSelect runs q's aggregation as the fold of m's driver: every
+// match evaluates m's RETURN into a scratch row that q's WHERE and
+// aggregator read, so no row of m is ever built.
+func (ex *Executor) fusedSelect(ctx context.Context, q *gql.SelectQuery, m *gql.MatchQuery) ([]Row, error) {
+	f, err := ex.G.FreezeChecked()
+	if err != nil {
+		return nil, err
+	}
+	fo := &fold{
+		items:   q.Items,
+		groupBy: q.GroupBy,
+		ret:     m.Return,
+		cols:    returnCols(m.Return),
+		where:   q.Where,
+		stage:   "select: aggregate",
+	}
+	var rows []Row
+	for row, err := range ex.matchBody(ctx, m, f, fo) {
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
+// streamTail filters and projects or aggregates the subquery's rows as
+// they arrive, reading each through one positional scope. Its stage
+// times only what runs after the subquery ends (finishing the groups);
+// the per-row work runs inside the subquery's stages.
+func (ex *Executor) streamTail(ctx context.Context, q *gql.SelectQuery) ([]Row, error) {
+	subCols, subBody, err := ex.stream(ctx, q.From)
+	if err != nil {
+		return nil, err
+	}
+	agg := newAggregator(q.Items, q.GroupBy)
+	sc := &rowScope{cols: subCols}
+	var rows []Row
+	var tailErr error
+	for row, err := range subBody {
+		if err != nil {
+			return nil, err
+		}
+		if tailErr != nil {
+			continue
+		}
+		sc.row = row
+		if agg != nil {
+			tailErr = filterFeed(q.Where, agg, sc)
+		} else {
+			rows, tailErr = filterProject(q, sc, rows)
+		}
+	}
+	if tailErr != nil {
+		return nil, tailErr
+	}
+	start := time.Now()
+	stage := "select: filter/project"
+	if agg != nil {
+		stage = "select: aggregate"
+		if rows, err = agg.finish(); err != nil {
+			return nil, err
+		}
+	}
+	if ex.Prof != nil {
+		ex.Prof.add(stage, int64(len(rows)), 0, time.Since(start))
+	}
+	return rows, nil
+}
+
+// keeps reports whether a SELECT's WHERE, if any, keeps the row in sc.
+func keeps(where gql.Expr, sc scope) (bool, error) {
+	if where == nil {
+		return true, nil
+	}
+	return evalBool(where, sc)
+}
+
+// filterFeed feeds the row in sc to agg if a SELECT's WHERE keeps it.
+func filterFeed(where gql.Expr, agg *aggregator, sc scope) error {
+	keep, err := keeps(where, sc)
+	if !keep || err != nil {
+		return err
+	}
+	return agg.feed(sc)
+}
+
+// filterProject appends the projection of the row in sc to rows if q's
+// WHERE keeps it.
+func filterProject(q *gql.SelectQuery, sc scope, rows []Row) ([]Row, error) {
+	keep, err := keeps(q.Where, sc)
+	if !keep || err != nil {
+		return rows, err
+	}
+	row, err := project(q.Items, sc)
+	if err != nil {
+		return rows, err
+	}
+	return append(rows, row), nil
+}
+
 func orderRows(r *Result, order []gql.OrderItem) error {
-	sc := make(mapScope, len(r.Cols))
+	sc := &rowScope{cols: r.Cols}
 	keys := make([][]Value, len(r.Rows))
 	for ri, row := range r.Rows {
-		for i, c := range r.Cols {
-			sc[c] = row[i]
-		}
+		sc.row = row
 		ks := make([]Value, len(order))
 		for oi, o := range order {
 			v, err := evalExpr(o.Expr, sc)

@@ -8,11 +8,11 @@ import (
 
 // scope is the evaluator's view of a variable environment. The matcher
 // implements it directly over its flat var->slot scratch (no
-// map[string]Value per partition), and mapScope adapts the relational
-// paths (SELECT rows, aggregation representative rows) that genuinely
-// hold maps. Every scope reads storage through readProp; prop is part
-// of the interface so the matcher can count its reads (column vs map)
-// for the metrics.
+// map[string]Value per partition), rowScope over one positional row of
+// a SELECT's input, and mapScope over an aggregation group's
+// representative row, the one environment kept as a map. Every scope
+// reads storage through readProp; prop is part of the interface so the
+// matcher can count its reads (column vs map) for the metrics.
 type scope interface {
 	// lookup resolves a variable, reporting false when unbound.
 	lookup(name string) (Value, bool)
@@ -25,8 +25,38 @@ type scope interface {
 	snapshot() map[string]Value
 }
 
-// mapScope is the scope over a plain environment map: SELECT row
-// columns, aggregation representative rows.
+// rowScope is the scope over one positional row: the input's column
+// names and its current row, which the owner replaces row by row. A
+// name repeated among the columns reads its last column, as a map
+// filled column by column would.
+type rowScope struct {
+	cols []string
+	row  Row
+}
+
+func (s *rowScope) lookup(name string) (Value, bool) {
+	for i := len(s.cols) - 1; i >= 0; i-- {
+		if s.cols[i] == name {
+			return s.row[i], true
+		}
+	}
+	return nil, false
+}
+
+func (s *rowScope) prop(base Value, key string) (Value, error) {
+	return readProp(base, key, nil, nil)
+}
+
+func (s *rowScope) snapshot() map[string]Value {
+	out := make(map[string]Value, len(s.cols))
+	for i, c := range s.cols {
+		out[c] = exportValue(s.row[i])
+	}
+	return out
+}
+
+// mapScope is the scope over a plain environment map: an aggregation
+// group's representative row.
 type mapScope map[string]Value
 
 func (s mapScope) lookup(name string) (Value, bool) {

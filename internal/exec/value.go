@@ -6,7 +6,9 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 
 	"kaskade/internal/graph"
@@ -111,34 +113,49 @@ func FormatValue(v Value) string {
 	}
 }
 
-// groupKey builds a hashable key for GROUP BY from values.
-func groupKey(vals []Value) string {
-	var b strings.Builder
+// appendGroupKey appends the GROUP BY identity of vals to dst: per
+// value a kind byte, then its payload — fixed-width little-endian IDs,
+// ints and float bits, and length-prefixed strings and path edge lists —
+// so no two different tuples encode alike. Two floats that = calls equal
+// share a key (-0.0 is keyed as 0.0), and so does every NaN; int64(1) and
+// float64(1) differ by kind. A value of a kind outside the language has
+// no key.
+func appendGroupKey(dst []byte, vals []Value) ([]byte, error) {
+	le := binary.LittleEndian
 	for _, v := range vals {
 		switch v := v.(type) {
 		case nil:
-			b.WriteString("n;")
+			dst = append(dst, 'n')
 		case VertexRef:
-			fmt.Fprintf(&b, "v%d;", v.ID)
+			dst = le.AppendUint32(append(dst, 'v'), uint32(v.ID))
 		case EdgeRef:
-			fmt.Fprintf(&b, "e%d;", v.ID)
+			dst = le.AppendUint32(append(dst, 'e'), uint32(v.ID))
 		case PathRef:
-			b.WriteString("p")
+			dst = le.AppendUint32(append(dst, 'p'), uint32(len(v.Edges)))
 			for _, e := range v.Edges {
-				fmt.Fprintf(&b, "%d,", e)
+				dst = le.AppendUint32(dst, uint32(e))
 			}
-			b.WriteString(";")
 		case int64:
-			fmt.Fprintf(&b, "i%d;", v)
+			dst = le.AppendUint64(append(dst, 'i'), uint64(v))
 		case float64:
-			fmt.Fprintf(&b, "f%g;", v)
+			switch {
+			case v == 0:
+				v = 0
+			case v != v:
+				v = math.NaN()
+			}
+			dst = le.AppendUint64(append(dst, 'f'), math.Float64bits(v))
 		case string:
-			fmt.Fprintf(&b, "s%q;", v)
+			dst = append(le.AppendUint64(append(dst, 's'), uint64(len(v))), v...)
 		case bool:
-			fmt.Fprintf(&b, "b%v;", v)
+			b := byte(0)
+			if v {
+				b = 1
+			}
+			dst = append(dst, 'b', b)
 		default:
-			fmt.Fprintf(&b, "?%v;", v)
+			return dst, fmt.Errorf("exec: cannot group by a %T value", v)
 		}
 	}
-	return b.String()
+	return dst, nil
 }

@@ -21,7 +21,9 @@
 //
 // Without a schema no rule can be proved, so Apply refuses every view;
 // so does a step with no upper bound, which the executor walks to the
-// end of the graph and no finite typing covers.
+// end of the graph and no finite typing covers, and a pattern that
+// matches nothing on the schema, whose typing is empty: an empty typing
+// proves a view equal to the pattern only vacuously.
 package rewrite
 
 import (
@@ -88,10 +90,8 @@ func Candidates(q gql.Query, schema *graph.Schema, maxK int) []views.View {
 	liveV, liveE := make([]bool, len(vertexTypes)), make([]bool, len(edgeTypes))
 	for _, c := range steps(m) {
 		lo, hi := c.span()
-		matches := false
 		for l := lo; l <= hi; l++ {
 			t := live(schema, c.layout(l))
-			matches = matches || slices.Contains(t.at[0], true)
 			for _, at := range t.at {
 				for v, ok := range at {
 					liveV[v] = liveV[v] || ok
@@ -102,9 +102,6 @@ func Candidates(q gql.Query, schema *graph.Schema, maxK int) []views.View {
 					liveE[e] = liveE[e] || ok
 				}
 			}
-		}
-		if !matches {
-			return nil
 		}
 	}
 	var out []views.View
@@ -149,15 +146,17 @@ func Candidates(q gql.Query, schema *graph.Schema, maxK int) []views.View {
 
 // keepsLiveTypes is the type filters' rule: q runs unchanged on f's
 // graph when f keeps every vertex type and edge type a step of the MATCH
-// can bind, at every length the step can match. Untyped vertices and
-// edges and the interior vertices of variable-length steps bind whatever
-// the schema lets them.
+// can bind, at every length the step can match, and every step binds
+// some schema walk. Untyped vertices and edges and the interior vertices
+// of variable-length steps bind whatever the schema lets them.
 func keepsLiveTypes(m *gql.MatchQuery, f views.TypeFilter, schema *graph.Schema) error {
 	vertexTypes, edgeTypes := schema.VertexTypes(), schema.EdgeTypes()
 	for _, c := range steps(m) {
 		lo, hi := c.span()
+		binds := false
 		for l := lo; l <= hi; l++ {
 			t := live(schema, c.layout(l))
+			binds = binds || slices.Contains(t.at[0], true)
 			for _, at := range t.at {
 				for v, ok := range at {
 					if ok && !f.KeepsVertexType(vertexTypes[v]) {
@@ -173,6 +172,9 @@ func keepsLiveTypes(m *gql.MatchQuery, f views.TypeFilter, schema *graph.Schema)
 				}
 			}
 		}
+		if !binds {
+			return fmt.Errorf("rewrite: a step of the pattern binds no schema walk; the pattern matches nothing")
+		}
 	}
 	return nil
 }
@@ -186,7 +188,8 @@ func keepsLiveTypes(m *gql.MatchQuery, f views.TypeFilter, schema *graph.Schema)
 //
 // The rewrite is result-preserving: at each length l in [L, U] the chain
 // must bind exactly the schema walks that l/k connector edges bind, and
-// none at all where k does not divide l. (On the bipartite lineage schema
+// none at all where k does not divide l; and it must bind some walk at
+// some length, or the equality is vacuous. (On the bipartite lineage schema
 // job-to-job walks have even lengths, so only k=2 passes; on a
 // homogeneous schema odd lengths exist and every k>1 is refused — those
 // rewritings are the paper's "approximate" homogeneous scenarios.)
@@ -240,8 +243,10 @@ func overKHopConnector(q gql.Query, m *gql.MatchQuery, kc views.KHopConnector, s
 	if newHi < newLo {
 		return nil, fmt.Errorf("rewrite: the chain spans %d..%d hops; no multiple of k=%d fits", lo, hi, kc.K)
 	}
+	binds := false
 	for l := lo; l <= hi; l++ {
 		got := live(schema, c.layout(l))
+		binds = binds || slices.Contains(got.at[0], true)
 		if l > 0 && l%kc.K == 0 {
 			if !reflect.DeepEqual(got, live(schema, connectorLayout(kc, l/kc.K))) {
 				return nil, fmt.Errorf("rewrite: at %d hops the chain binds other schema walks than %d %s edges", l, l/kc.K, kc.Name())
@@ -249,6 +254,9 @@ func overKHopConnector(q gql.Query, m *gql.MatchQuery, kc views.KHopConnector, s
 		} else if slices.Contains(got.at[0], true) {
 			return nil, fmt.Errorf("rewrite: the chain matches %d-hop walks, which no whole number of %s edges covers", l, kc.Name())
 		}
+	}
+	if !binds {
+		return nil, fmt.Errorf("rewrite: the chain binds no schema walk; it matches nothing")
 	}
 	nm := &gql.MatchQuery{Where: m.Where, Return: m.Return, Patterns: []gql.PathPattern{{
 		Nodes: []gql.NodePattern{{Var: c.vars[0], Type: kc.SrcType}, {Var: c.vars[n], Type: kc.DstType}},

@@ -241,6 +241,8 @@ func TestRewriteUnsupportedShapes(t *testing.T) {
 // TestApplyRefusesUnprovable: the rewrites no rule can prove exact.
 func TestApplyRefusesUnprovable(t *testing.T) {
 	chain := gql.MustParse(`MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job) RETURN a, b`)
+	jobs := gql.MustParse(`MATCH (x:Job)-[p*2..2]->(y:Job) RETURN COUNT(*) AS n`)
+	owns := gql.MustParse(`MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(g:Job)-[:OWNS]->(b:Job) RETURN a, b`)
 	for _, tc := range []struct {
 		what   string
 		q      gql.Query
@@ -260,6 +262,12 @@ func TestApplyRefusesUnprovable(t *testing.T) {
 		// with too few rows.
 		{"DedupPairs", chain, views.KHopConnector{SrcType: "Job", DstType: "Job", K: 2, DedupPairs: true},
 			lineageSchema(), "one edge per vertex pair"},
+		// A pattern that matches nothing on the schema: its empty typing
+		// would equal a connector's, and every filter keeps its no types.
+		{"no Job on soc, connector", jobs, jobConnector(2), datagen.SocialSchema(), "matches nothing"},
+		{"no Job on soc, filter", jobs, views.VertexInclusionSummarizer{Types: []string{"User"}}, datagen.SocialSchema(), "matches nothing"},
+		{"no OWNS on prov, connector", owns, jobConnector(3), datagen.ProvSchema(), "matches nothing"},
+		{"no OWNS on prov, filter", owns, views.VertexRemovalSummarizer{}, datagen.ProvSchema(), "matches nothing"},
 	} {
 		if _, err := Apply(tc.q, tc.v, tc.schema); err == nil || !strings.Contains(err.Error(), tc.msg) {
 			t.Errorf("%s: err = %v, want one mentioning %q", tc.what, err, tc.msg)
