@@ -20,6 +20,9 @@ import (
 // Candidate is one enumerated view.
 type Candidate struct {
 	View views.View
+	// Rewritten is the query rewritten over View, as rewrite.Apply
+	// returns it.
+	Rewritten gql.Query
 }
 
 // Result is the outcome of one enumeration run.
@@ -52,10 +55,10 @@ func (e *Enumerator) Enumerate(q gql.Query) (*Result, error) {
 	if maxK <= 0 {
 		maxK = DefaultMaxK
 	}
-	vs := rewrite.Candidates(q, e.Schema, maxK)
+	vs, rws := rewrite.Candidates(q, e.Schema, maxK)
 	res := &Result{Candidates: make([]Candidate, len(vs))}
 	for i, v := range vs {
-		res.Candidates[i] = Candidate{View: v}
+		res.Candidates[i] = Candidate{View: v, Rewritten: rws[i]}
 	}
 	return res, nil
 }

@@ -16,7 +16,7 @@ type aggregator struct {
 	keyExprs []gql.Expr      // grouping key expressions
 	aggNodes []*gql.FuncCall // aggregate calls across all items
 	groups   map[string]*aggGroup
-	order    []string // group keys in first-seen order
+	order    []*aggGroup // groups in first-seen order
 
 	// feed-path scratch. feed is goroutine-confined (each chunk owns its
 	// aggregator; an inline match has one), so the per-row key values,
@@ -28,8 +28,9 @@ type aggregator struct {
 }
 
 type aggGroup struct {
-	repEnv map[string]Value // environment of the group's first row
-	accs   []accumulator
+	key  string   // its group key (see appendGroupKey)
+	rep  rowScope // environment of the group's first row
+	accs []accumulator
 }
 
 func newAggregator(items []gql.ReturnItem, groupBy []gql.Expr) *aggregator {
@@ -214,13 +215,12 @@ func (a *aggregator) feed(sc scope) error {
 	}
 	g, ok := a.groups[string(a.keyBytes)]
 	if !ok {
-		key := string(a.keyBytes)
-		g = &aggGroup{repEnv: sc.snapshot(), accs: make([]accumulator, len(a.aggNodes))}
+		g = &aggGroup{key: string(a.keyBytes), rep: sc.snapshot(), accs: make([]accumulator, len(a.aggNodes))}
 		for i, node := range a.aggNodes {
 			g.accs[i] = newAccumulator(node.Name)
 		}
-		a.groups[key] = g
-		a.order = append(a.order, key)
+		a.groups[g.key] = g
+		a.order = append(a.order, g)
 	}
 	for i, node := range a.aggNodes {
 		if err := g.accs[i].add(a.argBuf[i], node.Star); err != nil {
@@ -239,12 +239,11 @@ func (a *aggregator) feed(sc scope) error {
 // partition order reproduces the group order and values of one worker
 // feeding every row. b must not be used afterwards.
 func (a *aggregator) mergeFrom(b *aggregator) error {
-	for _, key := range b.order {
-		bg := b.groups[key]
-		g, ok := a.groups[key]
+	for _, bg := range b.order {
+		g, ok := a.groups[bg.key]
 		if !ok {
-			a.groups[key] = bg
-			a.order = append(a.order, key)
+			a.groups[bg.key] = bg
+			a.order = append(a.order, bg)
 			continue
 		}
 		for i := range g.accs {
@@ -262,23 +261,21 @@ func (a *aggregator) finish() ([]Row, error) {
 	// With no grouping keys, SQL/Cypher aggregation yields exactly one
 	// row even on empty input.
 	if len(a.keyExprs) == 0 && len(groups) == 0 {
-		g := &aggGroup{repEnv: map[string]Value{}, accs: make([]accumulator, len(a.aggNodes))}
+		g := &aggGroup{accs: make([]accumulator, len(a.aggNodes))}
 		for i, node := range a.aggNodes {
 			g.accs[i] = newAccumulator(node.Name)
 		}
-		a.groups[""] = g
-		groups = []string{""}
+		groups = []*aggGroup{g}
 	}
 	var out []Row
 	aggVals := make(map[*gql.FuncCall]Value, len(a.aggNodes))
-	for _, key := range groups {
-		g := a.groups[key]
+	for _, g := range groups {
 		for i, node := range a.aggNodes {
 			aggVals[node] = g.accs[i].result()
 		}
 		row := make(Row, len(a.items))
 		for i, item := range a.items {
-			v, err := evalWithAggs(item.Expr, mapScope(g.repEnv), aggVals)
+			v, err := evalWithAggs(item.Expr, &g.rep, aggVals)
 			if err != nil {
 				return nil, err
 			}

@@ -118,17 +118,10 @@ func (m *matcher) prop(base Value, key string) (Value, error) {
 	return readProp(base, key, &m.colReads, &m.mapReads)
 }
 
-// snapshot implements scope: the bound variables as a map, values
-// exported for retention beyond the current match.
-func (m *matcher) snapshot() map[string]Value {
-	out := make(map[string]Value, len(m.varNames))
-	for i, n := range m.varNames {
-		if v := m.slots[i]; v != nil {
-			out[n] = exportValue(v)
-		}
-	}
-	return out
-}
+// snapshot implements scope: the bound variables, values exported for
+// retention beyond the current match. It runs at a full match, where
+// every pattern variable is bound.
+func (m *matcher) snapshot() rowScope { return retain(m.varNames, m.slots) }
 
 // flushPropReads moves the matcher's property-read tallies into the
 // registry (nil-safe). Called once per match (or worker), not per read,

@@ -287,15 +287,19 @@ func (ex *Executor) mergeChunk(fd *folder, ch *matchChunk, consumed int, rows *i
 		return errMergeStop
 	}
 	*rows += yields
-	if chErr != nil {
-		yield(nil, chErr)
-		return errMergeStop
-	}
+	// The chunk's partial is merged before its own error surfaces: the
+	// inline schedule fed the rows before that error into the running
+	// groups, so a conflict between them and the earlier partitions
+	// (MIN over an int64 and a string) is the error it met first.
 	if ch.fd != nil {
 		if err := fd.merge(ch.fd); err != nil {
 			yield(nil, err)
 			return errMergeStop
 		}
+	}
+	if chErr != nil {
+		yield(nil, chErr)
+		return errMergeStop
 	}
 	return nil
 }

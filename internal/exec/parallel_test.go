@@ -226,14 +226,25 @@ func TestParallelRowLimitShadowsLaterEvalError(t *testing.T) {
 
 func TestParallelErrorsMatchSequential(t *testing.T) {
 	g, _ := lineage(t)
-	for _, src := range []string{
-		`MATCH (j:Job) RETURN unknown_var`,
-		`MATCH (j:Job) RETURN NOSUCHFUNC(j)`,
-		`MATCH (j:Job) WHERE j.CPU RETURN j`,
+	// At two workers the 64 vertices split into chunks of two: the chunk
+	// of v2 and v3 meets 2.0 against "x" before its partial meets 5.
+	mixed := mixedGraph(t, 64)
+	for _, tc := range []struct {
+		g   *graph.Graph
+		src string
+	}{
+		{g, `MATCH (j:Job) RETURN unknown_var`},
+		{g, `MATCH (j:Job) RETURN NOSUCHFUNC(j)`},
+		{g, `MATCH (j:Job) WHERE j.CPU RETURN j`},
+		{mixed, `MATCH (v:V) RETURN MIN(v.p) AS m`},
 	} {
-		for _, workers := range []int{2, -1} {
-			if _, err := RunParallel(g, src, workers); err == nil {
-				t.Errorf("query %q workers=%d: want error", src, workers)
+		_, want := RunParallel(tc.g, tc.src, 1)
+		if want == nil {
+			t.Fatalf("query %q workers=1: want error", tc.src)
+		}
+		for _, workers := range []int{2, 4, -1} {
+			if _, err := RunParallel(tc.g, tc.src, workers); err == nil || err.Error() != want.Error() {
+				t.Errorf("query %q workers=%d: error %v, want %q (workers=1)", tc.src, workers, err, want)
 			}
 		}
 	}

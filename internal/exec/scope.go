@@ -8,21 +8,21 @@ import (
 
 // scope is the evaluator's view of a variable environment. The matcher
 // implements it directly over its flat var->slot scratch (no
-// map[string]Value per partition), rowScope over one positional row of
-// a SELECT's input, and mapScope over an aggregation group's
-// representative row, the one environment kept as a map. Every scope
-// reads storage through readProp; prop is part of the interface so the
-// matcher can count its reads (column vs map) for the metrics.
+// map[string]Value per partition), and rowScope over one positional
+// row: a SELECT's input row, or an aggregation group's representative
+// row. Every scope reads storage through readProp; prop is part of the
+// interface so the matcher can count its reads (column vs map) for the
+// metrics.
 type scope interface {
 	// lookup resolves a variable, reporting false when unbound.
 	lookup(name string) (Value, bool)
 	// prop reads base.key (see readProp).
 	prop(base Value, key string) (Value, error)
-	// snapshot materializes the bound variables as a map for retention
-	// beyond the current row (aggregation representative rows, buffered
-	// yields). Values escaping live bindings are exported (PathRef edge
-	// slices copied), so the snapshot stays valid after backtracking.
-	snapshot() map[string]Value
+	// snapshot copies the bound variables into a row for retention
+	// beyond the current one (aggregation representative rows). Values
+	// escaping live bindings are exported (PathRef edge slices copied),
+	// so the snapshot stays valid after backtracking.
+	snapshot() rowScope
 }
 
 // rowScope is the scope over one positional row: the input's column
@@ -32,6 +32,16 @@ type scope interface {
 type rowScope struct {
 	cols []string
 	row  Row
+}
+
+// retain is the snapshot of the values vals named by cols, which the
+// snapshot shares: every owner's names are fixed for its lifetime.
+func retain(cols []string, vals []Value) rowScope {
+	row := make(Row, len(vals))
+	for i, v := range vals {
+		row[i] = exportValue(v)
+	}
+	return rowScope{cols: cols, row: row}
 }
 
 func (s *rowScope) lookup(name string) (Value, bool) {
@@ -47,34 +57,7 @@ func (s *rowScope) prop(base Value, key string) (Value, error) {
 	return readProp(base, key, nil, nil)
 }
 
-func (s *rowScope) snapshot() map[string]Value {
-	out := make(map[string]Value, len(s.cols))
-	for i, c := range s.cols {
-		out[c] = exportValue(s.row[i])
-	}
-	return out
-}
-
-// mapScope is the scope over a plain environment map: an aggregation
-// group's representative row.
-type mapScope map[string]Value
-
-func (s mapScope) lookup(name string) (Value, bool) {
-	v, ok := s[name]
-	return v, ok
-}
-
-func (s mapScope) prop(base Value, key string) (Value, error) {
-	return readProp(base, key, nil, nil)
-}
-
-func (s mapScope) snapshot() map[string]Value {
-	out := make(map[string]Value, len(s))
-	for k, v := range s {
-		out[k] = exportValue(v)
-	}
-	return out
-}
+func (s *rowScope) snapshot() rowScope { return retain(s.cols, s.row) }
 
 // readProp reads one property. A vertex property the schema declares
 // has one read path: its typed column in the graph's frozen snapshot

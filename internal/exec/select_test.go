@@ -110,14 +110,14 @@ func keysGraph(t testing.TB) *graph.Graph {
 	return g
 }
 
-// mixedGraph has 128 V vertices, enough for chunks of two at four
-// workers; only v0, v2 and v3 hold p: 5, "x" and 2.0. MIN over p fails
-// at v2 on one worker, while the chunk of v2 and v3 alone fails at v3.
-func mixedGraph(t testing.TB) *graph.Graph {
+// mixedGraph has n V vertices; only v0, v2 and v3 hold p: 5, "x" and
+// 2.0. MIN over p fails at v2 on one worker, while a chunk of v2 and v3
+// alone (n = 128 at four workers, n = 64 at two) fails at v3.
+func mixedGraph(t testing.TB, n int) *graph.Graph {
 	t.Helper()
 	g := graph.NewGraph(graph.MustSchema([]string{"V"}, nil))
 	held := map[int]Value{0: int64(5), 2: "x", 3: 2.0}
-	for i := range 128 {
+	for i := range n {
 		p := graph.Properties{}
 		if v, ok := held[i]; ok {
 			p["p"] = v
@@ -250,6 +250,26 @@ func bufferedSelect(ctx context.Context, ex *Executor, q *gql.SelectQuery) (*Res
 	return out, nil
 }
 
+// mapScope is the map environment the buffered reference reads.
+type mapScope map[string]Value
+
+func (s mapScope) lookup(name string) (Value, bool) {
+	v, ok := s[name]
+	return v, ok
+}
+
+func (s mapScope) prop(base Value, key string) (Value, error) { return readProp(base, key, nil, nil) }
+
+func (s mapScope) snapshot() rowScope {
+	var cols []string
+	var vals []Value
+	for c, v := range s {
+		cols = append(cols, c)
+		vals = append(vals, v)
+	}
+	return retain(cols, vals)
+}
+
 // bufferedOrderRows is orderRows over a map scope per row.
 func bufferedOrderRows(r *Result, order []gql.OrderItem) error {
 	sc := make(mapScope, len(r.Cols))
@@ -373,7 +393,7 @@ var selectTailCases = []struct {
 // the same columns, rows in the same order with the same float bits, and
 // the same error, at one worker and four.
 func TestSelectTailMatchesBufferedReference(t *testing.T) {
-	graphs := map[string]*graph.Graph{"prov": datagenGraphs(t, 3)["prov"], "keys": keysGraph(t), "mixed": mixedGraph(t)}
+	graphs := map[string]*graph.Graph{"prov": datagenGraphs(t, 3)["prov"], "keys": keysGraph(t), "mixed": mixedGraph(t, 128)}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, c := range selectTailCases {

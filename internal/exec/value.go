@@ -113,6 +113,15 @@ func FormatValue(v Value) string {
 	}
 }
 
+// GroupKey returns the GROUP BY identity of the tuple vals: two tuples
+// fall into one group exactly when their keys are equal. It is how code
+// outside the executor matches its own elements to the groups of an
+// aggregate's rows.
+func GroupKey(vals ...Value) (string, error) {
+	b, err := appendGroupKey(nil, vals)
+	return string(b), err
+}
+
 // appendGroupKey appends the GROUP BY identity of vals to dst: per
 // value a kind byte, then its payload — fixed-width little-endian IDs,
 // ints and float bits, and length-prefixed strings and path edge lists —

@@ -80,11 +80,12 @@ func Apply(q gql.Query, v views.View, schema *graph.Schema) (gql.Query, error) {
 // are the smallest filters of their class, since a filter answers q
 // exactly when it keeps every live type. An empty keep or drop set is
 // never proposed, nor is any view for a pattern with a step no schema
-// walk agrees with: that pattern matches nothing.
-func Candidates(q gql.Query, schema *graph.Schema, maxK int) []views.View {
+// walk agrees with: that pattern matches nothing. Beside each view it
+// returns q rewritten over it, Apply's own result.
+func Candidates(q gql.Query, schema *graph.Schema, maxK int) ([]views.View, []gql.Query) {
 	m := gql.InnermostMatch(q)
 	if schema == nil || m == nil {
-		return nil
+		return nil, nil
 	}
 	vertexTypes, edgeTypes := schema.VertexTypes(), schema.EdgeTypes()
 	liveV, liveE := make([]bool, len(vertexTypes)), make([]bool, len(edgeTypes))
@@ -138,10 +139,14 @@ func Candidates(q gql.Query, schema *graph.Schema, maxK int) []views.View {
 	if len(keepE) > 0 {
 		out = append(out, views.EdgeInclusionSummarizer{Types: keepE})
 	}
-	return slices.DeleteFunc(out, func(v views.View) bool {
-		_, err := Apply(q, v, schema)
-		return err != nil
-	})
+	var vs []views.View
+	var rws []gql.Query
+	for _, v := range out {
+		if rw, err := Apply(q, v, schema); err == nil {
+			vs, rws = append(vs, v), append(rws, rw)
+		}
+	}
+	return vs, rws
 }
 
 // keepsLiveTypes is the type filters' rule: q runs unchanged on f's

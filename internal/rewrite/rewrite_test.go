@@ -147,7 +147,8 @@ func resultMap(r *exec.Result) map[string]float64 {
 func TestEnumeratedCandidateRewrites(t *testing.T) {
 	q := gql.MustParse(blastRadius)
 	var conns []views.View
-	for _, v := range Candidates(q, lineageSchema(), 10) {
+	vs, _ := Candidates(q, lineageSchema(), 10)
+	for _, v := range vs {
 		if _, ok := v.(views.KHopConnector); ok {
 			conns = append(conns, v)
 		}

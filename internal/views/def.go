@@ -527,19 +527,22 @@ func labelOr(fn, v string, types []string) string {
 	return strings.Join(parts, " OR ")
 }
 
-// aggTail renders trailing aggregation items in sorted property order.
+// aggTail renders trailing aggregation items in propNames order.
 func aggTail(v string, aggs map[string]AggFunc) string {
-	if len(aggs) == 0 {
-		return ""
+	var b strings.Builder
+	for _, p := range propNames(aggs) {
+		fmt.Fprintf(&b, ", %s(%s.%s)", strings.ToUpper(string(aggs[p])), v, p)
 	}
+	return b.String()
+}
+
+// propNames lists the aggregated properties in sorted order, the order
+// of the aggregate items in a canonical pattern.
+func propNames(aggs map[string]AggFunc) []string {
 	props := make([]string, 0, len(aggs))
 	for p := range aggs {
 		props = append(props, p)
 	}
 	sort.Strings(props)
-	var b strings.Builder
-	for _, p := range props {
-		fmt.Fprintf(&b, ", %s(%s.%s)", strings.ToUpper(string(aggs[p])), v, p)
-	}
-	return b.String()
+	return props
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 
+	"kaskade/internal/exec"
+	"kaskade/internal/gql"
 	"kaskade/internal/graph"
 )
 
@@ -227,77 +229,76 @@ func (s VertexAggregatorSummarizer) Cypher() string {
 
 // Materialize builds the aggregated graph.
 func (s VertexAggregatorSummarizer) Materialize(g *graph.Graph) (*graph.Graph, error) {
+	out, _, err := s.build(g)
+	return out, err
+}
+
+// build materializes the view from the rows of its defining aggregate:
+// vertices of other types pass through, each group becomes one
+// supervertex holding the group value (absent for the null group), its
+// COUNT as "members" and its non-null aggregates, and edges are
+// re-pointed at the supervertices. An edge between two members of one
+// group is contracted; a member's self-loop stays on its supervertex.
+// It also returns each group's supervertex by its exec.GroupKey.
+func (s VertexAggregatorSummarizer) build(g *graph.Graph) (*graph.Graph, map[string]graph.VertexID, error) {
 	if s.VType == "" || s.GroupBy == "" {
-		return nil, fmt.Errorf("views: vertex aggregator needs a vertex type and group-by property")
+		return nil, nil, fmt.Errorf("views: vertex aggregator needs a vertex type and group-by property")
 	}
 	if err := validateTypes(g, s.VType); err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	q, err := definingQuery(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := (&exec.Executor{G: g}).Execute(q)
+	if err != nil {
+		return nil, nil, err
 	}
 	out := graph.NewGraph(nil)
-	remap := make(map[graph.VertexID]graph.VertexID)
-	// Pass through other types.
-	for i := 0; i < g.NumVertices(); i++ {
+	remap := make([]graph.VertexID, g.NumVertices())
+	for i := range remap {
 		v := g.Vertex(graph.VertexID(i))
 		if v.Type == s.VType {
 			continue
 		}
-		nid, err := out.AddVertex(v.Type, v.Props)
-		if err != nil {
-			return nil, err
+		if remap[i], err = out.AddVertex(v.Type, v.Props); err != nil {
+			return nil, nil, err
 		}
-		remap[v.ID] = nid
 	}
-	// Build supervertices per group value, deterministically ordered.
-	groups := make(map[string][]graph.VertexID)
-	var keys []string
+	names := propNames(s.Aggs)
+	supers := make(map[string]graph.VertexID, len(res.Rows))
+	for _, row := range res.Rows {
+		key, err := exec.GroupKey(row[0])
+		if err != nil {
+			return nil, nil, err
+		}
+		props := groupProps(names, row[1:])
+		if row[0] != nil {
+			props[s.GroupBy] = row[0]
+		}
+		if supers[key], err = out.AddVertex(s.VType, props); err != nil {
+			return nil, nil, err
+		}
+	}
 	for _, id := range g.VerticesOfType(s.VType) {
-		key := fmt.Sprintf("%v", g.Vertex(id).Prop(s.GroupBy))
-		if _, ok := groups[key]; !ok {
-			keys = append(keys, key)
-		}
-		groups[key] = append(groups[key], id)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		members := groups[key]
-		props := graph.Properties{s.GroupBy: key, "members": int64(len(members))}
-		for prop, fn := range s.Aggs {
-			var vals []int64
-			for _, id := range members {
-				if v, ok := g.Vertex(id).Prop(prop).(int64); ok {
-					vals = append(vals, v)
-				}
-			}
-			agg, err := aggregateInts(fn, vals)
-			if err != nil {
-				return nil, err
-			}
-			props[prop] = agg
-		}
-		super, err := out.AddVertex(s.VType, props)
+		key, err := exec.GroupKey(g.Vertex(id).Prop(s.GroupBy))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		for _, id := range members {
-			remap[id] = super
-		}
+		remap[id] = supers[key]
 	}
-	// Re-point edges; intra-group self loops are dropped.
-	var err error
-	g.EachEdge(func(e *graph.Edge) {
-		if err != nil {
-			return
-		}
+	for i := range g.NumEdges() {
+		e := g.Edge(graph.EdgeID(i))
 		from, to := remap[e.From], remap[e.To]
-		if from == to && g.Vertex(e.From).Type == s.VType && g.Vertex(e.To).Type == s.VType && e.From != e.To {
-			return // contracted within a group
+		if from == to && e.From != e.To {
+			continue // contracted within a group
 		}
-		_, err = out.AddEdge(from, to, e.Type, e.Props)
-	})
-	if err != nil {
-		return nil, err
+		if _, err := out.AddEdge(from, to, e.Type, e.Props); err != nil {
+			return nil, nil, err
+		}
 	}
-	return out, nil
+	return out, supers, nil
 }
 
 // EdgeAggregatorSummarizer combines parallel edges (same source, target,
@@ -334,54 +335,51 @@ func (s EdgeAggregatorSummarizer) Cypher() string {
 	return p
 }
 
-// Materialize merges parallel edges.
+// Materialize merges parallel edges: every vertex and every edge of
+// another type passes through, and each row of the defining aggregate
+// becomes one superedge holding its COUNT as "members" and its non-null
+// aggregates. Without an EType the aggregate runs once per edge type
+// present, in sorted type order, so parallel edges of different types
+// stay apart.
 func (s EdgeAggregatorSummarizer) Materialize(g *graph.Graph) (*graph.Graph, error) {
+	q, err := definingQuery(s)
+	if err != nil {
+		return nil, err
+	}
+	types := []string{s.EType}
+	if s.EType == "" {
+		f, err := g.FreezeChecked()
+		if err != nil {
+			return nil, err
+		}
+		types = f.EdgeTypes()
+	}
 	out := graph.NewGraph(g.Schema())
 	remap, err := copyVerticesOfTypes(g, out, nil)
 	if err != nil {
 		return nil, err
 	}
-	type key struct {
-		from, to graph.VertexID
-		etype    string
-	}
-	buckets := make(map[key][]*graph.Edge)
-	var order []key
-	var passthrough []*graph.Edge
-	g.EachEdge(func(e *graph.Edge) {
-		if s.EType != "" && e.Type != s.EType {
-			passthrough = append(passthrough, e)
-			return
-		}
-		k := key{from: e.From, to: e.To, etype: e.Type}
-		if _, ok := buckets[k]; !ok {
-			order = append(order, k)
-		}
-		buckets[k] = append(buckets[k], e)
-	})
-	for _, e := range passthrough {
-		if _, err := out.AddEdge(remap[e.From], remap[e.To], e.Type, e.Props); err != nil {
-			return nil, err
-		}
-	}
-	for _, k := range order {
-		group := buckets[k]
-		props := graph.Properties{"members": int64(len(group))}
-		for prop, fn := range s.Aggs {
-			var vals []int64
-			for _, e := range group {
-				if v, ok := e.Prop(prop).(int64); ok {
-					vals = append(vals, v)
+	if s.EType != "" {
+		for i := range g.NumEdges() {
+			if e := g.Edge(graph.EdgeID(i)); e.Type != s.EType {
+				if _, err := out.AddEdge(remap[e.From], remap[e.To], e.Type, e.Props); err != nil {
+					return nil, err
 				}
 			}
-			agg, err := aggregateInts(fn, vals)
-			if err != nil {
+		}
+	}
+	names := propNames(s.Aggs)
+	for _, t := range types {
+		q.Patterns[0].Edges[0].Type = t
+		res, err := (&exec.Executor{G: g}).Execute(q)
+		if err != nil {
+			return nil, err
+		}
+		for _, row := range res.Rows {
+			from, to := row[0].(exec.VertexRef).ID, row[1].(exec.VertexRef).ID
+			if _, err := out.AddEdge(remap[from], remap[to], t, groupProps(names, row[2:])); err != nil {
 				return nil, err
 			}
-			props[prop] = agg
-		}
-		if _, err := out.AddEdge(remap[k.from], remap[k.to], k.etype, props); err != nil {
-			return nil, err
 		}
 	}
 	return out, nil
@@ -420,35 +418,67 @@ func (s SubgraphAggregatorSummarizer) Cypher() string {
 	return p
 }
 
-// Materialize contracts each group subgraph into a supervertex.
+// Materialize contracts each group subgraph into a supervertex: the
+// vertex aggregator's graph, whose supervertices count in
+// "internalEdges" the edges it contracted. Those come from one grouped
+// pass over the edges between distinct members with equal group
+// values; a row whose two values are different groups (int64 1 and
+// float64 1.0 compare equal) is no group's internal mass.
 func (s SubgraphAggregatorSummarizer) Materialize(g *graph.Graph) (*graph.Graph, error) {
-	va := VertexAggregatorSummarizer{VType: s.VType, GroupBy: s.GroupBy, Aggs: s.Aggs}
-	out, err := va.Materialize(g)
+	out, supers, err := VertexAggregatorSummarizer{VType: s.VType, GroupBy: s.GroupBy, Aggs: s.Aggs}.build(g)
 	if err != nil {
 		return nil, err
 	}
-	// Count contracted internal edges per supervertex and annotate.
-	internal := make(map[graph.VertexID]int64)
-	g.EachEdge(func(e *graph.Edge) {
-		if g.Vertex(e.From).Type != s.VType || g.Vertex(e.To).Type != s.VType || e.From == e.To {
-			return
+	q, err := gql.Parse(fmt.Sprintf("MATCH (v:%s)-[e]->(w:%s) WHERE v.%s = w.%s AND v <> w RETURN v.%s, w.%s, COUNT(e)",
+		s.VType, s.VType, s.GroupBy, s.GroupBy, s.GroupBy, s.GroupBy))
+	if err != nil {
+		return nil, err
+	}
+	res, err := (&exec.Executor{G: g}).Execute(q)
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range res.Rows {
+		vkey, err := exec.GroupKey(row[0])
+		if err != nil {
+			return nil, err
 		}
-		kf := fmt.Sprintf("%v", g.Vertex(e.From).Prop(s.GroupBy))
-		kt := fmt.Sprintf("%v", g.Vertex(e.To).Prop(s.GroupBy))
-		if kf == kt {
-			// Find the supervertex by group key.
-			for _, id := range out.VerticesOfType(s.VType) {
-				if fmt.Sprintf("%v", out.Vertex(id).Prop(s.GroupBy)) == kf {
-					internal[id]++
-					break
-				}
-			}
+		wkey, err := exec.GroupKey(row[1])
+		if err != nil {
+			return nil, err
 		}
-	})
-	for id, n := range internal {
-		out.Vertex(id).SetProp("internalEdges", n)
+		if vkey == wkey {
+			out.Vertex(supers[vkey]).SetProp("internalEdges", row[2])
+		}
 	}
 	return out, nil
+}
+
+// definingQuery parses v's defining aggregate and compiles it back,
+// which refuses what CREATE VIEW refuses (an unknown aggregate
+// function).
+func definingQuery(v View) (*gql.MatchQuery, error) {
+	q, err := gql.Parse(v.Cypher())
+	if err != nil {
+		return nil, fmt.Errorf("views: %s: %w", v.Name(), err)
+	}
+	if _, err := CompilePattern(q); err != nil {
+		return nil, err
+	}
+	return q.(*gql.MatchQuery), nil
+}
+
+// groupProps builds a supervertex's or superedge's properties from an
+// aggregate row's values: COUNT as "members", then one value per
+// aggregated property in names order, leaving nulls out.
+func groupProps(names []string, vals []exec.Value) graph.Properties {
+	props := graph.Properties{"members": vals[0]}
+	for i, name := range names {
+		if v := vals[i+1]; v != nil {
+			props[name] = v
+		}
+	}
+	return props
 }
 
 // --- shared helpers ---
@@ -488,51 +518,6 @@ func filterGraph(g *graph.Graph, f TypeFilter) (*graph.Graph, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-func aggregateInts(fn AggFunc, vals []int64) (any, error) {
-	switch fn {
-	case AggCount:
-		return int64(len(vals)), nil
-	case AggSum:
-		var s int64
-		for _, v := range vals {
-			s += v
-		}
-		return s, nil
-	case AggMin:
-		if len(vals) == 0 {
-			return int64(0), nil
-		}
-		m := vals[0]
-		for _, v := range vals[1:] {
-			if v < m {
-				m = v
-			}
-		}
-		return m, nil
-	case AggMax:
-		if len(vals) == 0 {
-			return int64(0), nil
-		}
-		m := vals[0]
-		for _, v := range vals[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		return m, nil
-	case AggAvg:
-		if len(vals) == 0 {
-			return float64(0), nil
-		}
-		var s int64
-		for _, v := range vals {
-			s += v
-		}
-		return float64(s) / float64(len(vals)), nil
-	}
-	return nil, fmt.Errorf("views: unknown aggregate function %q", fn)
 }
 
 func joinSorted(types []string) string {

@@ -1,9 +1,12 @@
 package views
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"kaskade/internal/datagen"
+	"kaskade/internal/exec"
 	"kaskade/internal/graph"
 )
 
@@ -260,99 +263,398 @@ func TestEdgeSummarizers(t *testing.T) {
 	}
 }
 
+// two62 is 2^62: the int64 sum of two overflows, their AVG does not.
+const two62 = int64(1) << 62
+
+// TestVertexAggregatorSummarizer pins each supervertex's properties, in
+// first-seen group order, and checks them against the rows of the
+// view's defining aggregate run by the executor.
 func TestVertexAggregatorSummarizer(t *testing.T) {
-	g := graph.NewGraph(nil)
-	j1 := g.MustAddVertex("Job", graph.Properties{"pipeline": "p1", "CPU": int64(10)})
-	j2 := g.MustAddVertex("Job", graph.Properties{"pipeline": "p1", "CPU": int64(30)})
-	j3 := g.MustAddVertex("Job", graph.Properties{"pipeline": "p2", "CPU": int64(5)})
-	f := g.MustAddVertex("File", nil)
-	g.MustAddEdge(j1, f, "W", nil)
-	g.MustAddEdge(j2, f, "W", nil)
-	g.MustAddEdge(j3, f, "W", nil)
-
-	v, err := VertexAggregatorSummarizer{
-		VType: "Job", GroupBy: "pipeline",
-		Aggs: map[string]AggFunc{"CPU": AggSum},
-	}.Materialize(g)
-	if err != nil {
-		t.Fatal(err)
+	type vertexCase struct {
+		name  string
+		s     VertexAggregatorSummarizer
+		build func(g *graph.Graph)
+		want  []graph.Properties // supervertices in first-seen order
+		wantE int
 	}
-	if v.CountVerticesOfType("Job") != 2 {
-		t.Fatalf("supervertices = %d, want 2", v.CountVerticesOfType("Job"))
+	byG := func(aggs map[string]AggFunc) VertexAggregatorSummarizer {
+		return VertexAggregatorSummarizer{VType: "V", GroupBy: "g", Aggs: aggs}
 	}
-	for _, id := range v.VerticesOfType("Job") {
-		sv := v.Vertex(id)
-		switch sv.Prop("pipeline") {
-		case "p1":
-			if sv.Prop("CPU").(int64) != 40 || sv.Prop("members").(int64) != 2 {
-				t.Errorf("p1 supervertex = %v", sv.Props)
+	for _, tc := range []vertexCase{
+		{
+			name: "pipelines, edges re-pointed",
+			s:    VertexAggregatorSummarizer{VType: "Job", GroupBy: "pipeline", Aggs: map[string]AggFunc{"CPU": AggSum}},
+			build: func(g *graph.Graph) {
+				j1 := g.MustAddVertex("Job", graph.Properties{"pipeline": "p1", "CPU": int64(10)})
+				j2 := g.MustAddVertex("Job", graph.Properties{"pipeline": "p1", "CPU": int64(30)})
+				j3 := g.MustAddVertex("Job", graph.Properties{"pipeline": "p2", "CPU": int64(5)})
+				f := g.MustAddVertex("File", nil)
+				g.MustAddEdge(j1, f, "W", nil)
+				g.MustAddEdge(j2, f, "W", nil)
+				g.MustAddEdge(j3, f, "W", nil)
+			},
+			want: []graph.Properties{
+				{"pipeline": "p1", "members": int64(2), "CPU": int64(40)},
+				{"pipeline": "p2", "members": int64(1), "CPU": int64(5)},
+			},
+			wantE: 3, // the p1 supervertex keeps two parallel edges to f
+		},
+		{
+			name: "int64 1 and string 1 are two groups",
+			s:    byG(map[string]AggFunc{"x": AggSum}),
+			build: func(g *graph.Graph) {
+				g.MustAddVertex("V", graph.Properties{"g": "1", "x": int64(20)})
+				g.MustAddVertex("V", graph.Properties{"g": int64(1), "x": int64(10)})
+			},
+			want: []graph.Properties{
+				{"g": "1", "members": int64(1), "x": int64(20)},
+				{"g": int64(1), "members": int64(1), "x": int64(10)},
+			},
+		},
+		{
+			name: "a float value is summed",
+			s:    byG(map[string]AggFunc{"x": AggSum, "y": AggMax}),
+			build: func(g *graph.Graph) {
+				g.MustAddVertex("V", graph.Properties{"g": "a", "x": int64(2), "y": int64(1)})
+				g.MustAddVertex("V", graph.Properties{"g": "a", "x": 2.5, "y": 2.5})
+			},
+			want: []graph.Properties{{"g": "a", "members": int64(2), "x": 4.5, "y": 2.5}},
+		},
+		{
+			name: "empty MIN and AVG are absent",
+			s:    byG(map[string]AggFunc{"x": AggMin, "y": AggAvg}),
+			build: func(g *graph.Graph) {
+				g.MustAddVertex("V", graph.Properties{"g": "a"})
+			},
+			want: []graph.Properties{{"g": "a", "members": int64(1)}},
+		},
+		{
+			name: "AVG of two 2^62 does not wrap",
+			s:    byG(map[string]AggFunc{"x": AggAvg}),
+			build: func(g *graph.Graph) {
+				g.MustAddVertex("V", graph.Properties{"g": "a", "x": two62})
+				g.MustAddVertex("V", graph.Properties{"g": "a", "x": two62})
+			},
+			want: []graph.Properties{{"g": "a", "members": int64(2), "x": float64(two62)}},
+		},
+		{
+			name: "no group value forms the null group",
+			s:    byG(map[string]AggFunc{"x": AggCount}),
+			build: func(g *graph.Graph) {
+				a := g.MustAddVertex("V", graph.Properties{"x": int64(1)})
+				b := g.MustAddVertex("V", nil)
+				g.MustAddVertex("V", graph.Properties{"g": "a"})
+				g.MustAddEdge(a, b, "E", nil) // contracted
+			},
+			want: []graph.Properties{
+				{"members": int64(2), "x": int64(1)},
+				{"g": "a", "members": int64(1), "x": int64(0)},
+			},
+		},
+		{
+			name: "a self-loop stays on its supervertex",
+			s:    byG(nil),
+			build: func(g *graph.Graph) {
+				a := g.MustAddVertex("V", graph.Properties{"g": int64(7)})
+				b := g.MustAddVertex("V", graph.Properties{"g": int64(7)})
+				g.MustAddEdge(a, a, "E", nil)
+				g.MustAddEdge(a, b, "E", nil) // contracted
+			},
+			want:  []graph.Properties{{"g": int64(7), "members": int64(2)}},
+			wantE: 1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.NewGraph(nil)
+			tc.build(g)
+			v, err := tc.s.Materialize(g)
+			if err != nil {
+				t.Fatal(err)
 			}
-		case "p2":
-			if sv.Prop("CPU").(int64) != 5 {
-				t.Errorf("p2 supervertex = %v", sv.Props)
+			checkSupervertices(t, g, v, tc.s, tc.want)
+			if v.NumEdges() != tc.wantE {
+				t.Errorf("|E| = %d, want %d", v.NumEdges(), tc.wantE)
 			}
-		}
-	}
-	// Edges re-pointed: p1 supervertex has 2 parallel edges to f.
-	if v.NumEdges() != 3 {
-		t.Errorf("|E| = %d, want 3", v.NumEdges())
+		})
 	}
 }
 
+// checkSupervertices compares the supervertices of view, in order, with
+// want, and each with the row of s's defining aggregate over base whose
+// group key it holds: the group value, COUNT as members and every
+// aggregate, a null one absent. A subgraph aggregator's supervertices
+// check against its vertex aggregate.
+func checkSupervertices(t *testing.T, base, view *graph.Graph, s VertexAggregatorSummarizer, want []graph.Properties) {
+	t.Helper()
+	svs := view.VerticesOfType(s.VType)
+	for i, id := range svs {
+		if props := view.Vertex(id).Props; i >= len(want) || !reflect.DeepEqual(props, want[i]) {
+			t.Errorf("supervertex %d = %v, want %v", i, props, want)
+		}
+	}
+	if len(svs) != len(want) {
+		t.Errorf("%d supervertices, want %d", len(svs), len(want))
+	}
+	groups := make([]viewGroup, len(svs))
+	for i, id := range svs {
+		sv := view.Vertex(id)
+		groups[i] = viewGroup{key: []exec.Value{sv.Prop(s.GroupBy)}, prop: sv.Prop}
+	}
+	checkGroups(t, base, s.Cypher(), groups, append([]string{s.GroupBy, "members"}, propNames(s.Aggs)...))
+}
+
+// viewGroup is a supervertex or superedge: the values of its group key
+// and its property reader.
+type viewGroup struct {
+	key  []exec.Value
+	prop func(string) any
+}
+
+// checkGroups runs src over base and matches each group the view built
+// to the result row with the same exec.GroupKey over the row's first
+// len(key) values. The row's last len(cols) values must be the group's
+// properties cols, a null value an absent property, and every row must
+// be matched once.
+func checkGroups(t *testing.T, base *graph.Graph, src string, groups []viewGroup, cols []string) {
+	t.Helper()
+	res, err := exec.Run(base, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != len(groups) {
+		t.Errorf("%s: %d groups, view has %d", src, len(res.Rows), len(groups))
+	}
+	rows := make(map[string]exec.Row, len(res.Rows))
+	for _, row := range res.Rows {
+		if len(groups) == 0 {
+			break
+		}
+		key, err := exec.GroupKey(row[:len(groups[0].key)]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[key] = row
+	}
+	for _, grp := range groups {
+		key, err := exec.GroupKey(grp.key...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row, ok := rows[key]
+		if !ok {
+			t.Errorf("%s: no row for group %v", src, grp.key)
+			continue
+		}
+		delete(rows, key)
+		for i, col := range cols {
+			if got, want := grp.prop(col), row[len(row)-len(cols)+i]; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: group %v %s = %v, want %v", src, grp.key, col, got, want)
+			}
+		}
+	}
+}
+
+// superedge is an expected superedge: endpoints by base vertex ID.
+type superedge struct {
+	from, to graph.VertexID
+	typ      string
+	props    graph.Properties
+}
+
+// TestEdgeAggregatorSummarizer pins each superedge, in view order, and
+// checks it against the rows of the view's defining aggregate (grouped
+// by TYPE(e) too when the view aggregates every type) over the base
+// graph.
 func TestEdgeAggregatorSummarizer(t *testing.T) {
-	g := graph.NewGraph(nil)
-	a := g.MustAddVertex("V", nil)
-	b := g.MustAddVertex("V", nil)
-	g.MustAddEdge(a, b, "E", graph.Properties{"w": int64(1)})
-	g.MustAddEdge(a, b, "E", graph.Properties{"w": int64(2)})
-	g.MustAddEdge(b, a, "E", graph.Properties{"w": int64(5)})
-	g.MustAddEdge(a, b, "X", nil)
-
-	v, err := EdgeAggregatorSummarizer{EType: "E", Aggs: map[string]AggFunc{"w": AggSum}}.Materialize(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a->b E merged (w=3), b->a E kept (w=5), a->b X passes through.
-	if v.NumEdges() != 3 {
-		t.Fatalf("|E| = %d, want 3", v.NumEdges())
-	}
-	var merged *graph.Edge
-	v.EachEdge(func(e *graph.Edge) {
-		if e.Type == "E" && e.From == 0 {
-			merged = e
-		}
-	})
-	if merged == nil || merged.Prop("w").(int64) != 3 || merged.Prop("members").(int64) != 2 {
-		t.Errorf("merged edge = %v", merged)
+	for _, tc := range []struct {
+		name  string
+		s     EdgeAggregatorSummarizer
+		build func(g *graph.Graph, a, b graph.VertexID)
+		want  []superedge // the superedges, in view edge order
+		wantE int
+	}{
+		{
+			name: "parallel E edges merge, others pass through",
+			s:    EdgeAggregatorSummarizer{EType: "E", Aggs: map[string]AggFunc{"w": AggSum}},
+			build: func(g *graph.Graph, a, b graph.VertexID) {
+				g.MustAddEdge(a, b, "E", graph.Properties{"w": int64(1)})
+				g.MustAddEdge(a, b, "E", graph.Properties{"w": int64(2)})
+				g.MustAddEdge(b, a, "E", graph.Properties{"w": int64(5)})
+				g.MustAddEdge(a, b, "X", nil)
+			},
+			want: []superedge{
+				{0, 1, "E", graph.Properties{"members": int64(2), "w": int64(3)}},
+				{1, 0, "E", graph.Properties{"members": int64(1), "w": int64(5)}},
+			},
+			wantE: 3,
+		},
+		{
+			name: "a float value is summed",
+			s:    EdgeAggregatorSummarizer{EType: "E", Aggs: map[string]AggFunc{"w": AggSum}},
+			build: func(g *graph.Graph, a, b graph.VertexID) {
+				g.MustAddEdge(a, b, "E", graph.Properties{"w": int64(1)})
+				g.MustAddEdge(a, b, "E", graph.Properties{"w": 2.5})
+			},
+			want:  []superedge{{0, 1, "E", graph.Properties{"members": int64(2), "w": 3.5}}},
+			wantE: 1,
+		},
+		{
+			name: "no value, empty MIN and AVG are absent",
+			s:    EdgeAggregatorSummarizer{EType: "E", Aggs: map[string]AggFunc{"w": AggMin, "x": AggAvg, "y": AggSum}},
+			build: func(g *graph.Graph, a, b graph.VertexID) {
+				g.MustAddEdge(a, b, "E", nil)
+			},
+			want:  []superedge{{0, 1, "E", graph.Properties{"members": int64(1)}}},
+			wantE: 1,
+		},
+		{
+			name: "AVG of two 2^62 does not wrap",
+			s:    EdgeAggregatorSummarizer{EType: "E", Aggs: map[string]AggFunc{"w": AggAvg}},
+			build: func(g *graph.Graph, a, b graph.VertexID) {
+				g.MustAddEdge(a, b, "E", graph.Properties{"w": two62})
+				g.MustAddEdge(a, b, "E", graph.Properties{"w": two62})
+			},
+			want:  []superedge{{0, 1, "E", graph.Properties{"members": int64(2), "w": float64(two62)}}},
+			wantE: 1,
+		},
+		{
+			name: "self-loops merge",
+			s:    EdgeAggregatorSummarizer{EType: "E", Aggs: map[string]AggFunc{"w": AggMax}},
+			build: func(g *graph.Graph, a, b graph.VertexID) {
+				g.MustAddEdge(a, a, "E", graph.Properties{"w": int64(1)})
+				g.MustAddEdge(a, a, "E", graph.Properties{"w": 2.5})
+			},
+			want:  []superedge{{0, 0, "E", graph.Properties{"members": int64(2), "w": 2.5}}},
+			wantE: 1,
+		},
+		{
+			name: "parallel edges of two types stay apart under any type",
+			s:    EdgeAggregatorSummarizer{Aggs: map[string]AggFunc{"w": AggMax}},
+			build: func(g *graph.Graph, a, b graph.VertexID) {
+				g.MustAddEdge(a, b, "X", graph.Properties{"w": int64(2)})
+				g.MustAddEdge(a, b, "E", graph.Properties{"w": int64(1)})
+				g.MustAddEdge(b, a, "E", nil)
+				g.MustAddEdge(a, b, "E", graph.Properties{"w": int64(3)})
+			},
+			want: []superedge{
+				{0, 1, "E", graph.Properties{"members": int64(2), "w": int64(3)}},
+				{1, 0, "E", graph.Properties{"members": int64(1)}},
+				{0, 1, "X", graph.Properties{"members": int64(1), "w": int64(2)}},
+			},
+			wantE: 3,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.NewGraph(nil)
+			a, b := g.MustAddVertex("V", nil), g.MustAddVertex("V", nil)
+			tc.build(g, a, b)
+			v, err := tc.s.Materialize(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.NumEdges() != tc.wantE {
+				t.Errorf("|E| = %d, want %d", v.NumEdges(), tc.wantE)
+			}
+			var got []superedge
+			var groups []viewGroup
+			v.EachEdge(func(e *graph.Edge) {
+				if tc.s.EType == "" || e.Type == tc.s.EType {
+					got = append(got, superedge{e.From, e.To, e.Type, e.Props})
+					// The view keeps every vertex at its base ID.
+					groups = append(groups, viewGroup{key: []exec.Value{int64(e.From), int64(e.To), e.Type}, prop: e.Prop})
+				}
+			})
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("superedges = %v, want %v", got, tc.want)
+			}
+			src := fmt.Sprintf("MATCH (x)-[e%s]->(y) RETURN ID(x), ID(y), TYPE(e), COUNT(e)%s", colonType(tc.s.EType), aggTail("e", tc.s.Aggs))
+			checkGroups(t, g, src, groups, append([]string{"members"}, propNames(tc.s.Aggs)...))
+		})
 	}
 }
 
+// TestSubgraphAggregatorSummarizer pins each supervertex, internal edge
+// count included, and checks the rest against the vertex aggregate over
+// the base graph.
 func TestSubgraphAggregatorSummarizer(t *testing.T) {
-	g := graph.NewGraph(nil)
-	a := g.MustAddVertex("V", graph.Properties{"c": "x"})
-	b := g.MustAddVertex("V", graph.Properties{"c": "x"})
-	c := g.MustAddVertex("V", graph.Properties{"c": "y"})
-	g.MustAddEdge(a, b, "E", nil) // internal to group x
-	g.MustAddEdge(b, c, "E", nil) // cross-group
-
-	v, err := SubgraphAggregatorSummarizer{VType: "V", GroupBy: "c"}.Materialize(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.NumVertices() != 2 {
-		t.Fatalf("|V| = %d, want 2", v.NumVertices())
-	}
-	var xSuper *graph.Vertex
-	for _, id := range v.VerticesOfType("V") {
-		if v.Vertex(id).Prop("c") == "x" {
-			xSuper = v.Vertex(id)
-		}
-	}
-	if xSuper == nil || xSuper.Prop("internalEdges").(int64) != 1 {
-		t.Errorf("x supervertex = %v", xSuper)
-	}
-	if v.NumEdges() != 1 {
-		t.Errorf("|E| = %d, want 1 (cross-group only)", v.NumEdges())
+	for _, tc := range []struct {
+		name  string
+		aggs  map[string]AggFunc
+		build func(g *graph.Graph)
+		want  []graph.Properties // supervertices in first-seen order
+		wantE int
+	}{
+		{
+			name: "one internal edge, one cross-group edge",
+			build: func(g *graph.Graph) {
+				a := g.MustAddVertex("V", graph.Properties{"c": "x"})
+				b := g.MustAddVertex("V", graph.Properties{"c": "x"})
+				c := g.MustAddVertex("V", graph.Properties{"c": "y"})
+				g.MustAddEdge(a, b, "E", nil)
+				g.MustAddEdge(b, c, "E", nil)
+			},
+			want: []graph.Properties{
+				{"c": "x", "members": int64(2), "internalEdges": int64(1)},
+				{"c": "y", "members": int64(1)},
+			},
+			wantE: 1,
+		},
+		{
+			name: "int64 1, string 1 and float 1.0 are three groups",
+			aggs: map[string]AggFunc{"p": AggAvg},
+			build: func(g *graph.Graph) {
+				a := g.MustAddVertex("V", graph.Properties{"c": int64(1), "p": two62})
+				b := g.MustAddVertex("V", graph.Properties{"c": int64(1), "p": two62})
+				c := g.MustAddVertex("V", graph.Properties{"c": "1"})
+				d := g.MustAddVertex("V", graph.Properties{"c": "1"})
+				e := g.MustAddVertex("V", graph.Properties{"c": 1.0, "p": 2.5})
+				g.MustAddEdge(a, b, "E", nil)
+				g.MustAddEdge(c, d, "E", nil)
+				g.MustAddEdge(d, c, "E", nil)
+				g.MustAddEdge(b, e, "E", nil) // equal values, two groups
+			},
+			want: []graph.Properties{
+				{"c": int64(1), "members": int64(2), "p": float64(two62), "internalEdges": int64(1)},
+				{"c": "1", "members": int64(2), "internalEdges": int64(2)},
+				{"c": 1.0, "members": int64(1), "p": 2.5},
+			},
+			wantE: 1,
+		},
+		{
+			name: "a self-loop is not internal mass",
+			build: func(g *graph.Graph) {
+				a := g.MustAddVertex("V", graph.Properties{"c": int64(3)})
+				b := g.MustAddVertex("V", graph.Properties{"c": int64(3)})
+				g.MustAddEdge(a, a, "E", nil)
+				g.MustAddEdge(a, b, "E", nil)
+			},
+			want:  []graph.Properties{{"c": int64(3), "members": int64(2), "internalEdges": int64(1)}},
+			wantE: 1,
+		},
+		{
+			name: "no group value forms the null group",
+			aggs: map[string]AggFunc{"p": AggMin},
+			build: func(g *graph.Graph) {
+				a := g.MustAddVertex("V", nil)
+				b := g.MustAddVertex("V", nil)
+				g.MustAddEdge(a, b, "E", nil)
+			},
+			want: []graph.Properties{{"members": int64(2), "internalEdges": int64(1)}},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.NewGraph(nil)
+			tc.build(g)
+			s := SubgraphAggregatorSummarizer{VType: "V", GroupBy: "c", Aggs: tc.aggs}
+			v, err := s.Materialize(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSupervertices(t, g, v, VertexAggregatorSummarizer{VType: "V", GroupBy: "c", Aggs: tc.aggs}, tc.want)
+			if v.NumEdges() != tc.wantE {
+				t.Errorf("|E| = %d, want %d", v.NumEdges(), tc.wantE)
+			}
+		})
 	}
 }
 
@@ -367,7 +669,8 @@ func TestSummarizerValidation(t *testing.T) {
 	if _, err := (VertexAggregatorSummarizer{}).Materialize(g); err == nil {
 		t.Error("empty aggregator accepted")
 	}
-	if _, err := aggregateInts("median", nil); err == nil {
+	median := VertexAggregatorSummarizer{VType: "Job", GroupBy: "name", Aggs: map[string]AggFunc{"CPU": "median"}}
+	if _, err := Materialize(median, g, 1); err == nil {
 		t.Error("unknown agg function accepted")
 	}
 }

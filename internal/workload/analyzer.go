@@ -17,7 +17,6 @@ import (
 	"kaskade/internal/gql"
 	"kaskade/internal/graph"
 	"kaskade/internal/knapsack"
-	"kaskade/internal/rewrite"
 	"kaskade/internal/stats"
 	"kaskade/internal/views"
 )
@@ -102,9 +101,9 @@ func (a *Analyzer) AnalyzeWeighted(g *graph.Graph, queries []gql.Query, weights 
 			weight = weights[qi]
 		}
 		for _, cand := range res.Candidates {
-			ev, rewritten, err := a.evaluate(g, props, cand, q, baseCost)
-			if err != nil || ev == nil {
-				continue // inapplicable candidate for this query
+			ev, err := a.evaluate(g, props, cand, baseCost)
+			if err != nil {
+				return nil, err
 			}
 			key := cand.View.Name()
 			existing, ok := merged[key]
@@ -119,9 +118,7 @@ func (a *Analyzer) AnalyzeWeighted(g *graph.Graph, queries []gql.Query, weights 
 				order = append(order, key)
 			}
 			existing.Improvement += weight * ev.Improvement
-			if rewritten != nil {
-				existing.Rewrites[qi] = rewritten
-			}
+			existing.Rewrites[qi] = cand.Rewritten
 		}
 	}
 
@@ -147,34 +144,30 @@ func (a *Analyzer) AnalyzeWeighted(g *graph.Graph, queries []gql.Query, weights 
 	return sel, nil
 }
 
-// evaluate prices one candidate for one query: estimated size, creation
-// cost, and the per-query improvement factor. It returns nil when the
-// candidate does not apply to the query (rewrite.Apply has no rule for
-// it or refuses it).
-func (a *Analyzer) evaluate(g *graph.Graph, props *cost.GraphProperties, cand enum.Candidate, q gql.Query, baseCost float64) (*Evaluated, gql.Query, error) {
-	rw, err := rewrite.Apply(q, cand.View, a.schema)
-	if err != nil {
-		return nil, nil, nil
-	}
+// evaluate prices one candidate for the query it was enumerated for:
+// estimated size, creation cost, and the improvement factor of the
+// candidate's rewritten query over the base query's cost.
+func (a *Analyzer) evaluate(g *graph.Graph, props *cost.GraphProperties, cand enum.Candidate, baseCost float64) (*Evaluated, error) {
 	var est float64
 	var vprops *cost.GraphProperties
 	switch v := cand.View.(type) {
 	case views.KHopConnector:
+		var err error
 		if est, err = cost.EstimateKHopPaths(props, a.schema, v.K, cost.DefaultAlpha); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if vprops, err = estimatedConnectorProps(props, v); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	case views.TypeFilter:
 		nv, ne := summarizerSize(g, v)
 		est, vprops = float64(ne), estimatedSummarizerProps(props, v, nv, ne)
 	default:
-		return nil, nil, fmt.Errorf("workload: no size estimate for %s", v.Name())
+		return nil, fmt.Errorf("workload: no size estimate for %s", v.Name())
 	}
-	rwCost, err := cost.EvalCost(rw, vprops, nil, cost.DefaultAlpha)
+	rwCost, err := cost.EvalCost(cand.Rewritten, vprops, nil, cost.DefaultAlpha)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	improvement := 0.0
 	if rwCost > 0 {
@@ -184,7 +177,7 @@ func (a *Analyzer) evaluate(g *graph.Graph, props *cost.GraphProperties, cand en
 		EstimatedEdges: est,
 		CreationCost:   cost.CreationCost(est),
 		Improvement:    improvement,
-	}, rw, nil
+	}, nil
 }
 
 // estimatedConnectorProps builds the predicted graph properties of a

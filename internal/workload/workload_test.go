@@ -1,12 +1,14 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"kaskade/internal/datagen"
 	"kaskade/internal/exec"
 	"kaskade/internal/gql"
 	"kaskade/internal/graph"
+	"kaskade/internal/rewrite"
 	"kaskade/internal/views"
 )
 
@@ -39,7 +41,8 @@ func filteredProv(t testing.TB) *graph.Graph {
 func TestAnalyzeSelectsJobConnector(t *testing.T) {
 	g := filteredProv(t)
 	a := NewAnalyzer(g.Schema())
-	sel, err := a.Analyze(g, []gql.Query{gql.MustParse(blastRadius)}, 1_000_000)
+	q := gql.MustParse(blastRadius)
+	sel, err := a.Analyze(g, []gql.Query{q}, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,6 +60,15 @@ func TestAnalyzeSelectsJobConnector(t *testing.T) {
 			}
 			if len(ev.Rewrites) != 1 {
 				t.Errorf("rewrites saved = %d, want 1", len(ev.Rewrites))
+			}
+			// Selection prices the rewrite enumeration proved; it is
+			// Apply's.
+			want, err := rewrite.Apply(q, ev.Candidate.View, g.Schema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ev.Rewrites[0], want) {
+				t.Errorf("saved rewrite = %v, want Apply's %v", ev.Rewrites[0], want)
 			}
 		}
 	}
