@@ -230,6 +230,7 @@ func (t *Traversal) PathLengthsContext(ctx context.Context, src graph.VertexID, 
 		t.buf = touched[:0]
 		t.queue = t.queue[:0]
 	}()
+	ts := t.f.Graph().EdgeProperty(prop) // resolved once, indexed per edge
 	queue := append(t.queue[:0], plItem{v: src, agg: 0, hops: 0})
 	t.seen.Add(int(src))
 	t.best[src] = 0
@@ -243,13 +244,13 @@ func (t *Traversal) PathLengthsContext(ctx context.Context, src graph.VertexID, 
 				t.queue = queue[:0]
 				return nil, err
 			}
-			ts, ok := t.f.Edge(eid).Prop(prop).(int64)
+			x, ok := ts.Int(eid)
 			if !ok {
 				continue // missing/non-int64 property: edge not traversable
 			}
 			agg := cur.agg
-			if ts > agg {
-				agg = ts
+			if x > agg {
+				agg = x
 			}
 			to := t.f.To(eid)
 			if t.seen.Has(int(to)) && agg >= t.best[to] {

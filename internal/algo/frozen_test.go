@@ -71,7 +71,7 @@ func pathLengthsRef(g *graph.Graph, src graph.VertexID, k int, prop string) map[
 		}
 		for _, eid := range g.Out(cur.v) {
 			e := g.Edge(eid)
-			ts, ok := e.Prop(prop).(int64)
+			ts, ok := g.EdgeProp(eid, prop).(int64)
 			if !ok {
 				continue
 			}

@@ -33,24 +33,34 @@ const (
 type pendingEdge struct {
 	from, to graph.VertexID
 	etype    string
-	props    graph.Properties
 }
 
 // addShuffled shuffles pending edges deterministically and adds them to g
-// with increasing timestamps.
+// with increasing timestamps. Every schema here declares `ts` on every
+// edge type, so AddEdge stores it in the graph's int64 edge column and
+// keeps no map: one scratch map carries it for every edge.
 func addShuffled(g *graph.Graph, edges []pendingEdge, rng *rand.Rand) error {
 	perm := rng.Perm(len(edges))
+	ts := graph.Properties{}
 	for i, pi := range perm {
 		e := edges[pi]
-		if e.props == nil {
-			e.props = graph.Properties{}
-		}
-		e.props["ts"] = int64(i)
-		if _, err := g.AddEdge(e.from, e.to, e.etype, e.props); err != nil {
+		ts["ts"] = int64(i)
+		if _, err := g.AddEdge(e.from, e.to, e.etype, ts); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// declareEdgeTS declares the int64 `ts` addShuffled stamps on every
+// edge type of s.
+func declareEdgeTS(s *graph.Schema) *graph.Schema {
+	for _, et := range s.EdgeTypes() {
+		if err := s.DeclareProperty(et.Name, "ts", graph.PropInt); err != nil {
+			panic(err)
+		}
+	}
+	return s
 }
 
 // zipfDegree samples a power-law degree in [1, max] with the given
@@ -128,7 +138,7 @@ func ProvSchema() *graph.Schema {
 			panic(err)
 		}
 	}
-	return s
+	return declareEdgeTS(s)
 }
 
 // Prov generates the raw provenance graph.
@@ -229,14 +239,14 @@ func DefaultDBLPConfig() DBLPConfig {
 // author-to-author co-authorship 2-hop connectors exist, like GraphDBLP),
 // and papers appear in venues.
 func DBLPSchema() *graph.Schema {
-	return graph.MustSchema(
+	return declareEdgeTS(graph.MustSchema(
 		[]string{"Author", "Paper", "Venue"},
 		[]graph.EdgeType{
 			{From: "Author", To: "Paper", Name: "AUTHORED"},
 			{From: "Paper", To: "Author", Name: "AUTHORED_BY"},
 			{From: "Paper", To: "Venue", Name: "PUBLISHED_IN"},
 		},
-	)
+	))
 }
 
 // DBLP generates the publication network. Author participation follows a
@@ -319,10 +329,10 @@ func DefaultRoadNetConfig() RoadNetConfig {
 
 // RoadNetSchema: a homogeneous graph with one vertex and one edge type.
 func RoadNetSchema() *graph.Schema {
-	return graph.MustSchema(
+	return declareEdgeTS(graph.MustSchema(
 		[]string{"Intersection"},
 		[]graph.EdgeType{{From: "Intersection", To: "Intersection", Name: "ROAD"}},
-	)
+	))
 }
 
 // RoadNet generates a directed grid road network: neighbors are
@@ -382,10 +392,10 @@ func DefaultSocialConfig() SocialConfig {
 
 // SocialSchema: a homogeneous graph with one vertex and one edge type.
 func SocialSchema() *graph.Schema {
-	return graph.MustSchema(
+	return declareEdgeTS(graph.MustSchema(
 		[]string{"User"},
 		[]graph.EdgeType{{From: "User", To: "User", Name: "FOLLOWS"}},
-	)
+	))
 }
 
 // SocialNetwork generates a directed Chung-Lu graph: endpoints are drawn
@@ -467,7 +477,7 @@ func SocialNetwork(cfg SocialConfig) (*graph.Graph, error) {
 // Prefix builds the subgraph induced by the first n edges of g (by edge
 // ID, which is the deterministic shuffled emission order). Only vertices
 // incident to those edges are kept. Vertex properties are shared with the
-// original graph.
+// original graph; edge properties are copied column to column.
 func Prefix(g *graph.Graph, n int) (*graph.Graph, error) {
 	if n > g.NumEdges() {
 		n = g.NumEdges()
@@ -487,7 +497,8 @@ func Prefix(g *graph.Graph, n int) (*graph.Graph, error) {
 		return nv, nil
 	}
 	for i := 0; i < n; i++ {
-		e := g.Edge(graph.EdgeID(i))
+		eid := graph.EdgeID(i)
+		e := g.Edge(eid)
 		from, err := mapv(e.From)
 		if err != nil {
 			return nil, err
@@ -496,7 +507,7 @@ func Prefix(g *graph.Graph, n int) (*graph.Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := sub.AddEdge(from, to, e.Type, e.Props); err != nil {
+		if _, err := sub.AddEdgeFrom(g, eid, from, to); err != nil {
 			return nil, err
 		}
 	}

@@ -169,7 +169,7 @@ func TestPrefix(t *testing.T) {
 		t.Errorf("clamped prefix |E|=%d, want %d", all.NumEdges(), g.NumEdges())
 	}
 	// Edge timestamps preserved.
-	if sub.Edge(0).Prop("ts") == nil {
+	if sub.EdgeProp(0, "ts") != g.EdgeProp(0, "ts") || sub.EdgeProp(0, "ts") == nil {
 		t.Error("prefix lost edge properties")
 	}
 }

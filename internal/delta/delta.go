@@ -71,9 +71,10 @@ func EdgeDeltas(g *graph.Graph, eid graph.EdgeID, cfg Config) map[int][]Edge {
 	if maxK == 0 || !allow(e.Type) {
 		return out
 	}
-	prefixes := collect(g, e.From, true, maxK-1, eid, allow)
-	suffixes := collect(g, e.To, false, maxK-1, eid, allow)
-	baseTS := tsOf(e)
+	ts := g.EdgeProperty("ts")
+	prefixes := collect(g, ts, e.From, true, maxK-1, eid, allow)
+	suffixes := collect(g, ts, e.To, false, maxK-1, eid, allow)
+	baseTS := tsOf(ts, eid)
 	for _, k := range cfg.Ks {
 		for i := 0; i <= k-1; i++ {
 			for _, p := range prefixes[i] {
@@ -109,7 +110,7 @@ func EdgeDeltas(g *graph.Graph, eid graph.EdgeID, cfg Config) map[int][]Edge {
 // one depth is exactly the order a depth-limited DFS emits its leaves,
 // which is what makes the assembled per-k deltas match the historical
 // nested walk.
-func collect(g *graph.Graph, start graph.VertexID, back bool, maxLen int, skip graph.EdgeID, allow func(string) bool) [][]path {
+func collect(g *graph.Graph, ts graph.EdgeProperty, start graph.VertexID, back bool, maxLen int, skip graph.EdgeID, allow func(string) bool) [][]path {
 	byLen := make([][]path, maxLen+1)
 	byLen[0] = []path{{end: start}}
 	if maxLen == 0 {
@@ -117,8 +118,8 @@ func collect(g *graph.Graph, start graph.VertexID, back bool, maxLen int, skip g
 	}
 	used := map[graph.EdgeID]bool{skip: true}
 	stack := make([]graph.EdgeID, 0, maxLen)
-	var walk func(at graph.VertexID, ts int64)
-	walk = func(at graph.VertexID, ts int64) {
+	var walk func(at graph.VertexID, atTS int64)
+	walk = func(at graph.VertexID, atTS int64) {
 		if len(stack) == maxLen {
 			return
 		}
@@ -134,9 +135,9 @@ func collect(g *graph.Graph, start graph.VertexID, back bool, maxLen int, skip g
 			if !allow(e.Type) {
 				continue
 			}
-			nts := tsOf(e)
+			nts := tsOf(ts, eid)
 			if len(stack) > 0 {
-				nts = maxInt64(nts, ts)
+				nts = maxInt64(nts, atTS)
 			}
 			used[eid] = true
 			stack = append(stack, eid)
@@ -183,12 +184,11 @@ func typeFilter(types []string) func(string) bool {
 }
 
 // tsOf reads an edge's int64 "ts" property (0 when absent), the
-// timestamp connectors aggregate during contraction.
-func tsOf(e *graph.Edge) int64 {
-	if v, ok := e.Prop("ts").(int64); ok {
-		return v
-	}
-	return 0
+// timestamp connectors aggregate during contraction, from the handle
+// EdgeDeltas resolves once per call.
+func tsOf(ts graph.EdgeProperty, e graph.EdgeID) int64 {
+	v, _ := ts.Int(e)
+	return v
 }
 
 func maxInt64(a, b int64) int64 {

@@ -60,10 +60,11 @@ func declaredLineage(t testing.TB) *graph.Graph {
 	return g
 }
 
-// undeclaredTwin copies g — same vertices, edges, IDs and property bags
-// — into a graph with no schema, so no property is declared, no column
-// is built and the executor reads every property from the vertex maps.
-// It is the map reference the columnar suites compare against.
+// undeclaredTwin copies g — same vertices, edges, IDs and properties —
+// into a graph with no schema, so no property is declared, no column is
+// built and the executor reads every vertex and edge property from its
+// record's map (each edge's columns merged into one, by EdgeProps). It
+// is the map reference the columnar suites compare against.
 func undeclaredTwin(g *graph.Graph) *graph.Graph {
 	tw := graph.NewGraph(nil)
 	for v := 0; v < g.NumVertices(); v++ {
@@ -72,7 +73,7 @@ func undeclaredTwin(g *graph.Graph) *graph.Graph {
 	}
 	for e := 0; e < g.NumEdges(); e++ {
 		x := g.Edge(graph.EdgeID(e))
-		tw.MustAddEdge(x.From, x.To, x.Type, x.Props)
+		tw.MustAddEdge(x.From, x.To, x.Type, g.EdgeProps(x.ID))
 	}
 	return tw
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"kaskade/internal/gql"
+	"kaskade/internal/graph"
 )
 
 // evalExpr evaluates a non-aggregate expression against a scope of
@@ -270,9 +271,17 @@ func evalScalarFunc(e *gql.FuncCall, sc scope) (Value, error) {
 		}
 		switch v := argv[0].(type) {
 		case VertexRef:
-			return v.G.Vertex(v.ID).Type, nil
+			f, err := snapshot(v.G)
+			if err != nil {
+				return nil, err
+			}
+			return f.VertexTypeOf(v.ID), nil
 		case EdgeRef:
-			return v.G.Edge(v.ID).Type, nil
+			f, err := snapshot(v.G)
+			if err != nil {
+				return nil, err
+			}
+			return f.EdgeTypeOf(v.ID), nil
 		}
 		return nil, fmt.Errorf("exec: LABEL of %T", argv[0])
 	case "LENGTH":
@@ -296,20 +305,20 @@ func evalScalarFunc(e *gql.FuncCall, sc scope) (Value, error) {
 		if !ok {
 			return nil, fmt.Errorf("exec: %s expects a property name string", e.Name)
 		}
-		var edges []EdgeRef
+		var g *graph.Graph
+		var edges []graph.EdgeID
 		switch v := argv[0].(type) {
 		case PathRef:
-			for _, eid := range v.Edges {
-				edges = append(edges, EdgeRef{G: v.G, ID: eid})
-			}
+			g, edges = v.G, v.Edges
 		case EdgeRef:
-			edges = []EdgeRef{v}
+			g, edges = v.G, []graph.EdgeID{v.ID}
 		default:
 			return nil, fmt.Errorf("exec: %s over %T", e.Name, argv[0])
 		}
+		prop := g.EdgeProperty(key)
 		var acc Value
-		for _, er := range edges {
-			pv := er.G.Edge(er.ID).Prop(key)
+		for _, eid := range edges {
+			pv := prop.Get(eid)
 			if pv == nil {
 				continue
 			}

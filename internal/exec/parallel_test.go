@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"kaskade/internal/datagen"
@@ -316,16 +317,43 @@ func TestOneWorkerRunsInline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		before := runtime.NumGoroutine()
+		before := goroutineStacks()
 		if !rows.Next() {
 			t.Fatalf("%s: no first row: %v", tc.name, rows.Err())
 		}
-		during := runtime.NumGoroutine()
+		during := goroutineStacks()
 		if err := rows.Close(); err != nil {
 			t.Fatalf("%s: Close = %v", tc.name, err)
 		}
-		if during != before {
-			t.Errorf("%s: goroutines %d before the first row, %d mid-stream; want unchanged", tc.name, before, during)
+		for id, stack := range during {
+			_, old := before[id]
+			if !old && (strings.Contains(stack, "kaskade/internal/exec.") || strings.Contains(stack, "kaskade/internal/par.")) {
+				t.Errorf("%s: executor goroutine started mid-stream:\n%s", tc.name, stack)
+			}
 		}
 	}
+}
+
+// goroutineStacks returns every live goroutine's stack by goroutine ID.
+// IDs are never reused, so a goroutine started between two calls shows
+// as an ID the first lacks, while one of an earlier test that exits in
+// between only drops out — which a count of all goroutines would
+// mistake for a change.
+func goroutineStacks() map[string]string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := make(map[string]string)
+	for _, stack := range strings.Split(string(buf), "\n\n") {
+		if f := strings.Fields(stack); len(f) > 1 {
+			out[f[1]] = stack
+		}
+	}
+	return out
 }

@@ -65,18 +65,17 @@ func (s *rowScope) snapshot() rowScope { return retain(s.cols, s.row) }
 // load), two flat array indexes returning the exact boxed value the
 // property map holds — freeze-time and mutation-time validation
 // guarantee it. Undeclared vertex properties read the vertex's property
-// map, and so do edge properties (edge columns are not built).
+// map. An edge property is graph storage, not snapshot state: it reads
+// the graph's typed edge column when its type declares it, and the
+// edge's map otherwise.
 // colReads/mapReads, when non-nil, count column reads vs vertex map
 // reads — the columnar-usage metrics.
 func readProp(base Value, key string, colReads, mapReads *int64) (Value, error) {
 	switch base := base.(type) {
 	case VertexRef:
-		f := base.G.CachedFrozen()
-		if f == nil {
-			var err error
-			if f, err = base.G.FreezeChecked(); err != nil {
-				return nil, err
-			}
+		f, err := snapshot(base.G)
+		if err != nil {
+			return nil, err
 		}
 		if v, ok := f.VertexPropColumnar(base.ID, key); ok {
 			if colReads != nil {
@@ -89,11 +88,20 @@ func readProp(base Value, key string, colReads, mapReads *int64) (Value, error) 
 		}
 		return base.G.Vertex(base.ID).Prop(key), nil
 	case EdgeRef:
-		return base.G.Edge(base.ID).Prop(key), nil
+		return base.G.EdgeProp(base.ID, key), nil
 	case nil:
 		return nil, nil
 	}
 	return nil, fmt.Errorf("exec: property access on %T", base)
+}
+
+// snapshot returns g's frozen snapshot: the cached one a running query
+// already built, or a fresh freeze.
+func snapshot(g *graph.Graph) (*graph.Frozen, error) {
+	if f := g.CachedFrozen(); f != nil {
+		return f, nil
+	}
+	return g.FreezeChecked()
 }
 
 // exportValue makes a value safe to retain beyond the binding that

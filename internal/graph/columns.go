@@ -30,12 +30,13 @@ import (
 // predicate prefilter, which compares against []int64/[]float64 without
 // unboxing at all.
 //
-// Columns cover vertex properties only. Edge property declarations stay
-// plan-time metadata (and are checked by graph.Load); edge reads keep
-// the map path. Mutating a declared property after a freeze
-// (Vertex.SetProp) leaves the frozen columns stale, like any
-// post-freeze mutation — the read-only-after-freeze contract already
-// forbids it for graphs being queried.
+// These freeze-built columns cover vertex properties only. Declared
+// edge properties are not indexed here: they are stored in typed
+// columns the graph itself owns, written by AddEdge and read by every
+// snapshot directly (edgecols.go). Mutating a declared vertex property
+// after a freeze (Vertex.SetProp) leaves the frozen columns stale, like
+// any post-freeze mutation — the read-only-after-freeze contract
+// already forbids it for graphs being queried.
 
 // PropDecl is one property declaration: the owning vertex (or edge)
 // type, the property name, and the declared kind.
@@ -253,14 +254,15 @@ func (f *Frozen) VertexPropColumnar(v VertexID, key string) (val any, covered bo
 	return c.vals[f.denseIx[v]], true
 }
 
-// ColumnStats reports the frozen property columns: how many were built
-// and their resident index bytes (tail column extensions included).
+// ColumnStats reports the typed property columns the snapshot reads:
+// the frozen vertex columns (tail extensions included) and the graph's
+// edge columns, as a count and their resident bytes.
 func (f *Frozen) ColumnStats() (count int, bytes int64) {
-	bytes = f.colBytes
+	bytes = f.colBytes + f.g.edgeColumnBytes()
 	if f.ov != nil {
 		bytes += f.ov.colBytes
 	}
-	return f.colCount, bytes
+	return f.colCount + len(f.g.ecols), bytes
 }
 
 // PropColumn is a read-only handle to one frozen typed column, for

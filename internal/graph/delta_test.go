@@ -110,7 +110,7 @@ func TestDeltaOverlayMatchesFreshFreeze(t *testing.T) {
 	g := randomFrozenGraph(t, 3, 60, 240)
 	ref := NewGraph(nil)
 	g.EachVertex(func(v *Vertex) { ref.MustAddVertex(v.Type, v.Props) })
-	g.EachEdge(func(e *Edge) { ref.MustAddEdge(e.From, e.To, e.Type, e.Props) })
+	g.EachEdge(func(e *Edge) { ref.MustAddEdge(e.From, e.To, e.Type, g.EdgeProps(e.ID)) })
 
 	f := g.Freeze()
 	builds := CSRBuilds()

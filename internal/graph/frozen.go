@@ -24,8 +24,8 @@ func CSRBuilds() int64 { return csrBuilds.Load() }
 // traversal step reads one contiguous slice with no per-edge filtering.
 //
 // A Frozen is derived from its Graph by Freeze and shares the graph's
-// vertex/edge records and property bags read-only; it adds only index
-// structure. All iteration orders are preserved exactly: Out/In return
+// vertex/edge records, vertex property bags and edge property columns
+// read-only; it adds only index structure (and the vertex columns). All iteration orders are preserved exactly: Out/In return
 // edges in insertion order, OutOfType/InOfType return the insertion-
 // order subsequence of that type, and VerticesOfType matches
 // Graph.VerticesOfType.

@@ -214,7 +214,9 @@ func TestSchemaDeclareProperty(t *testing.T) {
 	}
 	// AdoptProperties keeps only declarations whose type survives.
 	narrow := MustSchema([]string{"Job"}, nil)
-	narrow.AdoptProperties(s)
+	if err := narrow.AdoptProperties(s); err != nil {
+		t.Fatal(err)
+	}
 	if k, ok := narrow.PropertyKind("Job", "CPU"); !ok || k != PropInt {
 		t.Error("AdoptProperties dropped surviving declaration")
 	}

@@ -15,10 +15,18 @@
 // and in-adjacency, interned type labels, per-vertex edges grouped by
 // edge type (OutOfType returns a contiguous slice with no per-edge
 // filtering), and a dense per-type vertex index. The frozen view shares
-// the graph's records and property bags read-only, preserves every
-// iteration order exactly, and is memoized on the graph — the loader,
-// the view catalog, and the executor freeze once after load and then
-// only read.
+// the graph's records, vertex property bags and typed edge property
+// columns read-only, preserves every iteration order exactly, and is
+// memoized on the graph — the loader, the view catalog, and the
+// executor freeze once after load and then only read.
+//
+// # Property storage
+//
+// Vertex properties live in each vertex's map; freezing compiles the
+// schema-declared ones into typed columns (columns.go). Schema-declared
+// edge properties live only in typed columns the graph owns, indexed
+// by edge ID (edgecols.go): Edge.Props holds just the undeclared keys,
+// and Graph.EdgeProp / EdgeProperty read both.
 //
 // Post-freeze mutations land in the snapshot's delta overlay (delta.go):
 // AddVertex/AddEdge append to a per-type tail merged behind the Frozen
@@ -55,7 +63,9 @@ type Vertex struct {
 	Props Properties
 }
 
-// Edge is a typed directed edge between two vertices.
+// Edge is a typed directed edge between two vertices. Props holds only
+// the properties the schema does not declare for the edge's type (nil
+// when there are none); declared ones live in the graph's edge columns.
 type Edge struct {
 	ID    EdgeID
 	From  VertexID
@@ -84,6 +94,12 @@ type Graph struct {
 	compactAt int
 	// compactions counts this graph's tail folds (see Compactions).
 	compactions atomic.Uint64
+	// ecols holds the declared edge property columns, one per property
+	// name (edgecols.go); edecls caches each edge type's declarations,
+	// valid while edeclGen matches the schema's generation.
+	ecols    []*edgeColumn
+	edecls   map[string][]edgeDecl
+	edeclGen uint64
 }
 
 // NewGraph returns an empty graph governed by schema. A nil schema means
@@ -144,29 +160,59 @@ func (g *Graph) MustAddVertex(vtype string, props Properties) VertexID {
 
 // AddEdge adds a directed typed edge and returns its ID. It validates
 // vertex IDs and, when a schema is present, that the edge type's declared
-// domain and range match the endpoint vertex types.
+// domain and range match the endpoint vertex types, and that every
+// declared property in props holds a value of its declared kind — all
+// before it mutates anything. Declared values are stored in the graph's
+// edge columns; the edge keeps props itself only when it holds no
+// declared key, and otherwise a new map of the undeclared keys (none
+// when every key is declared). The caller's map is never modified.
 func (g *Graph) AddEdge(from, to VertexID, etype string, props Properties) (EdgeID, error) {
+	if err := g.checkEdge(from, to, etype); err != nil {
+		return -1, err
+	}
+	decls := g.edgeDecls(etype)
+	rest, err := splitEdgeProps(etype, decls, props)
+	if err != nil {
+		return -1, fmt.Errorf("graph: AddEdge: %w", err)
+	}
+	id := g.linkEdge(from, to, etype, rest)
+	storeDeclared(decls, id, props)
+	g.edgeLanded(id)
+	return id, nil
+}
+
+// checkEdge validates an edge's endpoints and, under a schema, its type.
+func (g *Graph) checkEdge(from, to VertexID, etype string) error {
 	if int(from) < 0 || int(from) >= len(g.vertices) {
-		return -1, fmt.Errorf("graph: AddEdge: invalid source vertex %d", from)
+		return fmt.Errorf("graph: AddEdge: invalid source vertex %d", from)
 	}
 	if int(to) < 0 || int(to) >= len(g.vertices) {
-		return -1, fmt.Errorf("graph: AddEdge: invalid target vertex %d", to)
+		return fmt.Errorf("graph: AddEdge: invalid target vertex %d", to)
 	}
 	if g.schema != nil {
 		ft, tt := g.vertices[from].Type, g.vertices[to].Type
 		if !g.schema.AllowsEdge(ft, tt, etype) {
-			return -1, fmt.Errorf("graph: schema forbids edge %s-[%s]->%s", ft, etype, tt)
+			return fmt.Errorf("graph: schema forbids edge %s-[%s]->%s", ft, etype, tt)
 		}
 	}
+	return nil
+}
+
+// linkEdge appends a checked edge record to the adjacency lists.
+func (g *Graph) linkEdge(from, to VertexID, etype string, props Properties) EdgeID {
 	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges, Edge{ID: id, From: from, To: to, Type: etype, Props: props})
 	g.out[from] = append(g.out[from], id)
 	g.in[to] = append(g.in[to], id)
+	return id
+}
+
+// edgeLanded moves a stored edge into the snapshot's delta tail.
+func (g *Graph) edgeLanded(id EdgeID) {
 	if f := g.frozen.Load(); f != nil {
 		f.overlayAddEdge(id)
 		g.maybeCompact(f)
 	}
-	return id, nil
 }
 
 // MustAddEdge is AddEdge that panics on error, for generators and tests.
@@ -244,14 +290,6 @@ func (v *Vertex) Prop(key string) any {
 		return nil
 	}
 	return v.Props[key]
-}
-
-// Prop returns an edge property value, or nil when absent.
-func (e *Edge) Prop(key string) any {
-	if e.Props == nil {
-		return nil
-	}
-	return e.Props[key]
 }
 
 // SetProp sets a vertex property, allocating the bag lazily. It is intended

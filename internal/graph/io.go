@@ -67,12 +67,14 @@ func Save(w io.Writer, g *Graph) error {
 	if err != nil {
 		return err
 	}
+	// An edge's properties are its declared column values merged with
+	// its map.
 	g.EachEdge(func(e *Edge) {
 		if err != nil {
 			return
 		}
 		var props []byte
-		props, err = marshalProps(e.Props)
+		props, err = marshalProps(g.EdgeProps(e.ID))
 		if err != nil {
 			return
 		}
@@ -91,7 +93,7 @@ func Load(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	var g *Graph
-	// Declared properties grouped by owning type, so each V/E record is
+	// Declared properties grouped by owning type, so each V record is
 	// checked against only its own type's declarations (sorted order,
 	// from PropertyDecls — the first violation reported is stable).
 	var declsByType map[string][]PropDecl
@@ -180,9 +182,8 @@ func Load(r io.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
 			}
-			if err := checkLoadedProps(declsByType, fields[3], props); err != nil {
-				return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
-			}
+			// AddEdge checks declared values and stores them in the
+			// edge columns.
 			if _, err := g.AddEdge(VertexID(from), VertexID(to), fields[3], props); err != nil {
 				return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
 			}

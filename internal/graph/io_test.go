@@ -54,7 +54,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Edge identity and properties survived.
 	e := back.Edge(0)
-	if e.From != j || e.To != f || e.Type != "W" || e.Prop("ts") != int64(7) {
+	if e.From != j || e.To != f || e.Type != "W" || back.EdgeProp(0, "ts") != int64(7) {
 		t.Errorf("edge 0 = %+v", e)
 	}
 }

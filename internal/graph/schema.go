@@ -17,9 +17,11 @@ type EdgeType struct {
 }
 
 // PropKind is a schema-declared property value type. Declarations are
-// optional metadata layered on the otherwise-untyped property bags;
+// optional metadata layered on the otherwise-untyped property bags:
 // freezing compiles each declared vertex property into a typed column
-// and validates the stored values against the declaration.
+// and validates the stored values against the declaration, and a
+// declared edge property is stored only in the graph's typed edge
+// column (edgecols.go), checked as AddEdge stores it.
 type PropKind int
 
 // Declarable property kinds, mirroring the query language's value types.
@@ -62,6 +64,9 @@ type Schema struct {
 	// props holds declared property kinds per vertex type or edge type
 	// name. Declarations happen at setup, before concurrent use.
 	props map[propKey]PropKind
+	// gen counts declaration changes, so a graph's cached per-edge-type
+	// declarations (edgecols.go) notice a late DeclareProperty.
+	gen uint64
 }
 
 // NewSchema builds a schema from vertex type names and edge type
@@ -109,10 +114,15 @@ func (s *Schema) HasVertexType(vtype string) bool { return s.vertexTypes[vtype] 
 // DeclareProperty declares the value type of property `prop` on the
 // given vertex type (or edge type name). A declared vertex property is
 // frozen into a typed column, and a stored value of another kind fails
-// the freeze (FreezeChecked). Declare properties during setup, before
-// the schema is shared across goroutines. It returns an
-// error when the type name is neither a declared vertex type nor an
-// edge type name, or when kind is invalid.
+// the freeze (FreezeChecked). A declared edge property is stored only in
+// the graph's typed edge column: Edge.Props no longer holds it (read it
+// with Graph.EdgeProp), and AddEdge rejects a value of another kind.
+// All edge types share one column per property name, so every edge type
+// that declares a name must declare the same kind. Declare properties
+// during setup, before the schema is shared across goroutines. It
+// returns an error when the type name is neither a declared vertex type
+// nor an edge type name, when kind is invalid, or when an edge type
+// already declares the name with another kind.
 func (s *Schema) DeclareProperty(typeName, prop string, kind PropKind) error {
 	if kind < PropInt || kind > PropBool {
 		return fmt.Errorf("schema: invalid property kind %d", kind)
@@ -123,10 +133,18 @@ func (s *Schema) DeclareProperty(typeName, prop string, kind PropKind) error {
 	if !s.vertexTypes[typeName] && !s.hasEdgeTypeName(typeName) {
 		return fmt.Errorf("schema: DeclareProperty: unknown type %q", typeName)
 	}
+	if s.hasEdgeTypeName(typeName) {
+		for k, other := range s.props {
+			if k.prop == prop && other != kind && s.hasEdgeTypeName(k.typeName) {
+				return fmt.Errorf("schema: DeclareProperty: edge property %q declared %s on %s, not %s", prop, other, k.typeName, kind)
+			}
+		}
+	}
 	if s.props == nil {
 		s.props = make(map[propKey]PropKind)
 	}
 	s.props[propKey{typeName, prop}] = kind
+	s.gen++
 	return nil
 }
 
@@ -176,21 +194,24 @@ func (s *Schema) CheckValue(typeName, prop string, v any) error {
 // AdoptProperties copies every property declaration from `from` whose
 // owning type s also declares (as a vertex type or edge type name) —
 // used when deriving a view graph's schema, so queries rewritten over
-// the view keep the base types' property typing. A nil `from` is a
-// no-op.
-func (s *Schema) AdoptProperties(from *Schema) {
+// the view keep the base types' property typing. Each declaration goes
+// through DeclareProperty, in PropertyDecls order, so an edge property
+// whose kind differs from one s's edge types already declare is
+// refused: the first such error is returned, and s keeps the
+// declarations adopted before it. A nil `from` is a no-op.
+func (s *Schema) AdoptProperties(from *Schema) error {
 	if from == nil {
-		return
+		return nil
 	}
-	for k, v := range from.props {
-		if !s.vertexTypes[k.typeName] && !s.hasEdgeTypeName(k.typeName) {
+	for _, d := range from.PropertyDecls() {
+		if !s.vertexTypes[d.Type] && !s.hasEdgeTypeName(d.Type) {
 			continue
 		}
-		if s.props == nil {
-			s.props = make(map[propKey]PropKind)
+		if err := s.DeclareProperty(d.Type, d.Prop, d.Kind); err != nil {
+			return err
 		}
-		s.props[k] = v
 	}
+	return nil
 }
 
 func (s *Schema) hasEdgeTypeName(name string) bool {

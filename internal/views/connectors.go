@@ -342,6 +342,7 @@ func (ct *contraction) build(g *graph.Graph, workers int) (*graph.Graph, map[gra
 // across sources.
 func (ct *contraction) paths(s graph.VertexID, used []bool, emit func(at graph.VertexID, ts int64, hops int) error) error {
 	f := ct.f
+	ts := f.Graph().EdgeProperty("ts")
 	var dfs func(at graph.VertexID, hops int, maxTS int64) error
 	dfs = func(at graph.VertexID, hops int, maxTS int64) error {
 		if hops >= ct.minLen && (ct.ends == nil || ct.ends(at)) {
@@ -361,7 +362,7 @@ func (ct *contraction) paths(s graph.VertexID, used []bool, emit func(at graph.V
 				continue
 			}
 			used[eid] = true
-			err := dfs(f.To(eid), hops+1, maxInt64(maxTS, tsOf(f.Edge(eid))))
+			err := dfs(f.To(eid), hops+1, maxInt64(maxTS, tsOf(ts, eid)))
 			used[eid] = false
 			if err != nil {
 				return err
@@ -537,7 +538,15 @@ func connectorSchema(g *graph.Graph, src, dst, edgeName string) (*graph.Schema, 
 	if err != nil {
 		return nil, err
 	}
-	s.AdoptProperties(g.Schema())
+	if err := s.AdoptProperties(g.Schema()); err != nil {
+		return nil, err
+	}
+	// The contracted edge's path aggregates live in int64 edge columns.
+	for _, prop := range []string{"ts", "hops"} {
+		if err := s.DeclareProperty(edgeName, prop, graph.PropInt); err != nil {
+			return nil, err
+		}
+	}
 	return s, nil
 }
 

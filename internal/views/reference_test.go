@@ -156,7 +156,7 @@ func refMaterialize(t *testing.T, g *graph.Graph, v View) *graph.Graph {
 		seen[pair] = true
 		var ts int64
 		for _, e := range es {
-			if x, ok := g.Edge(e).Prop("ts").(int64); ok && x > ts {
+			if x, ok := g.EdgeProp(e, "ts").(int64); ok && x > ts {
 				ts = x
 			}
 		}

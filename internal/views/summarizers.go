@@ -289,12 +289,13 @@ func (s VertexAggregatorSummarizer) build(g *graph.Graph) (*graph.Graph, map[str
 		remap[id] = supers[key]
 	}
 	for i := range g.NumEdges() {
-		e := g.Edge(graph.EdgeID(i))
+		eid := graph.EdgeID(i)
+		e := g.Edge(eid)
 		from, to := remap[e.From], remap[e.To]
 		if from == to && e.From != e.To {
 			continue // contracted within a group
 		}
-		if _, err := out.AddEdge(from, to, e.Type, e.Props); err != nil {
+		if _, err := out.AddEdgeFrom(g, eid, from, to); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -362,7 +363,7 @@ func (s EdgeAggregatorSummarizer) Materialize(g *graph.Graph) (*graph.Graph, err
 	if s.EType != "" {
 		for i := range g.NumEdges() {
 			if e := g.Edge(graph.EdgeID(i)); e.Type != s.EType {
-				if _, err := out.AddEdge(remap[e.From], remap[e.To], e.Type, e.Props); err != nil {
+				if _, err := out.AddEdgeFrom(g, e.ID, remap[e.From], remap[e.To]); err != nil {
 					return nil, err
 				}
 			}
@@ -512,7 +513,7 @@ func filterGraph(g *graph.Graph, f TypeFilter) (*graph.Graph, error) {
 		if !fok || !tok || !f.KeepsEdgeType(e.Type) {
 			return
 		}
-		_, err = out.AddEdge(from, to, e.Type, e.Props)
+		_, err = out.AddEdgeFrom(g, e.ID, from, to)
 	})
 	if err != nil {
 		return nil, err

@@ -126,12 +126,11 @@ func maxInt64(a, b int64) int64 {
 }
 
 // tsOf reads an edge's int64 "ts" property (0 when absent), the
-// timestamp connectors aggregate during contraction.
-func tsOf(e *graph.Edge) int64 {
-	if v, ok := e.Prop("ts").(int64); ok {
-		return v
-	}
-	return 0
+// timestamp connectors aggregate during contraction, from the handle
+// the caller resolved once for its traversal.
+func tsOf(ts graph.EdgeProperty, e graph.EdgeID) int64 {
+	v, _ := ts.Int(e)
+	return v
 }
 
 // validateTypes checks that every named vertex type exists in the schema

@@ -61,7 +61,7 @@ func TestJobToJobConnectorMatchesFig3c(t *testing.T) {
 	byName := names(v, v.VerticesOfType("Job"))
 	pairs := map[[2]graph.VertexID]int64{}
 	v.EachEdge(func(e *graph.Edge) {
-		pairs[[2]graph.VertexID{e.From, e.To}] = e.Prop("ts").(int64)
+		pairs[[2]graph.VertexID{e.From, e.To}] = v.EdgeProp(e.ID, "ts").(int64)
 	})
 	if ts := pairs[[2]graph.VertexID{byName["j1"], byName["j2"]}]; ts != 3 {
 		t.Errorf("j1->j2 contracted ts = %d, want max(1,3)=3", ts)
@@ -153,8 +153,8 @@ func TestSameVertexTypeConnector(t *testing.T) {
 		t.Errorf("same-vertex-type edges = %d, want 2", v.NumEdges())
 	}
 	v.EachEdge(func(e *graph.Edge) {
-		if e.Prop("hops").(int64) != 2 {
-			t.Errorf("hops = %v, want 2", e.Prop("hops"))
+		if hops := v.EdgeProp(e.ID, "hops"); hops != int64(2) {
+			t.Errorf("hops = %v, want 2", hops)
 		}
 	})
 }
@@ -199,8 +199,8 @@ func TestSourceToSinkConnector(t *testing.T) {
 	}
 	var got *graph.Edge
 	v.EachEdge(func(e *graph.Edge) { got = e })
-	if got.Prop("hops").(int64) != 2 {
-		t.Errorf("hops = %v", got.Prop("hops"))
+	if hops := v.EdgeProp(got.ID, "hops"); hops != int64(2) {
+		t.Errorf("hops = %v", hops)
 	}
 }
 
@@ -559,9 +559,11 @@ func TestEdgeAggregatorSummarizer(t *testing.T) {
 			var groups []viewGroup
 			v.EachEdge(func(e *graph.Edge) {
 				if tc.s.EType == "" || e.Type == tc.s.EType {
-					got = append(got, superedge{e.From, e.To, e.Type, e.Props})
+					got = append(got, superedge{e.From, e.To, e.Type, v.EdgeProps(e.ID)})
 					// The view keeps every vertex at its base ID.
-					groups = append(groups, viewGroup{key: []exec.Value{int64(e.From), int64(e.To), e.Type}, prop: e.Prop})
+					id := e.ID
+					prop := func(k string) any { return v.EdgeProp(id, k) }
+					groups = append(groups, viewGroup{key: []exec.Value{int64(e.From), int64(e.To), e.Type}, prop: prop})
 				}
 			})
 			if !reflect.DeepEqual(got, tc.want) {
