@@ -117,7 +117,9 @@ const lpChunkSize = 2048
 // computes every vertex's next label from the same immutable previous
 // labels — synchronous propagation — so the labels are identical to the
 // sequential kernel at any worker count. ctx is polled once per chunk;
-// on cancellation the passes stop and ctx's error is returned.
+// on cancellation the passes stop and ctx's error is returned. Writing
+// the labels fails when the schema declares communityProp with a kind
+// other than int.
 func LabelPropagationParallel(ctx context.Context, g *graph.Graph, passes int, communityProp string, workers int) ([]int64, error) {
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -192,7 +194,9 @@ func LabelPropagationParallel(ctx context.Context, g *graph.Graph, passes int, c
 	}
 	if communityProp != "" {
 		for v := 0; v < n; v++ {
-			g.Vertex(graph.VertexID(v)).SetProp(communityProp, labels[v])
+			if err := g.SetVertexProp(graph.VertexID(v), communityProp, labels[v]); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return labels, nil

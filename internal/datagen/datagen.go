@@ -121,7 +121,8 @@ func ProvSchema() *graph.Schema {
 		},
 	)
 	// Declared property kinds match what Prov generates exactly; the
-	// declarations opt these properties into frozen columnar storage.
+	// declarations opt these properties into the graph's property
+	// columns.
 	for _, d := range []struct {
 		typ, prop string
 		kind      graph.PropKind

@@ -74,28 +74,32 @@ func TestDeclaredPropertyPartialEquivalence(t *testing.T) {
 }
 
 // TestMisdeclaredPropertyFailsLoudly pins the lying-schema behavior: a
-// property declared PropInt whose stored values are float64 must fail
-// loudly, not silently produce wrong bits. The columnar freeze
-// validates every stored value against its declaration, and a MATCH
-// resolves its snapshot through FreezeChecked, so the query returns
-// the declared-kind error — at any worker count, without panicking.
+// property declared PropInt after its type's vertices were stored with
+// float64 values must fail loudly, not silently read as absent. The
+// stored vertices have no column value for it, so FreezeChecked refuses
+// the late declaration, and a MATCH resolves its snapshot through
+// FreezeChecked, so the query returns that error — at any worker count,
+// without panicking.
 func TestMisdeclaredPropertyFailsLoudly(t *testing.T) {
-	s := declaredSchema(t)
+	s := graph.MustSchema([]string{"Job", "File"}, []graph.EdgeType{{From: "Job", To: "File", Name: "WRITES_TO"}})
 	g := graph.NewGraph(s)
 	for i := 0; i < 30; i++ {
-		j := g.MustAddVertex("Job", graph.Properties{"CPU": float64(i) / 3}) // lies: declared PropInt
+		j := g.MustAddVertex("Job", graph.Properties{"CPU": float64(i) / 3})
 		f := g.MustAddVertex("File", nil)
 		g.MustAddEdge(j, f, "WRITES_TO", nil)
 	}
-	if _, err := g.FreezeChecked(); err == nil ||
-		!strings.Contains(err.Error(), "declared int, holds float64") {
-		t.Fatalf("FreezeChecked err = %v, want declared-kind violation", err)
+	if err := s.DeclareProperty("Job", "CPU", graph.PropInt); err != nil { // lies: the values are float64
+		t.Fatal(err)
+	}
+	const want = "property Job.CPU declared after vertices of Job exist"
+	if _, err := g.FreezeChecked(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("FreezeChecked err = %v, want %q", err, want)
 	}
 	q := mustParse(t, `MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN SUM(j.CPU) AS total`)
 	for _, workers := range []int{1, 4} {
 		ex := &Executor{G: g, Workers: workers}
-		if _, err := ex.Execute(q); err == nil || !strings.Contains(err.Error(), "declared int, holds float64") {
-			t.Fatalf("workers=%d: err = %v, want declared-kind violation", workers, err)
+		if _, err := ex.Execute(q); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("workers=%d: err = %v, want %q", workers, err, want)
 		}
 	}
 }

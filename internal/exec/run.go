@@ -197,8 +197,8 @@ func returnCols(items []gql.ReturnItem) []string {
 
 // streamMatch runs a MATCH: it streams the projected rows or, when the
 // RETURN aggregates, the groups of its implicit grouping. The frozen
-// snapshot is resolved up front, so a declared property holding the
-// wrong kind fails the query with FreezeChecked's error.
+// snapshot is resolved up front, so a vertex property declared after
+// vertices of its type exist fails the query with FreezeChecked's error.
 func (ex *Executor) streamMatch(ctx context.Context, q *gql.MatchQuery) ([]string, iter.Seq2[Row, error], error) {
 	f, err := ex.G.FreezeChecked()
 	if err != nil {

@@ -60,24 +60,17 @@ func (s *rowScope) prop(base Value, key string) (Value, error) {
 func (s *rowScope) snapshot() rowScope { return retain(s.cols, s.row) }
 
 // readProp reads one property. A vertex property the schema declares
-// has one read path: its typed column in the graph's frozen snapshot
-// (cached by the query's own freeze, so resolving it is one atomic
-// load), two flat array indexes returning the exact boxed value the
-// property map holds — freeze-time and mutation-time validation
-// guarantee it. Undeclared vertex properties read the vertex's property
-// map. An edge property is graph storage, not snapshot state: it reads
-// the graph's typed edge column when its type declares it, and the
-// edge's map otherwise.
+// has one read path: its type's column in the graph, two flat array
+// indexes returning the exact boxed value the property map holds —
+// AddVertex validates it. Undeclared vertex properties read the
+// vertex's property map. An edge property reads the graph's typed edge
+// column when its type declares it, and the edge's map otherwise.
 // colReads/mapReads, when non-nil, count column reads vs vertex map
 // reads — the columnar-usage metrics.
 func readProp(base Value, key string, colReads, mapReads *int64) (Value, error) {
 	switch base := base.(type) {
 	case VertexRef:
-		f, err := snapshot(base.G)
-		if err != nil {
-			return nil, err
-		}
-		if v, ok := f.VertexPropColumnar(base.ID, key); ok {
+		if v, ok := base.G.DeclaredVertexProp(base.ID, key); ok {
 			if colReads != nil {
 				*colReads++
 			}

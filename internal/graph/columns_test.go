@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -143,18 +144,63 @@ func TestDeclaredTypeWithoutVerticesHasColumns(t *testing.T) {
 	}
 }
 
+// TestFreezeCheckedRejectsLyingDeclaration pins the two ways stored
+// data can disagree with a declaration. A mis-kinded value fails
+// AddVertex, before and after a freeze, naming the first violation in
+// property name order, with nothing changed: vertex count, maps and
+// columns. A property declared after vertices of its type exist fails
+// AddVertex of that type and FreezeChecked, naming it, and Freeze
+// panics.
 func TestFreezeCheckedRejectsLyingDeclaration(t *testing.T) {
 	g := NewGraph(columnSchema(t))
-	g.MustAddVertex("Job", Properties{"CPU": 3.5}) // declared PropInt
-	if _, err := g.FreezeChecked(); err == nil ||
-		!strings.Contains(err.Error(), "declared int, holds float64") {
-		t.Fatalf("FreezeChecked err = %v, want declared-kind violation", err)
+	j := g.MustAddVertex("Job", Properties{"CPU": int64(1), "name": "j"})
+	unchanged := func(stage string) {
+		t.Helper()
+		_, err := g.AddVertex("Job", Properties{"name": 7, "CPU": 3.5})
+		if err == nil || !strings.Contains(err.Error(), "Job.CPU declared int, holds float64") {
+			t.Fatalf("%s: AddVertex err = %v, want the Job.CPU violation", stage, err)
+		}
+		if g.NumVertices() != 1 || len(g.VerticesOfType("Job")) != 1 {
+			t.Fatalf("%s: rejected vertex landed: |V| = %d", stage, g.NumVertices())
+		}
+		if got := g.Vertex(j).Prop("CPU"); got != int64(1) {
+			t.Fatalf("%s: map CPU = %v, want 1", stage, got)
+		}
+		for _, c := range g.vtypes[0].cols {
+			if len(c.vals) != 1 {
+				t.Fatalf("%s: column %s holds %d slots, want 1", stage, c.prop, len(c.vals))
+			}
+		}
+		if got, ok := g.DeclaredVertexProp(j, "name"); !ok || got != "j" {
+			t.Fatalf("%s: column name = %v, %v, want j", stage, got, ok)
+		}
 	}
-	// Freeze (the unchecked form) panics rather than returning a stale
-	// or partially-built view.
+	unchanged("before freeze")
+	f := g.Freeze()
+	unchanged("after freeze")
+	if tv, _ := f.TailSize(); tv != 0 {
+		t.Fatalf("rejected vertex reached the tail: %d", tv)
+	}
+
+	// A late declaration: Job has a vertex, so Job.mem would read absent.
+	if err := g.Schema().DeclareProperty("Job", "mem", PropInt); err != nil {
+		t.Fatal(err)
+	}
+	const late = "property Job.mem declared after vertices of Job exist"
+	if _, err := g.AddVertex("Job", nil); err == nil || !strings.Contains(err.Error(), late) {
+		t.Fatalf("AddVertex(Job) err = %v, want %q", err, late)
+	}
+	if _, err := g.AddVertex("File", nil); err != nil {
+		t.Fatalf("AddVertex(File) refused for a Job declaration: %v", err)
+	}
+	if _, err := g.FreezeChecked(); err == nil || !strings.Contains(err.Error(), late) {
+		t.Fatalf("FreezeChecked err = %v, want %q", err, late)
+	}
+	// Freeze (the unchecked form) panics rather than returning a view
+	// that reads Job.mem as absent.
 	defer func() {
 		if recover() == nil {
-			t.Error("Freeze did not panic on a declared-kind violation")
+			t.Error("Freeze did not panic on a late declaration")
 		}
 	}()
 	g.Freeze()
@@ -204,5 +250,45 @@ func TestLoadRejectsMisdeclaredProperty(t *testing.T) {
 	// The error names the offending line, not just the freeze.
 	if !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "declared int") {
 		t.Errorf("err = %v, want line-3 declared-kind violation", err)
+	}
+}
+
+// TestDeclaredVertexPropertyReadAllocs pins that reading a declared
+// vertex property allocates nothing, on base and tail vertices, through
+// the graph read and the typed column accessors: an int64 ≥ 256 (which
+// boxing would allocate), a float64 and a string.
+func TestDeclaredVertexPropertyReadAllocs(t *testing.T) {
+	g := NewGraph(columnSchema(t))
+	props := func(i int) Properties {
+		return Properties{"CPU": int64(1000 + i), "load": float64(i) + 0.5, "name": fmt.Sprint("job", i)}
+	}
+	base := g.MustAddVertex("Job", props(0))
+	f := g.Freeze()
+	tail := g.MustAddVertex("Job", props(1))
+	if tv, _ := f.TailSize(); tv != 1 {
+		t.Fatalf("tail holds %d vertices, want 1", tv)
+	}
+	cpu, _ := f.Column("Job", "CPU")
+	load, _ := f.Column("Job", "load")
+	name, _ := f.Column("Job", "name")
+	var sink int64
+	for _, v := range []VertexID{base, tail} {
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, k := range []string{"CPU", "load", "name"} {
+				if x, ok := g.DeclaredVertexProp(v, k); ok && x != nil {
+					sink++
+				}
+			}
+			x, _ := cpu.Int(v)
+			y, _ := load.Float(v)
+			s, _ := name.Str(v)
+			sink += x + int64(y) + int64(len(s))
+		})
+		if allocs != 0 {
+			t.Errorf("v%d: %v allocations per read, want 0", v, allocs)
+		}
+	}
+	if sink == 0 {
+		t.Fatal("reads returned nothing")
 	}
 }

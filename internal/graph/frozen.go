@@ -24,11 +24,11 @@ func CSRBuilds() int64 { return csrBuilds.Load() }
 // traversal step reads one contiguous slice with no per-edge filtering.
 //
 // A Frozen is derived from its Graph by Freeze and shares the graph's
-// vertex/edge records, vertex property bags and edge property columns
-// read-only; it adds only index structure (and the vertex columns). All iteration orders are preserved exactly: Out/In return
-// edges in insertion order, OutOfType/InOfType return the insertion-
-// order subsequence of that type, and VerticesOfType matches
-// Graph.VerticesOfType.
+// vertex/edge records, vertex type index, property bags and property
+// columns read-only; it adds only edge index structure. All iteration
+// orders are preserved exactly: Out/In return edges in insertion order,
+// OutOfType/InOfType return the insertion-order subsequence of that
+// type, and VerticesOfType is Graph.VerticesOfType.
 //
 // Freeze memoizes: the first call builds the index in O(V+E) and caches
 // it on the graph; later calls return the cached value (one atomic
@@ -43,14 +43,9 @@ func CSRBuilds() int64 { return csrBuilds.Load() }
 type Frozen struct {
 	g *Graph
 
-	// Interned type labels, in first-appearance (vertex/edge ID) order,
-	// followed by declared vertex types with no vertices (buildColumns).
-	vtypes  []string
-	vtypeID map[string]int32
+	// Interned edge type labels, in first-appearance (edge ID) order.
 	etypes  []string
 	etypeID map[string]int32
-
-	vtypeOf []int32 // vertex ID -> index into vtypes
 	etypeOf []int32 // edge ID -> index into etypes
 
 	// Flat edge endpoints (edge ID -> vertex ID), so traversals never
@@ -80,19 +75,6 @@ type Frozen struct {
 	inGroups    []typeGroup
 	inTyped     []EdgeID
 
-	// Dense per-type vertex index, aligned with vtypes; the slices are
-	// shared with (and ordered like) Graph.VerticesOfType.
-	verticesByType [][]VertexID
-
-	// Columnar property storage (columns.go): denseIx maps a vertex ID
-	// to its position within its type's verticesByType list; colsByVType
-	// holds the typed columns built for each vertex type's declared
-	// properties. Both are nil when the schema declares no properties.
-	denseIx     []int32
-	colsByVType [][]column
-	colCount    int
-	colBytes    int64
-
 	// ov is the delta overlay (delta.go), attached by the first
 	// post-freeze mutation; nil on a pure-base snapshot. Written only on
 	// the mutation path, which never overlaps readers.
@@ -104,11 +86,10 @@ type Frozen struct {
 // one result wins — they are identical); mutation must not overlap
 // Freeze, per the read-only-after-load contract.
 //
-// Freeze panics when a schema-declared property holds a value of the
-// wrong dynamic type — a lying declaration is a programming or data
-// error, and failing the freeze loudly beats a silent misread at scan
-// time. Loaders validating untrusted data should use FreezeChecked
-// (graph.Load does, per record, before ever freezing).
+// Freeze panics when a vertex property was declared after vertices of
+// its type were added (see lateDeclaration) — those vertices hold no
+// column value for it, and failing loudly beats a silent misread at
+// scan time. Callers that must not panic use FreezeChecked.
 func (g *Graph) Freeze() *Frozen {
 	f, err := g.FreezeChecked()
 	if err != nil {
@@ -117,16 +98,16 @@ func (g *Graph) Freeze() *Frozen {
 	return f
 }
 
-// FreezeChecked is Freeze with the declared-kind violations returned as
-// an error instead of a panic.
+// FreezeChecked is Freeze with a late declaration returned as an error
+// instead of a panic.
 func (g *Graph) FreezeChecked() (*Frozen, error) {
+	if err := g.lateDeclaration(""); err != nil {
+		return nil, err
+	}
 	if f := g.frozen.Load(); f != nil {
 		return f, nil
 	}
-	f, err := buildFrozen(g)
-	if err != nil {
-		return nil, err
-	}
+	f := buildFrozen(g)
 	if !g.frozen.CompareAndSwap(nil, f) {
 		return g.frozen.Load(), nil
 	}
@@ -139,25 +120,13 @@ func (g *Graph) FreezeChecked() (*Frozen, error) {
 // paths (the metrics snapshot) that must never pay an O(V+E) freeze.
 func (g *Graph) CachedFrozen() *Frozen { return g.frozen.Load() }
 
-func buildFrozen(g *Graph) (*Frozen, error) {
+func buildFrozen(g *Graph) *Frozen {
 	csrBuilds.Add(1)
 	nv, ne := len(g.vertices), len(g.edges)
 	f := &Frozen{
 		g:       g,
-		vtypeID: make(map[string]int32),
 		etypeID: make(map[string]int32),
-		vtypeOf: make([]int32, nv),
 		etypeOf: make([]int32, ne),
-	}
-	for i := range g.vertices {
-		t := g.vertices[i].Type
-		id, ok := f.vtypeID[t]
-		if !ok {
-			id = int32(len(f.vtypes))
-			f.vtypeID[t] = id
-			f.vtypes = append(f.vtypes, t)
-		}
-		f.vtypeOf[i] = id
 	}
 	f.edgeFrom = make([]VertexID, ne)
 	f.edgeTo = make([]VertexID, ne)
@@ -179,14 +148,7 @@ func buildFrozen(g *Graph) (*Frozen, error) {
 	nt := len(f.etypes)
 	f.outGroupOff, f.outGroups, f.outTyped = groupByType(f.outOff, f.outEdges, f.etypeOf, nv, nt)
 	f.inGroupOff, f.inGroups, f.inTyped = groupByType(f.inOff, f.inEdges, f.etypeOf, nv, nt)
-	f.verticesByType = make([][]VertexID, len(f.vtypes))
-	for i, t := range f.vtypes {
-		f.verticesByType[i] = g.byType[t]
-	}
-	if err := buildColumns(g, f); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return f
 }
 
 // flattenAdjacency packs per-vertex edge lists into one offset array and
@@ -256,12 +218,7 @@ func groupByType(off []int32, edges []EdgeID, etypeOf []int32, nv, nt int) ([]in
 func (f *Frozen) Graph() *Graph { return f.g }
 
 // NumVertices returns the vertex count (base + tail).
-func (f *Frozen) NumVertices() int {
-	if f.ov != nil {
-		return len(f.g.vertices)
-	}
-	return len(f.vtypeOf)
-}
+func (f *Frozen) NumVertices() int { return len(f.g.vertices) }
 
 // NumEdges returns the edge count (base + tail).
 func (f *Frozen) NumEdges() int {
@@ -369,14 +326,10 @@ func (f *Frozen) EdgeTypeIDOf(e EdgeID) int32 {
 	return f.etypeOf[e]
 }
 
-// VertexTypeOf returns a vertex's type label without touching the
-// vertex record.
+// VertexTypeOf returns a vertex's type label from the graph's type
+// index, without touching the vertex record.
 func (f *Frozen) VertexTypeOf(v VertexID) string {
-	if ov := f.ov; ov != nil && int(v) >= ov.baseNV {
-		overlayReads.Add(1)
-		return ov.vtypes[ov.vtypeOf[int(v)-ov.baseNV]]
-	}
-	return f.vtypes[f.vtypeOf[v]]
+	return f.g.vtypes[f.g.vloc[v].typ].name
 }
 
 // OutOfType returns the out-edges of v with the given edge type as one
@@ -449,20 +402,9 @@ func typedRun(groupOff []int32, groups []typeGroup, off []int32, typed []EdgeID,
 }
 
 // VerticesOfType returns the vertex IDs with the given type, in
-// insertion order — the same (shared, read-only) slice as
-// Graph.VerticesOfType. With an overlay, the graph's live per-type list
-// is that merged slice already (base IDs precede all tail IDs).
-func (f *Frozen) VerticesOfType(vtype string) []VertexID {
-	if f.ov != nil {
-		overlayReads.Add(1)
-		return f.g.byType[vtype]
-	}
-	id, ok := f.vtypeID[vtype]
-	if !ok {
-		return nil
-	}
-	return f.verticesByType[id]
-}
+// insertion order: Graph.VerticesOfType's shared, read-only slice,
+// whose base IDs precede every tail ID.
+func (f *Frozen) VerticesOfType(vtype string) []VertexID { return f.g.VerticesOfType(vtype) }
 
 // EdgeTypes returns the distinct edge types present, sorted.
 func (f *Frozen) EdgeTypes() []string {

@@ -12,24 +12,27 @@
 // # Frozen CSR views
 //
 // Freeze derives a Frozen view: flat CSR offset/edge arrays for out-
-// and in-adjacency, interned type labels, per-vertex edges grouped by
-// edge type (OutOfType returns a contiguous slice with no per-edge
-// filtering), and a dense per-type vertex index. The frozen view shares
-// the graph's records, vertex property bags and typed edge property
+// and in-adjacency, interned edge type labels, and per-vertex edges
+// grouped by edge type (OutOfType returns a contiguous slice with no
+// per-edge filtering). The frozen view shares the graph's records, its
+// vertex type index (interned types, per-type vertex lists, each
+// vertex's position within its type), property bags and property
 // columns read-only, preserves every iteration order exactly, and is
 // memoized on the graph — the loader, the view catalog, and the
 // executor freeze once after load and then only read.
 //
 // # Property storage
 //
-// Vertex properties live in each vertex's map; freezing compiles the
-// schema-declared ones into typed columns (columns.go). Schema-declared
-// edge properties live only in typed columns the graph owns, indexed
-// by edge ID (edgecols.go): Edge.Props holds just the undeclared keys,
-// and Graph.EdgeProp / EdgeProperty read both.
+// Vertex properties live in each vertex's map. AddVertex also stores
+// the schema-declared ones, validated, in columns the graph owns,
+// indexed by the vertex's position within its type (columns.go), which
+// every snapshot reads directly. Schema-declared edge properties live
+// only in typed columns the graph owns, indexed by edge ID
+// (edgecols.go): Edge.Props holds just the undeclared keys, and
+// Graph.EdgeProp / EdgeProperty read both.
 //
-// Post-freeze mutations land in the snapshot's delta overlay (delta.go):
-// AddVertex/AddEdge append to a per-type tail merged behind the Frozen
+// Post-freeze edges land in the snapshot's delta overlay (delta.go):
+// AddEdge appends to a per-type tail merged behind the Frozen
 // accessors, and a compaction threshold folds the tail into a fresh
 // base CSR — queries between mutations never pay an O(V+E) rebuild.
 // Mutation must not run concurrently with readers, as ever.
@@ -84,7 +87,14 @@ type Graph struct {
 	edges    []Edge
 	out      [][]EdgeID // out[v] = edges with From == v, in insertion order
 	in       [][]EdgeID // in[v] = edges with To == v
-	byType   map[string][]VertexID
+	// vtypes interns vertex types in first-appearance order, each with
+	// its vertices and declared property columns (columns.go); vloc
+	// places every vertex in its type. vdeclGen is the schema generation
+	// at which every type's columns last matched its declarations.
+	vtypes   []vertexType
+	vtypeID  map[string]int32
+	vloc     []vertexLoc
+	vdeclGen uint64
 	// frozen caches the CSR view built by Freeze. Post-freeze mutations
 	// land in the cached view's tail and compaction swaps in a fresh
 	// build.
@@ -105,7 +115,11 @@ type Graph struct {
 // NewGraph returns an empty graph governed by schema. A nil schema means
 // unconstrained (any vertex/edge types allowed).
 func NewGraph(schema *Schema) *Graph {
-	return &Graph{schema: schema, byType: make(map[string][]VertexID)}
+	g := &Graph{schema: schema}
+	if schema != nil {
+		g.vdeclGen = schema.gen
+	}
+	return g
 }
 
 // Schema returns the graph's schema, or nil when unconstrained.
@@ -118,31 +132,52 @@ func (g *Graph) NumVertices() int { return len(g.vertices) }
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // AddVertex adds a vertex of the given type with optional properties and
-// returns its ID. It returns an error if the schema does not declare the
-// vertex type.
+// returns its ID. It returns an error, before it mutates anything, if
+// the schema does not declare the vertex type, if a declared property
+// in props holds a value of another kind (the first in property name
+// order), or if the type gained a declaration after its first vertex
+// (see lateDeclaration). The vertex keeps props as its map; declared
+// values are also stored in its type's columns.
 func (g *Graph) AddVertex(vtype string, props Properties) (VertexID, error) {
 	if g.schema != nil && !g.schema.HasVertexType(vtype) {
 		return NoVertex, fmt.Errorf("graph: vertex type %q not in schema", vtype)
 	}
-	f := g.frozen.Load()
-	if f != nil {
-		// Overlay-bound vertex: validate declared properties before
-		// mutating anything, so compaction can never fail on tail data
-		// (delta.go).
-		if err := g.checkTailProps(vtype, props); err != nil {
-			return NoVertex, err
+	if err := g.lateDeclaration(vtype); err != nil {
+		return NoVertex, fmt.Errorf("graph: AddVertex: %w", err)
+	}
+	tid, ok := g.vtypeID[vtype]
+	var cols []vertexColumn
+	if ok {
+		cols = g.vtypes[tid].cols
+	} else {
+		cols = g.declaredColumns(vtype)
+	}
+	for i := range cols {
+		if v := props[cols[i].prop]; v != nil {
+			if err := checkPropValue(vtype, cols[i].prop, cols[i].kind, v); err != nil {
+				return NoVertex, fmt.Errorf("graph: AddVertex: %w", err)
+			}
 		}
+	}
+	if !ok {
+		if g.vtypeID == nil {
+			g.vtypeID = make(map[string]int32)
+		}
+		tid = int32(len(g.vtypes))
+		g.vtypeID[vtype] = tid
+		g.vtypes = append(g.vtypes, vertexType{name: vtype, cols: cols})
 	}
 	id := VertexID(len(g.vertices))
 	g.vertices = append(g.vertices, Vertex{ID: id, Type: vtype, Props: props})
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
-	if g.byType == nil {
-		g.byType = make(map[string][]VertexID)
+	g.vtypes[tid].add(id, props)
+	g.vloc = append(g.vloc, vertexLoc{typ: tid, slot: int32(len(g.vtypes[tid].verts) - 1)})
+	if s := g.schema; s != nil && s.gen != g.vdeclGen && g.lateDeclaration("") == nil {
+		g.vdeclGen = s.gen
 	}
-	g.byType[vtype] = append(g.byType[vtype], id)
-	if f != nil {
-		f.overlayAddVertex(id)
+	if f := g.frozen.Load(); f != nil {
+		f.ensureOverlay()
 		g.maybeCompact(f)
 	}
 	return id, nil
@@ -245,14 +280,19 @@ func (g *Graph) InDegree(v VertexID) int { return len(g.in[v]) }
 
 // VerticesOfType returns the vertex IDs with the given type, in insertion
 // order. The returned slice is shared; callers must not modify it.
-func (g *Graph) VerticesOfType(vtype string) []VertexID { return g.byType[vtype] }
+func (g *Graph) VerticesOfType(vtype string) []VertexID {
+	if tid, ok := g.vtypeID[vtype]; ok {
+		return g.vtypes[tid].verts
+	}
+	return nil
+}
 
 // VertexTypes returns the distinct vertex types present in the graph,
 // sorted for deterministic iteration.
 func (g *Graph) VertexTypes() []string {
-	types := make([]string, 0, len(g.byType))
-	for t := range g.byType {
-		types = append(types, t)
+	types := make([]string, len(g.vtypes))
+	for i := range g.vtypes {
+		types[i] = g.vtypes[i].name
 	}
 	sort.Strings(types)
 	return types
@@ -268,7 +308,7 @@ func (g *Graph) EdgeTypeCounts() map[string]int {
 }
 
 // CountVerticesOfType returns the number of vertices with the given type.
-func (g *Graph) CountVerticesOfType(vtype string) int { return len(g.byType[vtype]) }
+func (g *Graph) CountVerticesOfType(vtype string) int { return len(g.VerticesOfType(vtype)) }
 
 // EachVertex calls fn for every vertex in ID order.
 func (g *Graph) EachVertex(fn func(*Vertex)) {
@@ -292,14 +332,31 @@ func (v *Vertex) Prop(key string) any {
 	return v.Props[key]
 }
 
-// SetProp sets a vertex property, allocating the bag lazily. It is intended
-// for algorithms that annotate vertices (e.g. community labels); graphs
-// being annotated must not be concurrently read.
-func (v *Vertex) SetProp(key string, val any) {
+// SetVertexProp sets vertex id's property key to val (nil: absent) in
+// its map, allocated when nil, and, when its type declares key, in the
+// column. A value of another kind than declared is refused before
+// anything changes. It is intended for algorithms that annotate
+// vertices (e.g. community labels); graphs being annotated must not be
+// concurrently read, and a graph sharing the map (a view's copy of the
+// vertex) sees the map write but not the column write.
+func (g *Graph) SetVertexProp(id VertexID, key string, val any) error {
+	loc := g.vloc[id]
+	t := &g.vtypes[loc.typ]
+	c := t.column(key)
+	if c != nil && val != nil {
+		if err := checkPropValue(t.name, key, c.kind, val); err != nil {
+			return fmt.Errorf("graph: SetVertexProp: %w", err)
+		}
+	}
+	v := &g.vertices[id]
 	if v.Props == nil {
 		v.Props = make(Properties, 1)
 	}
 	v.Props[key] = val
+	if c != nil {
+		c.vals[loc.slot] = val
+	}
+	return nil
 }
 
 // String implements fmt.Stringer for debugging.

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -137,15 +139,55 @@ func TestProperties(t *testing.T) {
 	if got := g.Vertex(v).Prop("missing"); got != nil {
 		t.Errorf("Prop(missing) = %v, want nil", got)
 	}
-	g.Vertex(v).SetProp("community", int64(7))
-	if got := g.Vertex(v).Prop("community"); got != int64(7) {
-		t.Errorf("SetProp/Prop = %v, want 7", got)
+	if err := g.SetVertexProp(v, "community", int64(7)); err != nil {
+		t.Fatal(err)
 	}
-	// SetProp on a vertex created without a bag allocates lazily.
+	if got := g.Vertex(v).Prop("community"); got != int64(7) {
+		t.Errorf("SetVertexProp/Prop = %v, want 7", got)
+	}
+	// SetVertexProp on a vertex created without a bag allocates lazily.
 	u := g.MustAddVertex("File", nil)
-	g.Vertex(u).SetProp("size", int64(1))
+	if err := g.SetVertexProp(u, "size", int64(1)); err != nil {
+		t.Fatal(err)
+	}
 	if got := g.Vertex(u).Prop("size"); got != int64(1) {
-		t.Errorf("lazy SetProp = %v, want 1", got)
+		t.Errorf("lazy SetVertexProp = %v, want 1", got)
+	}
+}
+
+// TestSetVertexPropDeclared pins SetVertexProp on a declared property:
+// a mis-kinded value is refused with nothing changed, and a declared
+// write reads back through the graph read, the typed column accessor
+// the prefilter scans, and Save.
+func TestSetVertexPropDeclared(t *testing.T) {
+	g := NewGraph(columnSchema(t))
+	j := g.MustAddVertex("Job", Properties{"CPU": int64(1)})
+	f := g.Freeze()
+	if err := g.SetVertexProp(j, "CPU", 2.5); err == nil || !strings.Contains(err.Error(), "declared int, holds float64") {
+		t.Fatalf("mis-kinded SetVertexProp err = %v", err)
+	}
+	if got := g.Vertex(j).Prop("CPU"); got != int64(1) {
+		t.Fatalf("refused write changed the map: %v", got)
+	}
+	if err := g.SetVertexProp(j, "CPU", int64(300)); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := g.DeclaredVertexProp(j, "CPU"); !ok || got != int64(300) {
+		t.Errorf("DeclaredVertexProp = %v, %v, want 300", got, ok)
+	}
+	col, ok := f.Column("Job", "CPU")
+	if !ok {
+		t.Fatal("Column(Job, CPU) missing")
+	}
+	if x, ok := col.Int(j); !ok || x != 300 {
+		t.Errorf("Int = %d, %v, want 300", x, ok)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"CPU":300`) {
+		t.Errorf("Save lost the write:\n%s", buf.String())
 	}
 }
 

@@ -93,10 +93,6 @@ func Load(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	var g *Graph
-	// Declared properties grouped by owning type, so each V record is
-	// checked against only its own type's declarations (sorted order,
-	// from PropertyDecls — the first violation reported is stable).
-	var declsByType map[string][]PropDecl
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -135,10 +131,6 @@ func Load(r io.Reader) (*Graph, error) {
 						return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
 					}
 				}
-				declsByType = make(map[string][]PropDecl)
-				for _, d := range schema.PropertyDecls() {
-					declsByType[d.Type] = append(declsByType[d.Type], d)
-				}
 			}
 			g = NewGraph(schema)
 		case "V":
@@ -156,9 +148,8 @@ func Load(r io.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
 			}
-			if err := checkLoadedProps(declsByType, fields[2], props); err != nil {
-				return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
-			}
+			// AddVertex checks declared values and stores them in the
+			// vertex columns.
 			id, err := g.AddVertex(fields[2], props)
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
@@ -198,31 +189,10 @@ func Load(r io.Reader) (*Graph, error) {
 		g = NewGraph(nil)
 	}
 	// A loaded graph is complete and read-only from here on; freezing now
-	// means the first query or traversal finds the CSR index ready (and
-	// builds the property columns, whose declared-kind validation is a
-	// load error here, not a later panic).
-	if _, err := g.FreezeChecked(); err != nil {
-		return nil, err
-	}
+	// means the first query or traversal finds the CSR index ready. Every
+	// declaration precedes every record, so none is late.
+	g.Freeze()
 	return g, nil
-}
-
-// checkLoadedProps validates one loaded record's properties against its
-// type's declarations (per-type decls are in sorted order).
-func checkLoadedProps(declsByType map[string][]PropDecl, typeName string, props Properties) error {
-	if len(props) == 0 {
-		return nil
-	}
-	for _, d := range declsByType[typeName] {
-		v := props[d.Prop]
-		if v == nil {
-			continue
-		}
-		if err := checkPropValue(d.Type, d.Prop, d.Kind, v); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func marshalProps(p Properties) ([]byte, error) {

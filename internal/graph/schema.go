@@ -18,10 +18,10 @@ type EdgeType struct {
 
 // PropKind is a schema-declared property value type. Declarations are
 // optional metadata layered on the otherwise-untyped property bags:
-// freezing compiles each declared vertex property into a typed column
-// and validates the stored values against the declaration, and a
-// declared edge property is stored only in the graph's typed edge
-// column (edgecols.go), checked as AddEdge stores it.
+// AddVertex checks each declared vertex property against its kind and
+// stores it, besides the vertex's map, in its type's column
+// (columns.go), and a declared edge property is stored only in the
+// graph's typed edge column (edgecols.go), checked as AddEdge stores it.
 type PropKind int
 
 // Declarable property kinds, mirroring the query language's value types.
@@ -54,8 +54,8 @@ type propKey struct{ typeName, prop string }
 // Schema is a property-graph schema: the set of vertex types and the set
 // of typed, direction-constrained edge types between them. It is the
 // source of the schemaVertex/schemaEdge facts of §IV-A1. Optionally it
-// also declares property value types (DeclareProperty), which freezing
-// turns into typed columns.
+// also declares property value types (DeclareProperty), which the
+// graph stores in property columns.
 type Schema struct {
 	vertexTypes map[string]bool
 	edgeTypes   []EdgeType
@@ -65,7 +65,8 @@ type Schema struct {
 	// name. Declarations happen at setup, before concurrent use.
 	props map[propKey]PropKind
 	// gen counts declaration changes, so a graph's cached per-edge-type
-	// declarations (edgecols.go) notice a late DeclareProperty.
+	// declarations (edgecols.go) and its vertex columns (columns.go)
+	// notice a late DeclareProperty.
 	gen uint64
 }
 
@@ -113,8 +114,10 @@ func (s *Schema) HasVertexType(vtype string) bool { return s.vertexTypes[vtype] 
 
 // DeclareProperty declares the value type of property `prop` on the
 // given vertex type (or edge type name). A declared vertex property is
-// frozen into a typed column, and a stored value of another kind fails
-// the freeze (FreezeChecked). A declared edge property is stored only in
+// stored in its type's column as well as in each vertex's map, and
+// AddVertex rejects a value of another kind; declare it before the
+// type's first vertex, since a later declaration makes AddVertex of the
+// type and FreezeChecked fail. A declared edge property is stored only in
 // the graph's typed edge column: Edge.Props no longer holds it (read it
 // with Graph.EdgeProp), and AddEdge rejects a value of another kind.
 // All edge types share one column per property name, so every edge type
@@ -156,8 +159,7 @@ func (s *Schema) PropertyKind(typeName, prop string) (PropKind, bool) {
 }
 
 // PropertyDecls returns every property declaration, sorted by
-// (type, prop) — the deterministic order freeze-time column builds and
-// the save format iterate in.
+// (type, prop) — the deterministic order the save format writes.
 func (s *Schema) PropertyDecls() []PropDecl {
 	if len(s.props) == 0 {
 		return nil
@@ -173,22 +175,6 @@ func (s *Schema) PropertyDecls() []PropDecl {
 		return out[i].Prop < out[j].Prop
 	})
 	return out
-}
-
-// CheckValue validates a property value against its declaration,
-// returning nil when the property is undeclared, v is nil (absent), or
-// v's dynamic type matches the declared kind. graph.Load funnels every
-// loaded property through this so a dataset file can't smuggle an
-// untyped value into a declared column.
-func (s *Schema) CheckValue(typeName, prop string, v any) error {
-	if v == nil {
-		return nil
-	}
-	k, ok := s.props[propKey{typeName, prop}]
-	if !ok {
-		return nil
-	}
-	return checkPropValue(typeName, prop, k, v)
 }
 
 // AdoptProperties copies every property declaration from `from` whose

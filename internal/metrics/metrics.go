@@ -202,10 +202,9 @@ type Registry struct {
 	Latency          Histogram // per-execution wall time
 
 	// Columnar-storage usage: vertex property reads served from the
-	// frozen typed columns (every read of a declared property, plus
+	// graph's property columns (every read of a declared property, plus
 	// prefilter scans) vs reads of undeclared properties from the
-	// per-vertex property map. Edge property reads are always map reads
-	// and count in neither.
+	// per-vertex property map. Edge property reads count in neither.
 	ColumnScans      Counter
 	PropMapFallbacks Counter
 
@@ -312,7 +311,7 @@ type Snapshot struct {
 	Sessions    int64
 
 	// Columnar-storage usage (see Registry.ColumnScans) and footprint:
-	// ColumnCount/ColumnBytes describe the graph's frozen property
+	// ColumnCount/ColumnBytes describe the graph's property
 	// columns at snapshot time (filled by core.System.MetricsSnapshot).
 	ColumnScans      int64
 	PropMapFallbacks int64

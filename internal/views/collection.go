@@ -2,23 +2,24 @@ package views
 
 import (
 	"fmt"
+	"slices"
 
 	"kaskade/internal/delta"
 	"kaskade/internal/graph"
 )
 
-// MaintainedCollection maintains the chained k-hop connector views for
-// k=1..MaxK as one collection. The views share endpoint types and edge
-// filter, so each base insertion needs only one delta computation: the
+// MaintainedCollection maintains k-hop connector views that share
+// endpoint types and edge filter, one per hop count, as one collection:
+// each base insertion needs only one delta computation, because the
 // bounded prefix/suffix frontier that delta.EdgeDeltas walks once
-// serves every k, where independent MaintainedConnectors would re-walk
-// it per view. This is the collections-of-related-views shape that
+// serves every k. This is the collections-of-related-views shape that
 // Graphsurge (PAPERS.md) exploits — maintain the family, not each
-// member.
+// member. NewMaintainedCollection keeps k=1..K; a MaintainedConnector is
+// the collection of its one K.
 type MaintainedCollection struct {
 	template KHopConnector // K is the collection's MaxK
 	base     *graph.Graph
-	views    []*graph.Graph // views[k-1] is the k-hop view
+	views    []*graph.Graph // views[i] is the ks[i]-hop view
 	ks       []int
 	// keep lists the vertex types mirrored into the views (nil = all),
 	// and remap maps their base vertex IDs to view vertex IDs. Every
@@ -32,14 +33,24 @@ type MaintainedCollection struct {
 // maintainer, it requires path semantics, and all subsequent mutations
 // must go through the collection.
 func NewMaintainedCollection(def KHopConnector, base *graph.Graph) (*MaintainedCollection, error) {
-	if def.DedupPairs {
-		return nil, fmt.Errorf("views: incremental maintenance requires path semantics (DedupPairs=false)")
-	}
 	if def.K < 1 {
 		return nil, fmt.Errorf("views: collection needs K >= 1, got %d", def.K)
 	}
-	c := &MaintainedCollection{template: def, base: base}
-	for k := 1; k <= def.K; k++ {
+	ks := make([]int, def.K)
+	for i := range ks {
+		ks[i] = i + 1
+	}
+	return newCollection(def, base, ks)
+}
+
+// newCollection materializes def's connector at each hop count in ks
+// over base. Maintenance requires path semantics.
+func newCollection(def KHopConnector, base *graph.Graph, ks []int) (*MaintainedCollection, error) {
+	if def.DedupPairs {
+		return nil, fmt.Errorf("views: incremental maintenance requires path semantics (DedupPairs=false)")
+	}
+	c := &MaintainedCollection{template: def, base: base, ks: ks}
+	for _, k := range ks {
 		dk := def
 		dk.K = k
 		ct, err := dk.contraction(base)
@@ -51,14 +62,13 @@ func NewMaintainedCollection(def KHopConnector, base *graph.Graph) (*MaintainedC
 			return nil, err
 		}
 		c.views = append(c.views, view)
-		c.ks = append(c.ks, k)
 		c.keep, c.remap = ct.keep, remap
 	}
 	return c, nil
 }
 
 // View returns the maintained k-hop view (read-only for callers).
-func (c *MaintainedCollection) View(k int) *graph.Graph { return c.views[k-1] }
+func (c *MaintainedCollection) View(k int) *graph.Graph { return c.views[slices.Index(c.ks, k)] }
 
 // MaxK returns the largest hop count in the chain.
 func (c *MaintainedCollection) MaxK() int { return c.template.K }
@@ -109,8 +119,8 @@ func (c *MaintainedCollection) AddEdge(from, to graph.VertexID, etype string, pr
 		EdgeTypes: c.template.EdgeTypes,
 		Ks:        c.ks,
 	})
-	for _, k := range c.ks {
-		if err := applyDelta(c.views[k-1], c.remap, c.name(k), deltas[k]); err != nil {
+	for i, k := range c.ks {
+		if err := applyDelta(c.views[i], c.remap, c.name(k), deltas[k]); err != nil {
 			return eid, err
 		}
 	}

@@ -20,11 +20,11 @@ import (
 // only grow); deletions would require tombstoning and are out of scope,
 // as in the paper's prototype.
 //
-// The view's edge delta for each base insertion comes from
+// A MaintainedConnector is the MaintainedCollection of its one hop
+// count K: the view's edge delta for each base insertion comes from
 // delta.EdgeDeltas — bounded prefix/suffix walks around the new edge —
-// rather than a walk entangled with the view's own insertion logic, so
-// a chain of k-hop views can share one delta computation (see
-// MaintainedCollection).
+// rather than a walk entangled with the view's own insertion logic, the
+// computation a chain of k-hop views shares.
 //
 // Frozen-view interaction: with delta-overlay storage (the default),
 // mutations routed through the maintainer land in the cached snapshots'
@@ -32,80 +32,24 @@ import (
 // and a mutation the view filters out touches the view's snapshot not
 // at all. Compaction folds the tails off the hot path
 // (graph.Graph.Compact).
-type MaintainedConnector struct {
-	def  KHopConnector
-	base *graph.Graph
-	view *graph.Graph
-	// keep lists the vertex types mirrored into the view (nil = all),
-	// and remap maps their base vertex IDs to view vertex IDs.
-	keep  []string
-	remap map[graph.VertexID]graph.VertexID
-}
+//
+// AddVertex, AddEdge and Base are the collection's: all subsequent
+// mutations must go through the maintainer for the view to stay
+// consistent.
+type MaintainedConnector struct{ *MaintainedCollection }
 
 // NewMaintainedConnector materializes the connector over base and
-// returns a maintainer. All subsequent mutations must go through the
-// maintainer for the view to stay consistent.
+// returns a maintainer.
 func NewMaintainedConnector(def KHopConnector, base *graph.Graph) (*MaintainedConnector, error) {
-	if def.DedupPairs {
-		return nil, fmt.Errorf("views: incremental maintenance requires path semantics (DedupPairs=false)")
-	}
-	ct, err := def.contraction(base)
+	c, err := newCollection(def, base, []int{def.K})
 	if err != nil {
 		return nil, err
 	}
-	view, remap, err := ct.build(base, 1)
-	if err != nil {
-		return nil, err
-	}
-	return &MaintainedConnector{def: def, base: base, view: view, keep: ct.keep, remap: remap}, nil
+	return &MaintainedConnector{c}, nil
 }
 
 // View returns the maintained view graph (read-only for callers).
-func (m *MaintainedConnector) View() *graph.Graph { return m.view }
-
-// Base returns the underlying base graph.
-func (m *MaintainedConnector) Base() *graph.Graph { return m.base }
-
-// AddVertex adds a vertex to the base graph and mirrors it into the view
-// when the view keeps its type.
-func (m *MaintainedConnector) AddVertex(vtype string, props graph.Properties) (graph.VertexID, error) {
-	id, err := m.base.AddVertex(vtype, props)
-	if err != nil {
-		return graph.NoVertex, err
-	}
-	if keepsType(m.keep, vtype) {
-		vid, err := m.view.AddVertex(vtype, props)
-		if err != nil {
-			return graph.NoVertex, err
-		}
-		m.remap[id] = vid
-	}
-	return id, nil
-}
-
-// AddEdge adds an edge to the base graph and inserts the contracted
-// edges for every new k-length path that uses it, as computed by
-// delta.EdgeDeltas: for each split position i, backward (i)-length
-// prefixes into the edge's source are combined with forward
-// (k-1-i)-length suffixes out of its target, honoring path
-// edge-uniqueness across prefix+edge+suffix.
-func (m *MaintainedConnector) AddEdge(from, to graph.VertexID, etype string, props graph.Properties) (graph.EdgeID, error) {
-	if allow := edgeTypeFilter(m.def.EdgeTypes); !allow(etype) {
-		// The edge can never participate in a contracted path; just add.
-		return m.base.AddEdge(from, to, etype, props)
-	}
-	eid, err := m.base.AddEdge(from, to, etype, props)
-	if err != nil {
-		return eid, err
-	}
-	deltas := delta.EdgeDeltas(m.base, eid, delta.Config{
-		SrcType:   m.def.SrcType,
-		DstType:   m.def.DstType,
-		EdgeTypes: m.def.EdgeTypes,
-		Ks:        []int{m.def.K},
-	})
-	return eid, applyDelta(m.view, m.remap, m.def.Name(), deltas[m.def.K])
-}
+func (m *MaintainedConnector) View() *graph.Graph { return m.views[0] }
 
 // applyDelta inserts one view's edge delta, translating base endpoint
 // IDs through the maintainer's vertex mapping.

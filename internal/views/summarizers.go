@@ -449,7 +449,9 @@ func (s SubgraphAggregatorSummarizer) Materialize(g *graph.Graph) (*graph.Graph,
 			return nil, err
 		}
 		if vkey == wkey {
-			out.Vertex(supers[vkey]).SetProp("internalEdges", row[2])
+			if err := out.SetVertexProp(supers[vkey], "internalEdges", row[2]); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil

@@ -189,12 +189,14 @@ type (
 	// automatically, so queries and traversals run on it by default.
 	Frozen = graph.Frozen
 	// Schema declares vertex types and the domain/range of edge types,
-	// plus optional property kinds (Schema.DeclareProperty).
+	// plus optional property kinds (Schema.DeclareProperty), which must
+	// precede the first vertex of their type.
 	Schema = graph.Schema
 	// EdgeType declares one typed edge with its endpoint vertex types.
 	EdgeType = graph.EdgeType
-	// PropKind is a schema-declared property value type; freezing
-	// compiles each declared vertex property into a typed column.
+	// PropKind is a schema-declared property value type; AddVertex and
+	// AddEdge check each declared value and store it in the graph's
+	// column for the property.
 	PropKind = graph.PropKind
 	// Properties is a key-value bag on a vertex or edge.
 	Properties = graph.Properties
