@@ -5,7 +5,7 @@
 // extraction (Q8).
 //
 // Every kernel runs on the graph's frozen CSR view (graph.Frozen): flat
-// offset/edge arrays instead of pointer-chasing per-vertex slices, and
+// offset/edge arrays instead of per-vertex slices, and
 // index-addressed bitsets instead of map[VertexID]bool visited sets —
 // the storage layout that removed the allocation bottleneck from the
 // k-hop hot path. Results are byte-identical to the historical

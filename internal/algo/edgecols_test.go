@@ -23,7 +23,7 @@ func TestEdgeColumnPathLengthsMatchTwin(t *testing.T) {
 	twinOf := func() *graph.Graph {
 		tw := graph.NewGraph(nil)
 		g.EachVertex(func(v *graph.Vertex) { tw.MustAddVertex(v.Type, v.Props) })
-		g.EachEdge(func(e *graph.Edge) { tw.MustAddEdge(e.From, e.To, e.Type, g.EdgeProps(e.ID)) })
+		g.EachEdge(func(e graph.Edge) { tw.MustAddEdge(e.From, e.To, e.Type, g.EdgeProps(e.ID)) })
 		return tw
 	}
 	check := func(phase string) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,15 +19,42 @@ import (
 // current skip-missing-property semantics so the reference isolates the
 // storage change from the (separately pinned) semantic fix.
 
+// refAdjacency memoizes, per graph state, every vertex's out- and
+// in-edges in edge ID order, built by one pass over the edges: the
+// reference kernels' adjacency, independent of the CSR under test.
+var refAdjacency sync.Map // refKey -> [2][][]graph.EdgeID
+
+type refKey struct {
+	g      *graph.Graph
+	nv, ne int
+}
+
+func refRows(g *graph.Graph) (out, in [][]graph.EdgeID) {
+	k := refKey{g: g, nv: g.NumVertices(), ne: g.NumEdges()}
+	if r, ok := refAdjacency.Load(k); ok {
+		rows := r.([2][][]graph.EdgeID)
+		return rows[0], rows[1]
+	}
+	out = make([][]graph.EdgeID, k.nv)
+	in = make([][]graph.EdgeID, k.nv)
+	g.EachEdge(func(e graph.Edge) {
+		out[e.From] = append(out[e.From], e.ID)
+		in[e.To] = append(in[e.To], e.ID)
+	})
+	refAdjacency.Store(k, [2][][]graph.EdgeID{out, in})
+	return out, in
+}
+
 func kHopRef(g *graph.Graph, src graph.VertexID, k int, dir Direction) []graph.VertexID {
 	if k < 1 {
 		return nil
 	}
+	outRows, inRows := refRows(g)
 	edgesOf := func(v graph.VertexID) []graph.EdgeID {
 		if dir == Forward {
-			return g.Out(v)
+			return outRows[v]
 		}
-		return g.In(v)
+		return inRows[v]
 	}
 	neighbor := func(eid graph.EdgeID) graph.VertexID {
 		if dir == Forward {
@@ -63,13 +91,14 @@ func pathLengthsRef(g *graph.Graph, src graph.VertexID, k int, prop string) map[
 	}
 	queue := []item{{v: src, agg: 0, hops: 0}}
 	best := map[graph.VertexID]int64{src: 0}
+	out, _ := refRows(g)
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		if cur.hops == k {
 			continue
 		}
-		for _, eid := range g.Out(cur.v) {
+		for _, eid := range out[cur.v] {
 			e := g.Edge(eid)
 			ts, ok := g.EdgeProp(eid, prop).(int64)
 			if !ok {
@@ -100,15 +129,16 @@ func labelPropagationRef(g *graph.Graph, passes int) []int64 {
 	}
 	next := make([]int64, n)
 	counts := make(map[int64]int)
+	out, in := refRows(g)
 	for p := 0; p < passes; p++ {
 		changed := false
 		for v := 0; v < n; v++ {
 			clear(counts)
 			id := graph.VertexID(v)
-			for _, eid := range g.Out(id) {
+			for _, eid := range out[id] {
 				counts[labels[g.Edge(eid).To]]++
 			}
-			for _, eid := range g.In(id) {
+			for _, eid := range in[id] {
 				counts[labels[g.Edge(eid).From]]++
 			}
 			if len(counts) == 0 {
@@ -137,11 +167,12 @@ func labelPropagationRef(g *graph.Graph, passes int) []int64 {
 func reachableRef(g *graph.Graph, src graph.VertexID) []graph.VertexID {
 	visited := map[graph.VertexID]bool{src: true}
 	stack := []graph.VertexID{src}
+	rows, _ := refRows(g)
 	var out []graph.VertexID
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, eid := range g.Out(v) {
+		for _, eid := range rows[v] {
 			n := g.Edge(eid).To
 			if !visited[n] {
 				visited[n] = true

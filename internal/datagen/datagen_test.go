@@ -19,7 +19,7 @@ func TestProvSchemaConformance(t *testing.T) {
 	}
 	// Every edge obeys the schema (AddEdge enforces it, but verify the
 	// generator produced the lineage shape: Files never write).
-	g.EachEdge(func(e *graph.Edge) {
+	g.EachEdge(func(e graph.Edge) {
 		ft := g.Vertex(e.From).Type
 		tt := g.Vertex(e.To).Type
 		if e.Type == "WRITES_TO" && (ft != "Job" || tt != "File") {
@@ -129,7 +129,7 @@ func TestSocialNetworkPowerLaw(t *testing.T) {
 		t.Errorf("R² = %.2f, want > 0.7 for power-law-like", fit.R2)
 	}
 	// No self loops.
-	g.EachEdge(func(e *graph.Edge) {
+	g.EachEdge(func(e graph.Edge) {
 		if e.From == e.To {
 			t.Fatal("self loop generated")
 		}
@@ -154,9 +154,10 @@ func TestPrefix(t *testing.T) {
 		t.Errorf("prefix has %d vertices for 100 edges", sub.NumVertices())
 	}
 	// Every prefix vertex is incident to at least one edge.
-	for i := 0; i < sub.NumVertices(); i++ {
-		id := graph.VertexID(i)
-		if sub.OutDegree(id) == 0 && sub.InDegree(id) == 0 {
+	incident := make([]bool, sub.NumVertices())
+	sub.EachEdge(func(e graph.Edge) { incident[e.From], incident[e.To] = true, true })
+	for id, ok := range incident {
+		if !ok {
 			t.Fatalf("isolated vertex %d in prefix", id)
 		}
 	}

@@ -66,14 +66,14 @@ func EdgeDeltas(g *graph.Graph, eid graph.EdgeID, cfg Config) map[int][]Edge {
 			maxK = k
 		}
 	}
-	e := g.Edge(eid)
+	f := g.Freeze()
 	allow := typeFilter(cfg.EdgeTypes)
-	if maxK == 0 || !allow(e.Type) {
+	if maxK == 0 || !allow(f.EdgeTypeOf(eid)) {
 		return out
 	}
 	ts := g.EdgeProperty("ts")
-	prefixes := collect(g, ts, e.From, true, maxK-1, eid, allow)
-	suffixes := collect(g, ts, e.To, false, maxK-1, eid, allow)
+	prefixes := collect(f, ts, f.From(eid), true, maxK-1, eid, allow)
+	suffixes := collect(f, ts, f.To(eid), false, maxK-1, eid, allow)
 	baseTS := tsOf(ts, eid)
 	for _, k := range cfg.Ks {
 		for i := 0; i <= k-1; i++ {
@@ -109,8 +109,9 @@ func EdgeDeltas(g *graph.Graph, eid graph.EdgeID, cfg Config) map[int][]Edge {
 // grouped by length, each group in DFS preorder. Preorder restricted to
 // one depth is exactly the order a depth-limited DFS emits its leaves,
 // which is what makes the assembled per-k deltas match the historical
-// nested walk.
-func collect(g *graph.Graph, ts graph.EdgeProperty, start graph.VertexID, back bool, maxLen int, skip graph.EdgeID, allow func(string) bool) [][]path {
+// nested walk. It reads the graph's snapshot f, whose overlay holds the
+// new edge.
+func collect(f *graph.Frozen, ts graph.EdgeProperty, start graph.VertexID, back bool, maxLen int, skip graph.EdgeID, allow func(string) bool) [][]path {
 	byLen := make([][]path, maxLen+1)
 	byLen[0] = []path{{end: start}}
 	if maxLen == 0 {
@@ -123,16 +124,12 @@ func collect(g *graph.Graph, ts graph.EdgeProperty, start graph.VertexID, back b
 		if len(stack) == maxLen {
 			return
 		}
-		row := g.Out(at)
+		row := f.Out(at)
 		if back {
-			row = g.In(at)
+			row = f.In(at)
 		}
 		for _, eid := range row {
-			if used[eid] {
-				continue
-			}
-			e := g.Edge(eid)
-			if !allow(e.Type) {
+			if used[eid] || !allow(f.EdgeTypeOf(eid)) {
 				continue
 			}
 			nts := tsOf(ts, eid)
@@ -141,9 +138,9 @@ func collect(g *graph.Graph, ts graph.EdgeProperty, start graph.VertexID, back b
 			}
 			used[eid] = true
 			stack = append(stack, eid)
-			next := e.To
+			next := f.To(eid)
 			if back {
-				next = e.From
+				next = f.From(eid)
 			}
 			byLen[len(stack)] = append(byLen[len(stack)], path{
 				end: next, edges: append([]graph.EdgeID(nil), stack...), ts: nts,

@@ -17,7 +17,7 @@ import (
 // Traversal steps run on the query's frozen snapshot (base CSR plus
 // any delta tail): a typed edge pattern expands through
 // OutOfType/InOfType, one contiguous pre-filtered slice per step, and
-// endpoint/type lookups read flat arrays instead of the Edge records.
+// endpoint/type lookups read the graph's flat edge arrays.
 // The snapshot preserves insertion order within each type group, so
 // enumeration order is the graph's insertion order.
 //

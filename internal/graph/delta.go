@@ -3,6 +3,8 @@ package graph
 import (
 	"sync/atomic"
 	"time"
+
+	"kaskade/internal/bitset"
 )
 
 // Delta-overlay storage: the append-friendly tail that lets a graph
@@ -10,13 +12,16 @@ import (
 //
 // A Frozen is built once over the base graph; the first post-freeze
 // mutation attaches an overlay to it and every subsequent AddEdge lands
-// in the overlay's per-type delta tail instead of clearing the cached
-// snapshot. The Frozen accessors (frozen.go) merge base + tail behind
-// the existing interfaces, so the matcher, the algo kernels, and the
+// in the overlay's merged rows instead of clearing the cached snapshot.
+// The Frozen accessors (frozen.go) merge base + tail behind the
+// existing interfaces, so the matcher, the algo kernels, and the
 // connector DFSes all see one logical graph with no refreeze on the hot
-// path. Vertices need no tail: their types, per-type lists and property
-// columns are graph storage that AddVertex appends to (columns.go), and
-// an added vertex only marks the adjacency rows past the base CSR.
+// path. A tail edge's endpoints and type are the graph's edge arrays,
+// which every snapshot reads, so the overlay holds adjacency only.
+// Vertices need no tail either: their types, per-type lists and
+// property columns are graph storage that AddVertex appends to
+// (columns.go), and an added vertex only marks the adjacency rows past
+// the base CSR.
 // When the tail outgrows its threshold, Compact folds it into a fresh
 // base CSR — one O(V+E) build per burst instead of one per mutation.
 //
@@ -28,8 +33,9 @@ import (
 // below, which concurrent query workers do update.
 //
 // Compaction is the only rebuild. The equivalence suites pin overlay
-// reads against a never-frozen twin graph (the plain Graph accessors)
-// and against a twin that compacts after every mutation.
+// reads against a naive adjacency the tests build from their own list
+// of added edges (TestFrozenMatchesEdgeList) and against a twin that
+// compacts after every mutation.
 
 // Process-wide delta counters, mirroring csrBuilds/CSRBuilds: overlay-
 // resolved reads (a query touched the tail or a merged row), compaction
@@ -64,87 +70,99 @@ type typedKey struct {
 }
 
 // overlay is the delta tail attached to a Frozen after its first
-// post-freeze mutation. Tail edges are indexed by id - baseNE; vertices
-// from baseNV on have no base CSR row. The edge interning table is an
-// extended copy of the base table, so the base Frozen's own table stays
-// immutable across the compaction swap.
+// post-freeze mutation: edges from baseNE on and vertices from baseNV
+// on are in the tail, and vertices past baseNV have no base CSR row.
 type overlay struct {
 	baseNV, baseNE int
+	out, in        tail
+}
 
-	etypes  []string
-	etypeID map[string]int32
+// tail is one direction's merged adjacency. merged marks the vertices
+// that read a merged row: every base vertex a tail edge touched, and
+// every tail vertex (which has no base row). A merged row is the base
+// row, copied on first touch, then the vertex's tail edges in insertion
+// order; typed holds likewise the run of each edge type a tail edge
+// touched at the vertex, so a run stays the insertion-order subsequence
+// of the merged row.
+type tail struct {
+	merged bitset.Set
+	rows   map[VertexID][]EdgeID
+	typed  map[typedKey][]EdgeID
+}
 
-	etypeOf  []int32 // tail edge -> etypes index
-	edgeFrom []VertexID
-	edgeTo   []VertexID
+// merges reports whether v reads a merged row: one bit test, so an
+// untouched base vertex pays no map lookup.
+func (t *tail) merges(v VertexID) bool { return t.merged.Has(int(v)) }
 
-	// Merged typed-adjacency runs for every (vertex, edge type) pair a
-	// tail edge touched: base run (copied once on first touch) plus the
-	// tail edges in insertion order — the same insertion-order
-	// subsequence invariant the grouped base index provides.
-	outTyped map[typedKey][]EdgeID
-	inTyped  map[typedKey][]EdgeID
+// read returns v's merged row, counted as an overlay read.
+func (t *tail) read(v VertexID) []EdgeID {
+	overlayReads.Add(1)
+	return t.rows[v]
+}
+
+// readTyped returns the merged run of v's edges of type et. ok=false
+// means the base index holds the run: v is a base vertex and no tail
+// edge of type et touched it.
+func (ov *overlay) readTyped(t *tail, v VertexID, et int32) (run []EdgeID, ok bool) {
+	if run, ok := t.typed[typedKey{v: v, t: et}]; ok {
+		overlayReads.Add(1)
+		return run, true
+	}
+	return nil, int(v) >= ov.baseNV
 }
 
 // ensureOverlay attaches (or returns) f's overlay. Called from the
 // mutation path only, which never overlaps readers.
 func (f *Frozen) ensureOverlay() *overlay {
-	if f.ov != nil {
-		return f.ov
+	if f.ov == nil {
+		nv := len(f.out.off) - 1
+		f.ov = &overlay{baseNV: nv, baseNE: len(f.out.edges), out: newTail(nv), in: newTail(nv)}
 	}
-	ov := &overlay{
-		baseNV:   len(f.outOff) - 1,
-		baseNE:   len(f.etypeOf),
-		etypes:   append([]string(nil), f.etypes...),
-		etypeID:  make(map[string]int32, len(f.etypeID)),
-		outTyped: make(map[typedKey][]EdgeID),
-		inTyped:  make(map[typedKey][]EdgeID),
-	}
-	for t, id := range f.etypeID {
-		ov.etypeID[t] = id
-	}
-	f.ov = ov
-	return ov
+	return f.ov
 }
 
-// overlayAddEdge lands the freshly appended edge id in f's tail: type
-// interning, flat endpoints, and both endpoints' merged typed runs.
+func newTail(nv int) tail {
+	return tail{merged: bitset.New(nv), rows: make(map[VertexID][]EdgeID), typed: make(map[typedKey][]EdgeID)}
+}
+
+// overlayAddVertex marks the freshly added vertex id, which has no base
+// row, as reading its (so far empty) merged rows.
+func (f *Frozen) overlayAddVertex(id VertexID) {
+	ov := f.ensureOverlay()
+	for _, t := range []*tail{&ov.out, &ov.in} {
+		t.merged = growTo(t.merged, int(id)>>6+1)
+		t.merged.Add(int(id))
+	}
+}
+
+// overlayAddEdge lands the freshly appended edge id in f's tail: both
+// endpoints' merged rows and typed runs.
 func (f *Frozen) overlayAddEdge(id EdgeID) {
 	ov := f.ensureOverlay()
-	e := &f.g.edges[id]
-	t, ok := ov.etypeID[e.Type]
-	if !ok {
-		t = int32(len(ov.etypes))
-		ov.etypeID[e.Type] = t
-		ov.etypes = append(ov.etypes, e.Type)
-	}
-	ov.etypeOf = append(ov.etypeOf, t)
-	ov.edgeFrom = append(ov.edgeFrom, e.From)
-	ov.edgeTo = append(ov.edgeTo, e.To)
-	ov.appendTypedRun(f, true, e.From, t, id)
-	ov.appendTypedRun(f, false, e.To, t, id)
+	g := f.g
+	et := g.etypeOf[id]
+	ov.out.add(ov.baseNV, &f.out, g.edgeFrom[id], et, id)
+	ov.in.add(ov.baseNV, &f.in, g.edgeTo[id], et, id)
 }
 
-// appendTypedRun extends the merged (v, t) run with id, copying the
-// base run on first touch. The merged run stays the insertion-order
-// subsequence of the merged row: base edges precede all tail edges.
-func (ov *overlay) appendTypedRun(f *Frozen, out bool, v VertexID, t int32, id EdgeID) {
-	m := ov.outTyped
-	if !out {
-		m = ov.inTyped
+// add appends tail edge id, of type et, to v's merged row and run,
+// copying v's base row and run on first touch (a vertex from baseNV on
+// has none).
+func (t *tail) add(baseNV int, base *adjacency, v VertexID, et int32, id EdgeID) {
+	inBase := int(v) < baseNV
+	row, ok := t.rows[v]
+	if !ok && inBase {
+		t.merged.Add(int(v))
+		row = append(make([]EdgeID, 0, base.off[v+1]-base.off[v]+1), base.row(v)...)
 	}
-	k := typedKey{v: v, t: t}
-	run, ok := m[k]
-	if !ok && int(v) < ov.baseNV {
-		var base []EdgeID
-		if out {
-			base = typedRun(f.outGroupOff, f.outGroups, f.outOff, f.outTyped, v, t)
-		} else {
-			base = typedRun(f.inGroupOff, f.inGroups, f.inOff, f.inTyped, v, t)
-		}
-		run = append(make([]EdgeID, 0, len(base)+1), base...)
+	t.rows[v] = append(row, id)
+	k := typedKey{v: v, t: et}
+	run, ok := t.typed[k]
+	if !ok && inBase {
+		b := base.typedRun(v, et)
+		run = append(make([]EdgeID, 0, len(b)+1), b...)
 	}
-	m[k] = append(run, id)
+	t.typed[k] = append(run, id)
 }
 
 // SetCompactionThreshold overrides the tail size (vertices + edges) at
@@ -175,7 +193,7 @@ func (g *Graph) maybeCompact(f *Frozen) {
 	if ov == nil {
 		return
 	}
-	if len(g.vertices)-ov.baseNV+len(ov.etypeOf) < g.compactionThreshold(ov) {
+	if len(g.vertices)-ov.baseNV+g.NumEdges()-ov.baseNE < g.compactionThreshold(ov) {
 		return
 	}
 	_ = g.Compact()
@@ -210,5 +228,5 @@ func (f *Frozen) TailSize() (verts, edges int) {
 	if f.ov == nil {
 		return 0, 0
 	}
-	return len(f.g.vertices) - f.ov.baseNV, len(f.ov.etypeOf)
+	return len(f.g.vertices) - f.ov.baseNV, f.g.NumEdges() - f.ov.baseNE
 }

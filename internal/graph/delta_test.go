@@ -6,111 +6,14 @@ import (
 	"testing"
 )
 
-// assertFrozenMatchesGraph compares every Frozen accessor against the
-// plain Graph accessors of ref, which must hold identical content. It
-// is the frozen-storage correctness oracle: ref's per-vertex insertion-
-// order slices are the truth, so a CSR row, typed group or merged
-// base+tail read that diverges from them fails here.
-func assertFrozenMatchesGraph(t *testing.T, f *Frozen, ref *Graph) {
-	t.Helper()
-	if f.NumVertices() != ref.NumVertices() || f.NumEdges() != ref.NumEdges() {
-		t.Fatalf("sizes: frozen %d/%d, ref %d/%d",
-			f.NumVertices(), f.NumEdges(), ref.NumVertices(), ref.NumEdges())
-	}
-	etypes := make([]string, 0, 4)
-	for et := range ref.EdgeTypeCounts() {
-		etypes = append(etypes, et)
-	}
-	etypes = append(etypes, "NOPE")
-	for v := 0; v < ref.NumVertices(); v++ {
-		id := VertexID(v)
-		if f.VertexTypeOf(id) != ref.Vertex(id).Type {
-			t.Fatalf("v%d: type %q, want %q", v, f.VertexTypeOf(id), ref.Vertex(id).Type)
-		}
-		if got, want := f.Out(id), ref.Out(id); !sameEdges(got, want) {
-			t.Fatalf("v%d Out = %v, want %v", v, got, want)
-		}
-		if got, want := f.In(id), ref.In(id); !sameEdges(got, want) {
-			t.Fatalf("v%d In = %v, want %v", v, got, want)
-		}
-		if f.OutDegree(id) != ref.OutDegree(id) || f.InDegree(id) != ref.InDegree(id) {
-			t.Fatalf("v%d degrees (%d,%d), want (%d,%d)",
-				v, f.OutDegree(id), f.InDegree(id), ref.OutDegree(id), ref.InDegree(id))
-		}
-		for _, et := range etypes {
-			var wantOut, wantIn []EdgeID
-			for _, eid := range ref.Out(id) {
-				if ref.Edge(eid).Type == et {
-					wantOut = append(wantOut, eid)
-				}
-			}
-			for _, eid := range ref.In(id) {
-				if ref.Edge(eid).Type == et {
-					wantIn = append(wantIn, eid)
-				}
-			}
-			if got := f.OutOfType(id, et); !sameEdges(got, wantOut) {
-				t.Fatalf("v%d OutOfType(%s) = %v, want %v", v, et, got, wantOut)
-			}
-			if got := f.InOfType(id, et); !sameEdges(got, wantIn) {
-				t.Fatalf("v%d InOfType(%s) = %v, want %v", v, et, got, wantIn)
-			}
-		}
-	}
-	for e := 0; e < ref.NumEdges(); e++ {
-		eid := EdgeID(e)
-		ed := ref.Edge(eid)
-		if f.From(eid) != ed.From || f.To(eid) != ed.To || f.EdgeTypeOf(eid) != ed.Type {
-			t.Fatalf("edge %d: (%d,%d,%s), want (%d,%d,%s)",
-				e, f.From(eid), f.To(eid), f.EdgeTypeOf(eid), ed.From, ed.To, ed.Type)
-		}
-		if f.EdgeTypeOf(eid) != "" {
-			tid, ok := f.EdgeTypeID(ed.Type)
-			if !ok {
-				t.Fatalf("edge type %q not resolvable", ed.Type)
-			}
-			if f.EdgeTypeIDOf(eid) != tid {
-				t.Fatalf("edge %d: interned type %d, want %d", e, f.EdgeTypeIDOf(eid), tid)
-			}
-		}
-	}
-	for _, vt := range append(ref.VertexTypes(), "NOPE") {
-		want := ref.VerticesOfType(vt)
-		got := f.VerticesOfType(vt)
-		if len(want) != len(got) {
-			t.Fatalf("VerticesOfType(%s): %d, want %d", vt, len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("VerticesOfType(%s)[%d] = %d, want %d", vt, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func sameEdges(a, b []EdgeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestDeltaOverlayMatchesFreshFreeze drives randomized interleaved
-// mutations into a frozen graph (overlay path) and a never-frozen twin,
-// checking every accessor after each burst. The same mutations are also
-// checked after a forced compaction — the folded base must read
-// identically.
+// mutations into a frozen graph (overlay path), recording them in the
+// oracle's edge list, and checks every accessor after each burst. The
+// same mutations are also checked after a forced compaction — the
+// folded base must read identically.
 func TestDeltaOverlayMatchesFreshFreeze(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	g := randomFrozenGraph(t, 3, 60, 240)
-	ref := NewGraph(nil)
-	g.EachVertex(func(v *Vertex) { ref.MustAddVertex(v.Type, v.Props) })
-	g.EachEdge(func(e *Edge) { ref.MustAddEdge(e.From, e.To, e.Type, g.EdgeProps(e.ID)) })
+	g, ref := randomFrozenGraph(t, 3, 60, 240)
 
 	f := g.Freeze()
 	builds := CSRBuilds()
@@ -119,21 +22,17 @@ func TestDeltaOverlayMatchesFreshFreeze(t *testing.T) {
 	for burst := 0; burst < 8; burst++ {
 		for i := 0; i < 25; i++ {
 			if rng.Intn(3) == 0 {
-				vt := vtypes[rng.Intn(len(vtypes))]
-				g.MustAddVertex(vt, nil)
-				ref.MustAddVertex(vt, nil)
+				ref.addVertex(g, vtypes[rng.Intn(len(vtypes))])
 			} else {
 				from := VertexID(rng.Intn(g.NumVertices()))
 				to := VertexID(rng.Intn(g.NumVertices()))
-				et := etypes[rng.Intn(len(etypes))]
-				g.MustAddEdge(from, to, et, nil)
-				ref.MustAddEdge(from, to, et, nil)
+				ref.addEdge(g, from, to, etypes[rng.Intn(len(etypes))], nil)
 			}
 		}
 		if got := g.Freeze(); got != f {
 			t.Fatalf("burst %d: snapshot pointer changed without compaction", burst)
 		}
-		assertFrozenMatchesGraph(t, f, ref)
+		assertFrozenMatchesList(t, f, ref)
 	}
 	if got := CSRBuilds(); got != builds {
 		t.Fatalf("overlay bursts rebuilt the CSR %d times", got-builds)
@@ -153,7 +52,7 @@ func TestDeltaOverlayMatchesFreshFreeze(t *testing.T) {
 	if tv, te := nf.TailSize(); tv != 0 || te != 0 {
 		t.Fatalf("compacted snapshot has tail (%d, %d)", tv, te)
 	}
-	assertFrozenMatchesGraph(t, nf, ref)
+	assertFrozenMatchesList(t, nf, ref)
 	if g.Compactions() == 0 || CompactionsTotal() == 0 {
 		t.Fatal("compaction counters did not advance")
 	}

@@ -12,9 +12,9 @@ import (
 // (or []float64, []string, bitset) plus a presence bitset, one per
 // declared property name, shared by every edge type that declares the
 // name (DeclareProperty keeps their kinds equal). AddEdge writes
-// declared values there and keeps only undeclared keys in Edge.Props,
-// so an edge whose properties are all declared — every prov edge and
-// its one `ts` — holds no map at all.
+// declared values there and keeps only undeclared keys in the edge's
+// map, so an edge whose properties are all declared — every prov edge
+// and its one `ts` — holds no map at all.
 //
 // The columns are the graph's own storage, not a freeze-time index:
 // every Frozen snapshot, the delta tail included, reads them directly,
@@ -236,14 +236,14 @@ func storeDeclared(decls []edgeDecl, id EdgeID, props Properties) {
 // columns only as storage (AddEdge never writes them). Otherwise the
 // properties are merged into one map and stored as AddEdge would.
 func (g *Graph) AddEdgeFrom(src *Graph, se EdgeID, from, to VertexID) (EdgeID, error) {
-	e := &src.edges[se]
-	if !g.copiesColumns(src, se) {
-		return g.AddEdge(from, to, e.Type, src.EdgeProps(se))
+	etype := src.etypes[src.etypeOf[se]]
+	if !g.copiesColumns(src, se, etype) {
+		return g.AddEdge(from, to, etype, src.EdgeProps(se))
 	}
-	if err := g.checkEdge(from, to, e.Type); err != nil {
+	if err := g.checkEdge(from, to, etype); err != nil {
 		return -1, err
 	}
-	id := g.linkEdge(from, to, e.Type, e.Props)
+	id := g.linkEdge(from, to, etype, src.edgeMap(se))
 	for _, sc := range src.ecols {
 		if sc.has(se) {
 			g.edgeColumnFor(sc.prop, sc.kind).copyFrom(sc, se, id)
@@ -253,18 +253,18 @@ func (g *Graph) AddEdgeFrom(src *Graph, se EdgeID, from, to VertexID) (EdgeID, e
 	return id, nil
 }
 
-// copiesColumns reports whether AddEdgeFrom may copy src's edge se
-// column to column. Under a shared schema both graphs' columns have the
-// declared kinds, so it may unless se's map holds a key g declares for
-// its type (a value stored before its declaration goes through
-// AddEdge's checks). A schemaless g may unless it has a column of
-// another kind under a name se's columns hold.
-func (g *Graph) copiesColumns(src *Graph, se EdgeID) bool {
+// copiesColumns reports whether AddEdgeFrom may copy src's edge se, of
+// type etype, column to column. Under a shared schema both graphs'
+// columns have the declared kinds, so it may unless se's map holds a
+// key g declares for its type (a value stored before its declaration
+// goes through AddEdge's checks). A schemaless g may unless it has a
+// column of another kind under a name se's columns hold.
+func (g *Graph) copiesColumns(src *Graph, se EdgeID, etype string) bool {
 	switch g.schema {
 	case src.schema:
-		e := &src.edges[se]
-		for _, d := range g.edgeDecls(e.Type) {
-			if _, ok := e.Props[d.prop]; ok {
+		m := src.edgeMap(se)
+		for _, d := range g.edgeDecls(etype) {
+			if _, ok := m[d.prop]; ok {
 				return false
 			}
 		}
@@ -303,7 +303,7 @@ func (p EdgeProperty) Get(e EdgeID) any {
 	if p.c != nil && p.c.has(e) {
 		return p.c.value(e)
 	}
-	if m := p.g.edges[e].Props; m != nil {
+	if m := p.g.edgeMap(e); m != nil {
 		return m[p.key]
 	}
 	return nil
@@ -318,7 +318,7 @@ func (p EdgeProperty) Int(e EdgeID) (int64, bool) {
 		}
 		return p.c.ints[e], true
 	}
-	if m := p.g.edges[e].Props; m != nil {
+	if m := p.g.edgeMap(e); m != nil {
 		x, ok := m[p.key].(int64)
 		return x, ok
 	}
@@ -332,7 +332,7 @@ func (g *Graph) EdgeProp(e EdgeID, key string) any { return g.EdgeProperty(key).
 // undeclared map itself when no column holds a value for e (shared,
 // read-only), otherwise a fresh map merging both.
 func (g *Graph) EdgeProps(e EdgeID) Properties {
-	m := g.edges[e].Props
+	m := g.edgeMap(e)
 	var out Properties
 	for _, c := range g.ecols {
 		if !c.has(e) {

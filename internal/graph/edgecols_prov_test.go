@@ -50,7 +50,7 @@ func TestEdgeColumnProvSaveMatchesMapStore(t *testing.T) {
 	if again := save(back); !bytes.Equal(again, out) {
 		t.Error("Load(Save(prov)) saves different bytes")
 	}
-	back.EachEdge(func(e *graph.Edge) {
+	back.EachEdge(func(e graph.Edge) {
 		if e.Props != nil {
 			t.Fatalf("loaded edge %d keeps map %v", e.ID, e.Props)
 		}

@@ -29,7 +29,7 @@ func edgeColumnSchema(t testing.TB) *Schema {
 func mapTwin(g *Graph) *Graph {
 	tw := NewGraph(nil)
 	g.EachVertex(func(v *Vertex) { tw.MustAddVertex(v.Type, v.Props) })
-	g.EachEdge(func(e *Edge) { tw.MustAddEdge(e.From, e.To, e.Type, g.EdgeProps(e.ID)) })
+	g.EachEdge(func(e Edge) { tw.MustAddEdge(e.From, e.To, e.Type, g.EdgeProps(e.ID)) })
 	return tw
 }
 
@@ -121,15 +121,15 @@ func TestEdgeColumnRejectsMiskindedValue(t *testing.T) {
 	g.MustAddEdge(j, f, "W", Properties{"ts": int64(1)})
 	check := func(phase string) {
 		t.Helper()
-		ne, out := g.NumEdges(), len(g.Out(j))
+		ne := g.NumEdges()
 		_, err := g.AddEdge(j, f, "W", Properties{"ts": 2.5, "note": "x"})
 		if err == nil || !strings.Contains(err.Error(), "declared int, holds float64") {
 			t.Errorf("%s: err = %v, want a declared-kind error", phase, err)
 		}
-		if g.NumEdges() != ne || len(g.Out(j)) != out {
+		if g.NumEdges() != ne {
 			t.Errorf("%s: the refused edge was stored", phase)
 		}
-		if fz := g.CachedFrozen(); fz != nil && fz.NumEdges() != ne {
+		if fz := g.CachedFrozen(); fz != nil && (fz.NumEdges() != ne || fz.OutDegree(j) != ne) {
 			t.Errorf("%s: the refused edge reached the snapshot", phase)
 		}
 	}

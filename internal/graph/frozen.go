@@ -17,18 +17,18 @@ var csrBuilds atomic.Int64
 func CSRBuilds() int64 { return csrBuilds.Load() }
 
 // Frozen is an immutable, cache-friendly view of a Graph: adjacency is
-// laid out in flat CSR (compressed sparse row) arrays instead of the
-// loader's pointer-heavy per-vertex slices, edge endpoints and type
-// labels are interned into dense parallel arrays, and every vertex's
-// out- and in-edges are additionally grouped by edge type so a typed
-// traversal step reads one contiguous slice with no per-edge filtering.
+// laid out in flat CSR (compressed sparse row) arrays, and every
+// vertex's out- and in-edges are additionally grouped by edge type so a
+// typed traversal step reads one contiguous slice with no per-edge
+// filtering.
 //
-// A Frozen is derived from its Graph by Freeze and shares the graph's
-// vertex/edge records, vertex type index, property bags and property
-// columns read-only; it adds only edge index structure. All iteration
-// orders are preserved exactly: Out/In return edges in insertion order,
-// OutOfType/InOfType return the insertion-order subsequence of that
-// type, and VerticesOfType is Graph.VerticesOfType.
+// A Frozen is derived from its Graph by Freeze. It reads the graph's
+// edge arrays (endpoints and interned types), vertex records, vertex
+// type index, property bags and property columns read-only, and adds
+// only the adjacency index. Every row lists edges in ID order, which is
+// insertion order: Out/In return a vertex's edges as they were added,
+// OutOfType/InOfType the subsequence of one type, and VerticesOfType is
+// Graph.VerticesOfType.
 //
 // Freeze memoizes: the first call builds the index in O(V+E) and caches
 // it on the graph; later calls return the cached value (one atomic
@@ -43,42 +43,30 @@ func CSRBuilds() int64 { return csrBuilds.Load() }
 type Frozen struct {
 	g *Graph
 
-	// Interned edge type labels, in first-appearance (edge ID) order.
-	etypes  []string
-	etypeID map[string]int32
-	etypeOf []int32 // edge ID -> index into etypes
-
-	// Flat edge endpoints (edge ID -> vertex ID), so traversals never
-	// touch the Edge struct (and its property-map pointer) just to step.
-	edgeFrom []VertexID
-	edgeTo   []VertexID
-
-	// CSR adjacency in insertion order: vertex v's out-edges are
-	// outEdges[outOff[v]:outOff[v+1]], matching Graph.Out(v) exactly.
-	outOff   []int32
-	outEdges []EdgeID
-	inOff    []int32
-	inEdges  []EdgeID
-
-	// Type-grouped adjacency: outTyped holds each vertex's row permuted
-	// so edges of one type are contiguous (insertion order within a
-	// group), occupying the same [outOff[v], outOff[v+1]) span as the
-	// flat row. The groups present at v are outGroups[outGroupOff[v]:
-	// outGroupOff[v+1]] — one (type, start) record per distinct type in
-	// the row, so memory is O(V+E) regardless of how many edge types the
-	// graph declares. OutOfType resolves a group with a short linear
-	// scan (vertices rarely carry more than a handful of types).
-	outGroupOff []int32
-	outGroups   []typeGroup
-	outTyped    []EdgeID
-	inGroupOff  []int32
-	inGroups    []typeGroup
-	inTyped     []EdgeID
+	// out and in index the edges that existed when the snapshot was
+	// built, by source and by target.
+	out, in adjacency
 
 	// ov is the delta overlay (delta.go), attached by the first
 	// post-freeze mutation; nil on a pure-base snapshot. Written only on
 	// the mutation path, which never overlaps readers.
 	ov *overlay
+}
+
+// adjacency is one direction's CSR index. Vertex v's edges are
+// edges[off[v]:off[v+1]] in ID order. typed holds each row permuted so
+// edges of one type are contiguous (ID order within a group),
+// occupying the same span as the flat row; the groups present at v are
+// groups[groupOff[v]:groupOff[v+1]] — one (type, start) record per
+// distinct type in the row, so memory is O(V+E) regardless of how many
+// edge types the graph declares. typedRun resolves a group with a short
+// linear scan (vertices rarely carry more than a handful of types).
+type adjacency struct {
+	off      []int32
+	edges    []EdgeID
+	groupOff []int32
+	groups   []typeGroup
+	typed    []EdgeID
 }
 
 // Freeze returns the graph's frozen CSR view, building and caching it on
@@ -122,45 +110,36 @@ func (g *Graph) CachedFrozen() *Frozen { return g.frozen.Load() }
 
 func buildFrozen(g *Graph) *Frozen {
 	csrBuilds.Add(1)
-	nv, ne := len(g.vertices), len(g.edges)
-	f := &Frozen{
-		g:       g,
-		etypeID: make(map[string]int32),
-		etypeOf: make([]int32, ne),
+	return &Frozen{
+		g:   g,
+		out: buildAdjacency(g.edgeFrom, g.etypeOf, len(g.vertices), len(g.etypes)),
+		in:  buildAdjacency(g.edgeTo, g.etypeOf, len(g.vertices), len(g.etypes)),
 	}
-	f.edgeFrom = make([]VertexID, ne)
-	f.edgeTo = make([]VertexID, ne)
-	for i := range g.edges {
-		e := &g.edges[i]
-		t := e.Type
-		id, ok := f.etypeID[t]
-		if !ok {
-			id = int32(len(f.etypes))
-			f.etypeID[t] = id
-			f.etypes = append(f.etypes, t)
-		}
-		f.etypeOf[i] = id
-		f.edgeFrom[i] = e.From
-		f.edgeTo[i] = e.To
-	}
-	f.outOff, f.outEdges = flattenAdjacency(g.out, ne)
-	f.inOff, f.inEdges = flattenAdjacency(g.in, ne)
-	nt := len(f.etypes)
-	f.outGroupOff, f.outGroups, f.outTyped = groupByType(f.outOff, f.outEdges, f.etypeOf, nv, nt)
-	f.inGroupOff, f.inGroups, f.inTyped = groupByType(f.inOff, f.inEdges, f.etypeOf, nv, nt)
-	return f
 }
 
-// flattenAdjacency packs per-vertex edge lists into one offset array and
-// one edge array, preserving per-vertex order.
-func flattenAdjacency(adj [][]EdgeID, ne int) ([]int32, []EdgeID) {
-	off := make([]int32, len(adj)+1)
-	edges := make([]EdgeID, 0, ne)
-	for v, row := range adj {
-		edges = append(edges, row...)
-		off[v+1] = int32(len(edges))
+// buildAdjacency indexes edges by the endpoint end[e] with a stable
+// counting sort, so each row lists its edges in ID order, then groups
+// every row by type.
+func buildAdjacency(end []VertexID, etypeOf []int32, nv, nt int) adjacency {
+	off := make([]int32, nv+1)
+	for _, v := range end {
+		off[v+1]++
 	}
-	return off, edges
+	for v := 1; v <= nv; v++ {
+		off[v] += off[v-1]
+	}
+	// off[v] walks row v from its start to its end, which is row v+1's
+	// start; shifting by one restores the starts.
+	edges := make([]EdgeID, len(end))
+	for e, v := range end {
+		edges[off[v]] = EdgeID(e)
+		off[v]++
+	}
+	copy(off[1:], off[:nv])
+	off[0] = 0
+	a := adjacency{off: off, edges: edges}
+	a.groupOff, a.groups, a.typed = groupByType(off, edges, etypeOf, nv, nt)
+	return a
 }
 
 // typeGroup records one contiguous same-type run in the type-grouped
@@ -214,6 +193,26 @@ func groupByType(off []int32, edges []EdgeID, etypeOf []int32, nv, nt int) ([]in
 	return groupOff, groups, grouped
 }
 
+// row returns vertex v's edges in ID order.
+func (a *adjacency) row(v VertexID) []EdgeID { return a.edges[a.off[v]:a.off[v+1]] }
+
+// typedRun resolves vertex v's type-t group: a linear scan over the few
+// groups present at v, returning the contiguous run (nil when absent).
+func (a *adjacency) typedRun(v VertexID, t int32) []EdgeID {
+	gs := a.groups[a.groupOff[v]:a.groupOff[v+1]]
+	for i, g := range gs {
+		if g.t != t {
+			continue
+		}
+		hi := a.off[v+1]
+		if i+1 < len(gs) {
+			hi = gs[i+1].lo
+		}
+		return a.typed[g.lo:hi]
+	}
+	return nil
+}
+
 // Graph returns the underlying graph (for property and record access).
 func (f *Frozen) Graph() *Graph { return f.g }
 
@@ -221,109 +220,84 @@ func (f *Frozen) Graph() *Graph { return f.g }
 func (f *Frozen) NumVertices() int { return len(f.g.vertices) }
 
 // NumEdges returns the edge count (base + tail).
-func (f *Frozen) NumEdges() int {
-	if f.ov != nil {
-		return len(f.g.edges)
-	}
-	return len(f.etypeOf)
-}
+func (f *Frozen) NumEdges() int { return f.g.NumEdges() }
 
 // Vertex returns the vertex record (read-only), like Graph.Vertex.
 func (f *Frozen) Vertex(id VertexID) *Vertex { return f.g.Vertex(id) }
 
-// Edge returns the edge record (read-only), like Graph.Edge.
-func (f *Frozen) Edge(id EdgeID) *Edge { return f.g.Edge(id) }
+// Edge assembles the edge with the given ID, like Graph.Edge.
+func (f *Frozen) Edge(id EdgeID) Edge { return f.g.Edge(id) }
 
-// Out returns the IDs of edges leaving v, in insertion order — the same
-// sequence as Graph.Out(v), read from the flat CSR row. With an overlay,
-// a vertex whose row gained tail edges (or that is itself in the tail)
-// reads the graph's live insertion-order row, which IS the merged
-// base+tail row; untouched vertices stay on the base CSR.
+// Out returns the IDs of edges leaving v, in insertion order. With an
+// overlay, a vertex a tail edge touched (or a tail vertex) reads its
+// merged row; every other vertex reads the base CSR row.
 func (f *Frozen) Out(v VertexID) []EdgeID {
-	if ov := f.ov; ov != nil {
-		row := f.g.out[v]
-		if int(v) >= ov.baseNV || int(f.outOff[v+1]-f.outOff[v]) != len(row) {
-			overlayReads.Add(1)
-			return row
-		}
+	if ov := f.ov; ov != nil && ov.out.merges(v) {
+		return ov.out.read(v)
 	}
-	return f.outEdges[f.outOff[v]:f.outOff[v+1]]
+	return f.out.row(v)
 }
 
 // In returns the IDs of edges entering v, in insertion order.
 func (f *Frozen) In(v VertexID) []EdgeID {
-	if ov := f.ov; ov != nil {
-		row := f.g.in[v]
-		if int(v) >= ov.baseNV || int(f.inOff[v+1]-f.inOff[v]) != len(row) {
-			overlayReads.Add(1)
-			return row
-		}
+	if ov := f.ov; ov != nil && ov.in.merges(v) {
+		return ov.in.read(v)
 	}
-	return f.inEdges[f.inOff[v]:f.inOff[v+1]]
+	return f.in.row(v)
 }
 
 // OutDegree returns the out-degree of v.
 func (f *Frozen) OutDegree(v VertexID) int {
-	if f.ov != nil {
-		return len(f.g.out[v])
+	if ov := f.ov; ov != nil && ov.out.merges(v) {
+		return len(ov.out.rows[v])
 	}
-	return int(f.outOff[v+1] - f.outOff[v])
+	return int(f.out.off[v+1] - f.out.off[v])
 }
 
 // InDegree returns the in-degree of v.
 func (f *Frozen) InDegree(v VertexID) int {
-	if f.ov != nil {
-		return len(f.g.in[v])
+	if ov := f.ov; ov != nil && ov.in.merges(v) {
+		return len(ov.in.rows[v])
 	}
-	return int(f.inOff[v+1] - f.inOff[v])
+	return int(f.in.off[v+1] - f.in.off[v])
 }
 
-// From returns an edge's source vertex from the flat endpoint array.
+// From returns an edge's source vertex from the graph's endpoint array.
 func (f *Frozen) From(e EdgeID) VertexID {
-	if ov := f.ov; ov != nil && int(e) >= ov.baseNE {
-		overlayReads.Add(1)
-		return ov.edgeFrom[int(e)-ov.baseNE]
-	}
-	return f.edgeFrom[e]
+	f.countTail(e)
+	return f.g.edgeFrom[e]
 }
 
-// To returns an edge's target vertex from the flat endpoint array.
+// To returns an edge's target vertex from the graph's endpoint array.
 func (f *Frozen) To(e EdgeID) VertexID {
+	f.countTail(e)
+	return f.g.edgeTo[e]
+}
+
+// countTail counts a read of a tail edge as an overlay read.
+func (f *Frozen) countTail(e EdgeID) {
 	if ov := f.ov; ov != nil && int(e) >= ov.baseNE {
 		overlayReads.Add(1)
-		return ov.edgeTo[int(e)-ov.baseNE]
 	}
-	return f.edgeTo[e]
 }
 
 // EdgeTypeID resolves an edge type label to its dense interned ID,
 // reporting false when no edge of that type exists.
 func (f *Frozen) EdgeTypeID(etype string) (int32, bool) {
-	if ov := f.ov; ov != nil {
-		id, ok := ov.etypeID[etype]
-		return id, ok
-	}
-	id, ok := f.etypeID[etype]
+	id, ok := f.g.etypeID[etype]
 	return id, ok
 }
 
 // EdgeTypeOf returns an edge's type label (interned — comparing results
 // of EdgeTypeIDOf is cheaper in hot loops).
 func (f *Frozen) EdgeTypeOf(e EdgeID) string {
-	if ov := f.ov; ov != nil && int(e) >= ov.baseNE {
-		overlayReads.Add(1)
-		return ov.etypes[ov.etypeOf[int(e)-ov.baseNE]]
-	}
-	return f.etypes[f.etypeOf[e]]
+	return f.g.etypes[f.EdgeTypeIDOf(e)]
 }
 
 // EdgeTypeIDOf returns an edge's interned type ID.
 func (f *Frozen) EdgeTypeIDOf(e EdgeID) int32 {
-	if ov := f.ov; ov != nil && int(e) >= ov.baseNE {
-		overlayReads.Add(1)
-		return ov.etypeOf[int(e)-ov.baseNE]
-	}
-	return f.etypeOf[e]
+	f.countTail(e)
+	return f.g.etypeOf[e]
 }
 
 // VertexTypeOf returns a vertex's type label from the graph's type
@@ -358,47 +332,22 @@ func (f *Frozen) InOfType(v VertexID, etype string) []EdgeID {
 // type IDs never match a base group, so untouched pairs fall through to
 // the base index correctly.
 func (f *Frozen) OutTyped(v VertexID, t int32) []EdgeID {
-	if ov := f.ov; ov != nil {
-		if run, ok := ov.outTyped[typedKey{v: v, t: t}]; ok {
-			overlayReads.Add(1)
+	if ov := f.ov; ov != nil && ov.out.merges(v) {
+		if run, ok := ov.readTyped(&ov.out, v, t); ok {
 			return run
 		}
-		if int(v) >= ov.baseNV {
-			return nil
-		}
 	}
-	return typedRun(f.outGroupOff, f.outGroups, f.outOff, f.outTyped, v, t)
+	return f.out.typedRun(v, t)
 }
 
 // InTyped is OutTyped for in-edges.
 func (f *Frozen) InTyped(v VertexID, t int32) []EdgeID {
-	if ov := f.ov; ov != nil {
-		if run, ok := ov.inTyped[typedKey{v: v, t: t}]; ok {
-			overlayReads.Add(1)
+	if ov := f.ov; ov != nil && ov.in.merges(v) {
+		if run, ok := ov.readTyped(&ov.in, v, t); ok {
 			return run
 		}
-		if int(v) >= ov.baseNV {
-			return nil
-		}
 	}
-	return typedRun(f.inGroupOff, f.inGroups, f.inOff, f.inTyped, v, t)
-}
-
-// typedRun resolves vertex v's type-t group: a linear scan over the few
-// groups present at v, returning the contiguous run (nil when absent).
-func typedRun(groupOff []int32, groups []typeGroup, off []int32, typed []EdgeID, v VertexID, t int32) []EdgeID {
-	gs := groups[groupOff[v]:groupOff[v+1]]
-	for i, g := range gs {
-		if g.t != t {
-			continue
-		}
-		hi := off[v+1]
-		if i+1 < len(gs) {
-			hi = gs[i+1].lo
-		}
-		return typed[g.lo:hi]
-	}
-	return nil
+	return f.in.typedRun(v, t)
 }
 
 // VerticesOfType returns the vertex IDs with the given type, in
@@ -408,11 +357,7 @@ func (f *Frozen) VerticesOfType(vtype string) []VertexID { return f.g.VerticesOf
 
 // EdgeTypes returns the distinct edge types present, sorted.
 func (f *Frozen) EdgeTypes() []string {
-	src := f.etypes
-	if f.ov != nil {
-		src = f.ov.etypes
-	}
-	out := append([]string(nil), src...)
+	out := append([]string(nil), f.g.etypes...)
 	sort.Strings(out)
 	return out
 }

@@ -6,44 +6,43 @@ import (
 	"testing"
 )
 
-func randomFrozenGraph(t testing.TB, seed int64, nv, ne int) *Graph {
+// randomFrozenGraph builds a random graph of nv vertices and ne edges
+// and returns it with the edge list it was built from.
+func randomFrozenGraph(t testing.TB, seed int64, nv, ne int) (*Graph, *edgeList) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	g := NewGraph(nil)
+	g, l := NewGraph(nil), &edgeList{}
 	vtypes := []string{"Job", "File", "Task", "Machine"}
 	etypes := []string{"W", "R", "T"}
 	for i := 0; i < nv; i++ {
-		g.MustAddVertex(vtypes[rng.Intn(len(vtypes))], nil)
+		l.addVertex(g, vtypes[rng.Intn(len(vtypes))])
 	}
 	for i := 0; i < ne; i++ {
-		g.MustAddEdge(VertexID(rng.Intn(nv)), VertexID(rng.Intn(nv)),
-			etypes[rng.Intn(len(etypes))], nil)
+		l.addEdge(g, VertexID(rng.Intn(nv)), VertexID(rng.Intn(nv)), etypes[rng.Intn(len(etypes))], nil)
 	}
-	return g
+	return g, l
 }
 
-// TestFrozenPreservesAdjacencyOrder proves the CSR rows byte-identical
-// to the graph's own insertion-order accessors: Out/In match
-// Graph.Out/In exactly, and OutOfType/InOfType are the insertion-order
-// subsequences a per-edge type filter would produce.
+// TestFrozenPreservesAdjacencyOrder proves the CSR rows identical to
+// the naive insertion-order adjacency of the edge list: Out/In list
+// each vertex's edges in the order they were added, and
+// OutOfType/InOfType are the subsequences a per-edge type filter would
+// produce.
 func TestFrozenPreservesAdjacencyOrder(t *testing.T) {
-	g := randomFrozenGraph(t, 1, 200, 1500)
-	assertFrozenMatchesGraph(t, g.Freeze(), g)
+	g, l := randomFrozenGraph(t, 1, 200, 1500)
+	assertFrozenMatchesList(t, g.Freeze(), l)
 }
 
-// twin is a graph under test plus a never-frozen copy receiving the
-// same mutations, the reference for assertFrozenMatchesGraph.
-type twin struct{ g, ref *Graph }
-
-func (tw twin) addVertex(vt string) VertexID {
-	tw.ref.MustAddVertex(vt, nil)
-	return tw.g.MustAddVertex(vt, nil)
+// twin is a graph under test plus the edge list of its mutations, the
+// reference for assertFrozenMatchesList.
+type twin struct {
+	g *Graph
+	l *edgeList
 }
 
-func (tw twin) addEdge(from, to VertexID, et string) {
-	tw.g.MustAddEdge(from, to, et, nil)
-	tw.ref.MustAddEdge(from, to, et, nil)
-}
+func (tw twin) addVertex(vt string) VertexID { return tw.l.addVertex(tw.g, vt) }
+
+func (tw twin) addEdge(from, to VertexID, et string) { tw.l.addEdge(tw.g, from, to, et, nil) }
 
 // TestFrozenAccessorShapes runs the accessor oracle over the adjacency
 // shapes the CSR grouping and the overlay's merged runs special-case:
@@ -98,11 +97,11 @@ func TestFrozenAccessorShapes(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
-			tw := twin{NewGraph(nil), NewGraph(nil)}
+			tw := twin{NewGraph(nil), &edgeList{}}
 			c, p := tw.addVertex("Job"), tw.addVertex("File")
 			sh.add(tw, c, p, 1000, baseTypes)
 			f := tw.g.Freeze()
-			assertFrozenMatchesGraph(t, f, tw.ref)
+			assertFrozenMatchesList(t, f, tw.l)
 
 			sh.add(tw, c, p, 40, allTypes)
 			if tw.g.CachedFrozen() != f {
@@ -111,7 +110,7 @@ func TestFrozenAccessorShapes(t *testing.T) {
 			if _, te := f.TailSize(); te == 0 {
 				t.Fatal("burst left no tail")
 			}
-			assertFrozenMatchesGraph(t, f, tw.ref)
+			assertFrozenMatchesList(t, f, tw.l)
 
 			if err := tw.g.Compact(); err != nil {
 				t.Fatal(err)
@@ -120,7 +119,7 @@ func TestFrozenAccessorShapes(t *testing.T) {
 			if nf == f {
 				t.Fatal("Compact did not swap in a fresh snapshot")
 			}
-			assertFrozenMatchesGraph(t, nf, tw.ref)
+			assertFrozenMatchesList(t, nf, tw.l)
 		})
 	}
 }
@@ -159,7 +158,7 @@ func TestFreezeMemoizesAndInvalidates(t *testing.T) {
 // TestFreezeConcurrent races many first-time Freeze calls; all must
 // observe one coherent view (run with -race).
 func TestFreezeConcurrent(t *testing.T) {
-	g := randomFrozenGraph(t, 2, 100, 500)
+	g, _ := randomFrozenGraph(t, 2, 100, 500)
 	var wg sync.WaitGroup
 	results := make([]*Frozen, 8)
 	for i := range results {

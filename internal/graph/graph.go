@@ -9,15 +9,24 @@
 // connector views) are new Graph values. After loading, a Graph is safe for
 // concurrent readers.
 //
+// # Edge storage
+//
+// An edge is one entry in three flat arrays the graph owns, indexed by
+// edge ID and appended by AddEdge: its source, its target, and its type
+// as an index into a table interning edge types in first-appearance
+// order. Graph.Edge and EachEdge assemble an Edge value from them. The
+// graph keeps no per-vertex adjacency of its own: Freeze derives it.
+//
 // # Frozen CSR views
 //
 // Freeze derives a Frozen view: flat CSR offset/edge arrays for out-
-// and in-adjacency, interned edge type labels, and per-vertex edges
-// grouped by edge type (OutOfType returns a contiguous slice with no
-// per-edge filtering). The frozen view shares the graph's records, its
-// vertex type index (interned types, per-type vertex lists, each
-// vertex's position within its type), property bags and property
-// columns read-only, preserves every iteration order exactly, and is
+// and in-adjacency, built by a stable counting sort over the edge
+// arrays, and per-vertex edges grouped by edge type (OutOfType returns
+// a contiguous slice with no per-edge filtering). The frozen view reads
+// the graph's edge arrays and type table, its vertex records and vertex
+// type index (interned types, per-type vertex lists, each vertex's
+// position within its type), property bags and property columns
+// read-only, lists every row in edge ID (insertion) order, and is
 // memoized on the graph — the loader, the view catalog, and the
 // executor freeze once after load and then only read.
 //
@@ -28,14 +37,14 @@
 // indexed by the vertex's position within its type (columns.go), which
 // every snapshot reads directly. Schema-declared edge properties live
 // only in typed columns the graph owns, indexed by edge ID
-// (edgecols.go): Edge.Props holds just the undeclared keys, and
-// Graph.EdgeProp / EdgeProperty read both.
+// (edgecols.go); the undeclared ones are one map per edge that has
+// any, and Graph.EdgeProp / EdgeProperty read both.
 //
 // Post-freeze edges land in the snapshot's delta overlay (delta.go):
-// AddEdge appends to a per-type tail merged behind the Frozen
-// accessors, and a compaction threshold folds the tail into a fresh
-// base CSR — queries between mutations never pay an O(V+E) rebuild.
-// Mutation must not run concurrently with readers, as ever.
+// AddEdge appends to the edge arrays and to merged rows behind the
+// Frozen accessors, and a compaction threshold folds the tail into a
+// fresh base CSR — queries between mutations never pay an O(V+E)
+// rebuild. Mutation must not run concurrently with readers, as ever.
 package graph
 
 import (
@@ -66,9 +75,10 @@ type Vertex struct {
 	Props Properties
 }
 
-// Edge is a typed directed edge between two vertices. Props holds only
-// the properties the schema does not declare for the edge's type (nil
-// when there are none); declared ones live in the graph's edge columns.
+// Edge is a typed directed edge between two vertices, assembled from
+// the graph's edge arrays. Props holds only the properties the schema
+// does not declare for the edge's type (nil when there are none);
+// declared ones live in the graph's edge columns.
 type Edge struct {
 	ID    EdgeID
 	From  VertexID
@@ -84,9 +94,16 @@ type Edge struct {
 type Graph struct {
 	schema   *Schema
 	vertices []Vertex
-	edges    []Edge
-	out      [][]EdgeID // out[v] = edges with From == v, in insertion order
-	in       [][]EdgeID // in[v] = edges with To == v
+	// Edges, indexed by edge ID: endpoints and the index of the edge's
+	// type in etypes, which interns edge types in first-appearance
+	// order. eprops holds the undeclared property maps; it is allocated
+	// by the first edge that has one, and edges past its end have none.
+	edgeFrom []VertexID
+	edgeTo   []VertexID
+	etypeOf  []int32
+	etypes   []string
+	etypeID  map[string]int32
+	eprops   []Properties
 	// vtypes interns vertex types in first-appearance order, each with
 	// its vertices and declared property columns (columns.go); vloc
 	// places every vertex in its type. vdeclGen is the schema generation
@@ -129,7 +146,7 @@ func (g *Graph) Schema() *Schema { return g.schema }
 func (g *Graph) NumVertices() int { return len(g.vertices) }
 
 // NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int { return len(g.edgeFrom) }
 
 // AddVertex adds a vertex of the given type with optional properties and
 // returns its ID. It returns an error, before it mutates anything, if
@@ -169,15 +186,13 @@ func (g *Graph) AddVertex(vtype string, props Properties) (VertexID, error) {
 	}
 	id := VertexID(len(g.vertices))
 	g.vertices = append(g.vertices, Vertex{ID: id, Type: vtype, Props: props})
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
 	g.vtypes[tid].add(id, props)
 	g.vloc = append(g.vloc, vertexLoc{typ: tid, slot: int32(len(g.vtypes[tid].verts) - 1)})
 	if s := g.schema; s != nil && s.gen != g.vdeclGen && g.lateDeclaration("") == nil {
 		g.vdeclGen = s.gen
 	}
 	if f := g.frozen.Load(); f != nil {
-		f.ensureOverlay()
+		f.overlayAddVertex(id)
 		g.maybeCompact(f)
 	}
 	return id, nil
@@ -233,12 +248,26 @@ func (g *Graph) checkEdge(from, to VertexID, etype string) error {
 	return nil
 }
 
-// linkEdge appends a checked edge record to the adjacency lists.
+// linkEdge appends a checked edge to the edge arrays, interning its
+// type, and keeps props as its undeclared map when it holds any key.
 func (g *Graph) linkEdge(from, to VertexID, etype string, props Properties) EdgeID {
-	id := EdgeID(len(g.edges))
-	g.edges = append(g.edges, Edge{ID: id, From: from, To: to, Type: etype, Props: props})
-	g.out[from] = append(g.out[from], id)
-	g.in[to] = append(g.in[to], id)
+	id := EdgeID(len(g.edgeFrom))
+	t, ok := g.etypeID[etype]
+	if !ok {
+		if g.etypeID == nil {
+			g.etypeID = make(map[string]int32)
+		}
+		t = int32(len(g.etypes))
+		g.etypeID[etype] = t
+		g.etypes = append(g.etypes, etype)
+	}
+	g.edgeFrom = append(g.edgeFrom, from)
+	g.edgeTo = append(g.edgeTo, to)
+	g.etypeOf = append(g.etypeOf, t)
+	if len(props) > 0 {
+		g.eprops = growTo(g.eprops, int(id)+1)
+		g.eprops[id] = props
+	}
 	return id
 }
 
@@ -263,20 +292,19 @@ func (g *Graph) MustAddEdge(from, to VertexID, etype string, props Properties) E
 // into the graph's storage; callers must treat it as read-only.
 func (g *Graph) Vertex(id VertexID) *Vertex { return &g.vertices[id] }
 
-// Edge returns the edge with the given ID (read-only, like Vertex).
-func (g *Graph) Edge(id EdgeID) *Edge { return &g.edges[id] }
+// Edge assembles the edge with the given ID from the edge arrays. Its
+// Props map is shared with the graph and must be treated as read-only.
+func (g *Graph) Edge(id EdgeID) Edge {
+	return Edge{ID: id, From: g.edgeFrom[id], To: g.edgeTo[id], Type: g.etypes[g.etypeOf[id]], Props: g.edgeMap(id)}
+}
 
-// Out returns the IDs of edges leaving v, in insertion order.
-func (g *Graph) Out(v VertexID) []EdgeID { return g.out[v] }
-
-// In returns the IDs of edges entering v, in insertion order.
-func (g *Graph) In(v VertexID) []EdgeID { return g.in[v] }
-
-// OutDegree returns the out-degree of v.
-func (g *Graph) OutDegree(v VertexID) int { return len(g.out[v]) }
-
-// InDegree returns the in-degree of v.
-func (g *Graph) InDegree(v VertexID) int { return len(g.in[v]) }
+// edgeMap returns edge e's undeclared property map (nil when none).
+func (g *Graph) edgeMap(e EdgeID) Properties {
+	if int(e) < len(g.eprops) {
+		return g.eprops[e]
+	}
+	return nil
+}
 
 // VerticesOfType returns the vertex IDs with the given type, in insertion
 // order. The returned slice is shared; callers must not modify it.
@@ -300,9 +328,9 @@ func (g *Graph) VertexTypes() []string {
 
 // EdgeTypeCounts returns the number of edges of each edge type.
 func (g *Graph) EdgeTypeCounts() map[string]int {
-	counts := make(map[string]int)
-	for i := range g.edges {
-		counts[g.edges[i].Type]++
+	counts := make(map[string]int, len(g.etypes))
+	for _, t := range g.etypeOf {
+		counts[g.etypes[t]]++
 	}
 	return counts
 }
@@ -318,9 +346,9 @@ func (g *Graph) EachVertex(fn func(*Vertex)) {
 }
 
 // EachEdge calls fn for every edge in ID order.
-func (g *Graph) EachEdge(fn func(*Edge)) {
-	for i := range g.edges {
-		fn(&g.edges[i])
+func (g *Graph) EachEdge(fn func(Edge)) {
+	for i := range g.edgeFrom {
+		fn(g.Edge(EdgeID(i)))
 	}
 }
 
@@ -332,13 +360,14 @@ func (v *Vertex) Prop(key string) any {
 	return v.Props[key]
 }
 
-// SetVertexProp sets vertex id's property key to val (nil: absent) in
-// its map, allocated when nil, and, when its type declares key, in the
-// column. A value of another kind than declared is refused before
-// anything changes. It is intended for algorithms that annotate
+// SetVertexProp sets vertex id's property key to val (nil: absent) and,
+// when its type declares key, stores val in the column. The vertex gets
+// a fresh map carrying the change: the old one may be shared (AddVertex
+// keeps the caller's map, and view builders pass the base graph's), so
+// it is never written. A value of another kind than declared is refused
+// before anything changes. It is intended for algorithms that annotate
 // vertices (e.g. community labels); graphs being annotated must not be
-// concurrently read, and a graph sharing the map (a view's copy of the
-// vertex) sees the map write but not the column write.
+// concurrently read.
 func (g *Graph) SetVertexProp(id VertexID, key string, val any) error {
 	loc := g.vloc[id]
 	t := &g.vtypes[loc.typ]
@@ -349,10 +378,12 @@ func (g *Graph) SetVertexProp(id VertexID, key string, val any) error {
 		}
 	}
 	v := &g.vertices[id]
-	if v.Props == nil {
-		v.Props = make(Properties, 1)
+	props := make(Properties, len(v.Props)+1)
+	for k, x := range v.Props {
+		props[k] = x
 	}
-	v.Props[key] = val
+	props[key] = val
+	v.Props = props
 	if c != nil {
 		c.vals[loc.slot] = val
 	}
@@ -361,5 +392,5 @@ func (g *Graph) SetVertexProp(id VertexID, key string, val any) error {
 
 // String implements fmt.Stringer for debugging.
 func (g *Graph) String() string {
-	return fmt.Sprintf("graph{|V|=%d, |E|=%d, types=%v}", len(g.vertices), len(g.edges), g.VertexTypes())
+	return fmt.Sprintf("graph{|V|=%d, |E|=%d, types=%v}", len(g.vertices), len(g.edgeFrom), g.VertexTypes())
 }

@@ -84,14 +84,15 @@ func TestAdjacency(t *testing.T) {
 	e2 := g.MustAddEdge(a, c, "E", nil)
 	e3 := g.MustAddEdge(b, c, "E", nil)
 
-	if got := g.Out(a); len(got) != 2 || got[0] != e1 || got[1] != e2 {
+	f := g.Freeze()
+	if got := f.Out(a); len(got) != 2 || got[0] != e1 || got[1] != e2 {
 		t.Errorf("Out(a) = %v, want [%d %d]", got, e1, e2)
 	}
-	if got := g.In(c); len(got) != 2 || got[0] != e2 || got[1] != e3 {
+	if got := f.In(c); len(got) != 2 || got[0] != e2 || got[1] != e3 {
 		t.Errorf("In(c) = %v, want [%d %d]", got, e2, e3)
 	}
-	if g.OutDegree(a) != 2 || g.InDegree(a) != 0 {
-		t.Errorf("degrees of a = (%d,%d), want (2,0)", g.OutDegree(a), g.InDegree(a))
+	if f.OutDegree(a) != 2 || f.InDegree(a) != 0 {
+		t.Errorf("degrees of a = (%d,%d), want (2,0)", f.OutDegree(a), f.InDegree(a))
 	}
 	if g.Edge(e3).From != b || g.Edge(e3).To != c {
 		t.Errorf("Edge(e3) endpoints = (%d,%d), want (%d,%d)", g.Edge(e3).From, g.Edge(e3).To, b, c)
@@ -307,16 +308,17 @@ func TestAdjacencyConsistency(t *testing.T) {
 			to := VertexID(int(p&0xff) % n)
 			g.MustAddEdge(from, to, "E", nil)
 		}
+		fz := g.Freeze()
 		outSum, inSum := 0, 0
 		for v := VertexID(0); int(v) < n; v++ {
-			outSum += g.OutDegree(v)
-			inSum += g.InDegree(v)
-			for _, eid := range g.Out(v) {
+			outSum += fz.OutDegree(v)
+			inSum += fz.InDegree(v)
+			for _, eid := range fz.Out(v) {
 				if g.Edge(eid).From != v {
 					return false
 				}
 			}
-			for _, eid := range g.In(v) {
+			for _, eid := range fz.In(v) {
 				if g.Edge(eid).To != v {
 					return false
 				}

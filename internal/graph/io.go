@@ -69,7 +69,7 @@ func Save(w io.Writer, g *Graph) error {
 	}
 	// An edge's properties are its declared column values merged with
 	// its map.
-	g.EachEdge(func(e *Edge) {
+	g.EachEdge(func(e Edge) {
 		if err != nil {
 			return
 		}

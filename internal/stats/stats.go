@@ -42,19 +42,21 @@ func percentileSorted(sorted []int, alpha float64) int {
 }
 
 // OutDegrees returns the out-degree of every vertex of the given type
-// (every vertex when vtype is "").
+// (every vertex when vtype is ""), read from the graph's frozen
+// snapshot.
 func OutDegrees(g *graph.Graph, vtype string) []int {
+	f := g.Freeze()
 	if vtype == "" {
-		out := make([]int, g.NumVertices())
+		out := make([]int, f.NumVertices())
 		for i := range out {
-			out[i] = g.OutDegree(graph.VertexID(i))
+			out[i] = f.OutDegree(graph.VertexID(i))
 		}
 		return out
 	}
-	ids := g.VerticesOfType(vtype)
+	ids := f.VerticesOfType(vtype)
 	out := make([]int, len(ids))
 	for i, id := range ids {
-		out[i] = g.OutDegree(id)
+		out[i] = f.OutDegree(id)
 	}
 	return out
 }

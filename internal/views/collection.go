@@ -22,10 +22,11 @@ type MaintainedCollection struct {
 	views    []*graph.Graph // views[i] is the ks[i]-hop view
 	ks       []int
 	// keep lists the vertex types mirrored into the views (nil = all),
-	// and remap maps their base vertex IDs to view vertex IDs. Every
-	// view in the chain keeps the same types, so one mapping serves all.
+	// and remap maps their base vertex IDs to view vertex IDs (NoVertex,
+	// or past its end: not mirrored). Every view in the chain keeps the
+	// same types, so one mapping serves all.
 	keep  []string
-	remap map[graph.VertexID]graph.VertexID
+	remap []graph.VertexID
 }
 
 // NewMaintainedCollection materializes the k-hop connectors k=1..def.K
@@ -91,6 +92,9 @@ func (c *MaintainedCollection) AddVertex(vtype string, props graph.Properties) (
 		return graph.NoVertex, err
 	}
 	if keepsType(c.keep, vtype) {
+		for len(c.remap) <= int(id) {
+			c.remap = append(c.remap, graph.NoVertex)
+		}
 		for _, view := range c.views {
 			vid, err := view.AddVertex(vtype, props)
 			if err != nil {

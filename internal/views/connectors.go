@@ -315,7 +315,7 @@ func Materialize(v View, g *graph.Graph, workers int) (*graph.Graph, error) {
 // build materializes the contraction: the kept vertices first, then
 // one edge per path in source order. It returns the base-to-view vertex
 // mapping alongside the view, for maintainers that extend it later.
-func (ct *contraction) build(g *graph.Graph, workers int) (*graph.Graph, map[graph.VertexID]graph.VertexID, error) {
+func (ct *contraction) build(g *graph.Graph, workers int) (*graph.Graph, []graph.VertexID, error) {
 	out := graph.NewGraph(ct.schema)
 	remap, err := copyVerticesOfTypes(g, out, ct.keep)
 	if err != nil {

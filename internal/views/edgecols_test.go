@@ -13,7 +13,7 @@ func assertNoEdgeMaps(t *testing.T, name string, g *graph.Graph) {
 		t.Errorf("%s: no edges — vacuous check", name)
 	}
 	maps := 0
-	g.EachEdge(func(e *graph.Edge) {
+	g.EachEdge(func(e graph.Edge) {
 		if e.Props != nil {
 			maps++
 		}

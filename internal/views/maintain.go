@@ -53,11 +53,16 @@ func (m *MaintainedConnector) View() *graph.Graph { return m.views[0] }
 
 // applyDelta inserts one view's edge delta, translating base endpoint
 // IDs through the maintainer's vertex mapping.
-func applyDelta(view *graph.Graph, remap map[graph.VertexID]graph.VertexID, name string, des []delta.Edge) error {
+func applyDelta(view *graph.Graph, remap []graph.VertexID, name string, des []delta.Edge) error {
+	mirror := func(v graph.VertexID) graph.VertexID {
+		if int(v) < len(remap) {
+			return remap[v]
+		}
+		return graph.NoVertex
+	}
 	for _, de := range des {
-		vf, ok1 := remap[de.From]
-		vt, ok2 := remap[de.To]
-		if !ok1 || !ok2 {
+		vf, vt := mirror(de.From), mirror(de.To)
+		if vf == graph.NoVertex || vt == graph.NoVertex {
 			return fmt.Errorf("views: maintenance: endpoint not mirrored into view")
 		}
 		if _, err := view.AddEdge(vf, vt, name, graph.Properties{

@@ -13,7 +13,7 @@ import (
 // independently of insertion order.
 func viewFingerprint(g *graph.Graph) []string {
 	var out []string
-	g.EachEdge(func(e *graph.Edge) {
+	g.EachEdge(func(e graph.Edge) {
 		out = append(out, fmt.Sprintf("%d->%d ts=%v hops=%v", e.From, e.To, g.EdgeProp(e.ID, "ts"), g.EdgeProp(e.ID, "hops")))
 	})
 	sort.Strings(out)

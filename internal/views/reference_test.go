@@ -10,9 +10,10 @@ import (
 )
 
 // refConnector is a deliberately naive reading of one Table I connector
-// over the mutable graph's adjacency (Graph.Out), with no pruning: the
-// vertices paths start from, the longest path considered, and whether a
-// path (its vertices and edges) is one of the class's contracted paths.
+// over adjacency rows built from the edge list (naiveRows), with no
+// pruning: the vertices paths start from, the longest path considered,
+// and whether a path (its vertices and edges) is one of the class's
+// contracted paths.
 type refConnector struct {
 	start  func(s graph.VertexID) bool
 	maxLen int
@@ -21,6 +22,18 @@ type refConnector struct {
 	schema *graph.Schema
 	name   string
 	dedup  bool
+}
+
+// naiveRows lists every vertex's out- and in-edges in edge ID order,
+// built by one pass over the edges, independent of the frozen CSR.
+func naiveRows(g *graph.Graph) (out, in [][]graph.EdgeID) {
+	out = make([][]graph.EdgeID, g.NumVertices())
+	in = make([][]graph.EdgeID, g.NumVertices())
+	g.EachEdge(func(e graph.Edge) {
+		out[e.From] = append(out[e.From], e.ID)
+		in[e.To] = append(in[e.To], e.ID)
+	})
+	return out, in
 }
 
 func refOf(t *testing.T, g *graph.Graph, v View) refConnector {
@@ -70,9 +83,10 @@ func refOf(t *testing.T, g *graph.Graph, v View) refConnector {
 		r.accept = func(_ []graph.VertexID, es []graph.EdgeID) bool { return edgesOf(es, []string{v.EType}) }
 	case SourceToSinkConnector:
 		// From an in-degree-0 vertex to an out-degree-0 vertex.
-		r.start = func(s graph.VertexID) bool { return len(g.In(s)) == 0 }
+		out, in := naiveRows(g)
+		r.start = func(s graph.VertexID) bool { return len(in[s]) == 0 }
 		r.maxLen, r.dedup = v.MaxLen, v.DedupPairs
-		r.accept = func(vs []graph.VertexID, _ []graph.EdgeID) bool { return len(g.Out(vs[len(vs)-1])) == 0 }
+		r.accept = func(vs []graph.VertexID, _ []graph.EdgeID) bool { return len(out[vs[len(vs)-1]]) == 0 }
 	default:
 		t.Fatalf("%T is not a connector", v)
 	}
@@ -94,6 +108,7 @@ func mustConnectorSchema(t *testing.T, g *graph.Graph, src, dst, name string) *g
 // start vertex, sources in ID order and paths in preorder, and visits
 // the accepted ones.
 func refPaths(g *graph.Graph, r refConnector, visit func(vs []graph.VertexID, es []graph.EdgeID)) {
+	out, _ := naiveRows(g)
 	var walk func(vs []graph.VertexID, es []graph.EdgeID)
 	walk = func(vs []graph.VertexID, es []graph.EdgeID) {
 		if len(es) > 0 && r.accept(vs, es) {
@@ -102,7 +117,7 @@ func refPaths(g *graph.Graph, r refConnector, visit func(vs []graph.VertexID, es
 		if len(es) == r.maxLen {
 			return
 		}
-		for _, eid := range g.Out(vs[len(vs)-1]) {
+		for _, eid := range out[vs[len(vs)-1]] {
 			if !slices.Contains(es, eid) {
 				walk(append(vs, g.Edge(eid).To), append(es, eid))
 			}

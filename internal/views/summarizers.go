@@ -288,11 +288,15 @@ func (s VertexAggregatorSummarizer) build(g *graph.Graph) (*graph.Graph, map[str
 		}
 		remap[id] = supers[key]
 	}
-	for i := range g.NumEdges() {
+	f, err := g.FreezeChecked()
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := range f.NumEdges() {
 		eid := graph.EdgeID(i)
-		e := g.Edge(eid)
-		from, to := remap[e.From], remap[e.To]
-		if from == to && e.From != e.To {
+		ef, et := f.From(eid), f.To(eid)
+		from, to := remap[ef], remap[et]
+		if from == to && ef != et {
 			continue // contracted within a group
 		}
 		if _, err := out.AddEdgeFrom(g, eid, from, to); err != nil {
@@ -347,12 +351,12 @@ func (s EdgeAggregatorSummarizer) Materialize(g *graph.Graph) (*graph.Graph, err
 	if err != nil {
 		return nil, err
 	}
+	f, err := g.FreezeChecked()
+	if err != nil {
+		return nil, err
+	}
 	types := []string{s.EType}
 	if s.EType == "" {
-		f, err := g.FreezeChecked()
-		if err != nil {
-			return nil, err
-		}
 		types = f.EdgeTypes()
 	}
 	out := graph.NewGraph(g.Schema())
@@ -361,9 +365,10 @@ func (s EdgeAggregatorSummarizer) Materialize(g *graph.Graph) (*graph.Graph, err
 		return nil, err
 	}
 	if s.EType != "" {
-		for i := range g.NumEdges() {
-			if e := g.Edge(graph.EdgeID(i)); e.Type != s.EType {
-				if _, err := out.AddEdgeFrom(g, e.ID, remap[e.From], remap[e.To]); err != nil {
+		other := EdgeTypeMask(f, func(t string) bool { return t != s.EType })
+		for i := range f.NumEdges() {
+			if e := graph.EdgeID(i); other[f.EdgeTypeIDOf(e)] {
+				if _, err := out.AddEdgeFrom(g, e, remap[f.From(e)], remap[f.To(e)]); err != nil {
 					return nil, err
 				}
 			}
@@ -490,37 +495,47 @@ func groupProps(names []string, vals []exec.Value) graph.Properties {
 // f keeps, an edge only when both endpoints survive. The result keeps
 // the original schema (filtering never violates it).
 func filterGraph(g *graph.Graph, f TypeFilter) (*graph.Graph, error) {
-	out := graph.NewGraph(g.Schema())
-	remap := make(map[graph.VertexID]graph.VertexID)
-	var err error
-	g.EachVertex(func(v *graph.Vertex) {
-		if err != nil || !f.KeepsVertexType(v.Type) {
-			return
-		}
-		var nid graph.VertexID
-		nid, err = out.AddVertex(v.Type, v.Props)
-		if err == nil {
-			remap[v.ID] = nid
-		}
-	})
+	src, err := g.FreezeChecked()
 	if err != nil {
 		return nil, err
 	}
-	g.EachEdge(func(e *graph.Edge) {
-		if err != nil {
-			return
+	out := graph.NewGraph(g.Schema())
+	remap := make([]graph.VertexID, g.NumVertices()) // NoVertex: dropped
+	for i := range remap {
+		v := g.Vertex(graph.VertexID(i))
+		remap[i] = graph.NoVertex
+		if !f.KeepsVertexType(v.Type) {
+			continue
 		}
-		from, fok := remap[e.From]
-		to, tok := remap[e.To]
-		if !fok || !tok || !f.KeepsEdgeType(e.Type) {
-			return
+		if remap[i], err = out.AddVertex(v.Type, v.Props); err != nil {
+			return nil, err
 		}
-		_, err = out.AddEdgeFrom(g, e.ID, from, to)
-	})
-	if err != nil {
-		return nil, err
+	}
+	keep := EdgeTypeMask(src, f.KeepsEdgeType)
+	for i := range src.NumEdges() {
+		e := graph.EdgeID(i)
+		from, to := remap[src.From(e)], remap[src.To(e)]
+		if from == graph.NoVertex || to == graph.NoVertex || !keep[src.EdgeTypeIDOf(e)] {
+			continue
+		}
+		if _, err := out.AddEdgeFrom(g, e, from, to); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
+}
+
+// EdgeTypeMask returns, indexed by f's interned edge type ID, whether
+// keep accepts the type: a per-edge filter then costs one array read
+// instead of a string comparison.
+func EdgeTypeMask(f *graph.Frozen, keep func(string) bool) []bool {
+	types := f.EdgeTypes()
+	mask := make([]bool, len(types))
+	for _, t := range types {
+		id, _ := f.EdgeTypeID(t)
+		mask[id] = keep(t)
+	}
+	return mask
 }
 
 func joinSorted(types []string) string {

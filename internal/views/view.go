@@ -80,25 +80,25 @@ type TypeFilter interface {
 
 // copyVerticesOfTypes adds all vertices of the given types (all types
 // when nil) from src to dst, sharing property bags, and returns the ID
-// remapping.
-func copyVerticesOfTypes(src *graph.Graph, dst *graph.Graph, types []string) (map[graph.VertexID]graph.VertexID, error) {
-	remap := make(map[graph.VertexID]graph.VertexID)
+// remapping indexed by source ID (NoVertex: not copied).
+func copyVerticesOfTypes(src *graph.Graph, dst *graph.Graph, types []string) ([]graph.VertexID, error) {
+	remap := make([]graph.VertexID, src.NumVertices())
 	add := func(id graph.VertexID) error {
 		v := src.Vertex(id)
-		nid, err := dst.AddVertex(v.Type, v.Props)
-		if err != nil {
-			return err
-		}
-		remap[id] = nid
-		return nil
+		var err error
+		remap[id], err = dst.AddVertex(v.Type, v.Props)
+		return err
 	}
 	if types == nil {
-		for i := 0; i < src.NumVertices(); i++ {
+		for i := range remap {
 			if err := add(graph.VertexID(i)); err != nil {
 				return nil, err
 			}
 		}
 		return remap, nil
+	}
+	for i := range remap {
+		remap[i] = graph.NoVertex
 	}
 	seen := make(map[string]bool)
 	for _, t := range types {
@@ -107,10 +107,8 @@ func copyVerticesOfTypes(src *graph.Graph, dst *graph.Graph, types []string) (ma
 		}
 		seen[t] = true
 		for _, id := range src.VerticesOfType(t) {
-			if _, dup := remap[id]; !dup {
-				if err := add(id); err != nil {
-					return nil, err
-				}
+			if err := add(id); err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -60,7 +60,7 @@ func TestJobToJobConnectorMatchesFig3c(t *testing.T) {
 	}
 	byName := names(v, v.VerticesOfType("Job"))
 	pairs := map[[2]graph.VertexID]int64{}
-	v.EachEdge(func(e *graph.Edge) {
+	v.EachEdge(func(e graph.Edge) {
 		pairs[[2]graph.VertexID{e.From, e.To}] = v.EdgeProp(e.ID, "ts").(int64)
 	})
 	if ts := pairs[[2]graph.VertexID{byName["j1"], byName["j2"]}]; ts != 3 {
@@ -83,7 +83,7 @@ func TestFileToFileConnectorMatchesFig3d(t *testing.T) {
 	}
 	byName := names(v, v.VerticesOfType("File"))
 	found := map[[2]graph.VertexID]bool{}
-	v.EachEdge(func(e *graph.Edge) { found[[2]graph.VertexID{e.From, e.To}] = true })
+	v.EachEdge(func(e graph.Edge) { found[[2]graph.VertexID{e.From, e.To}] = true })
 	if !found[[2]graph.VertexID{byName["f1"], byName["f3"]}] || !found[[2]graph.VertexID{byName["f2"], byName["f4"]}] {
 		t.Errorf("file pairs = %v", found)
 	}
@@ -152,7 +152,7 @@ func TestSameVertexTypeConnector(t *testing.T) {
 	if v.NumEdges() != 2 {
 		t.Errorf("same-vertex-type edges = %d, want 2", v.NumEdges())
 	}
-	v.EachEdge(func(e *graph.Edge) {
+	v.EachEdge(func(e graph.Edge) {
 		if hops := v.EdgeProp(e.ID, "hops"); hops != int64(2) {
 			t.Errorf("hops = %v, want 2", hops)
 		}
@@ -197,8 +197,8 @@ func TestSourceToSinkConnector(t *testing.T) {
 	if v.NumEdges() != 1 {
 		t.Fatalf("source-sink edges = %d, want 1 (a->c)", v.NumEdges())
 	}
-	var got *graph.Edge
-	v.EachEdge(func(e *graph.Edge) { got = e })
+	var got graph.Edge
+	v.EachEdge(func(e graph.Edge) { got = e })
 	if hops := v.EdgeProp(got.ID, "hops"); hops != int64(2) {
 		t.Errorf("hops = %v", hops)
 	}
@@ -223,7 +223,7 @@ func TestVertexInclusionSummarizerOnProv(t *testing.T) {
 		t.Errorf("summarizer kept %d of %d edges; expected large reduction", v.NumEdges(), g.NumEdges())
 	}
 	// Only lineage edges survive.
-	v.EachEdge(func(e *graph.Edge) {
+	v.EachEdge(func(e graph.Edge) {
 		if e.Type != "WRITES_TO" && e.Type != "IS_READ_BY" {
 			t.Fatalf("unexpected edge type %s", e.Type)
 		}
@@ -557,7 +557,7 @@ func TestEdgeAggregatorSummarizer(t *testing.T) {
 			}
 			var got []superedge
 			var groups []viewGroup
-			v.EachEdge(func(e *graph.Edge) {
+			v.EachEdge(func(e graph.Edge) {
 				if tc.s.EType == "" || e.Type == tc.s.EType {
 					got = append(got, superedge{e.From, e.To, e.Type, v.EdgeProps(e.ID)})
 					// The view keeps every vertex at its base ID.
@@ -735,13 +735,14 @@ func TestConnectorEdgeCountEqualsPathCount(t *testing.T) {
 func countPathsDFS(g *graph.Graph, k int) int {
 	count := 0
 	used := make(map[graph.EdgeID]bool)
+	out, _ := naiveRows(g)
 	var dfs func(at graph.VertexID, hops int)
 	dfs = func(at graph.VertexID, hops int) {
 		if hops == k {
 			count++
 			return
 		}
-		for _, eid := range g.Out(at) {
+		for _, eid := range out[at] {
 			if used[eid] {
 				continue
 			}

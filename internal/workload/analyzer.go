@@ -243,16 +243,23 @@ func estimatedSummarizerProps(base *cost.GraphProperties, f views.TypeFilter, nv
 // summarizerSize counts the filtered graph's size without building it
 // (filters admit exact cheap cardinalities, §V-A).
 func summarizerSize(g *graph.Graph, f views.TypeFilter) (nv, ne int) {
-	g.EachVertex(func(vx *graph.Vertex) {
-		if f.KeepsVertexType(vx.Type) {
-			nv++
+	fz := g.Freeze()
+	kept := make([]bool, fz.NumVertices())
+	for _, t := range g.VertexTypes() {
+		if f.KeepsVertexType(t) {
+			vs := fz.VerticesOfType(t)
+			for _, v := range vs {
+				kept[v] = true
+			}
+			nv += len(vs)
 		}
-	})
-	g.EachEdge(func(e *graph.Edge) {
-		if f.KeepsEdgeType(e.Type) && f.KeepsVertexType(g.Vertex(e.From).Type) && f.KeepsVertexType(g.Vertex(e.To).Type) {
+	}
+	keepE := views.EdgeTypeMask(fz, f.KeepsEdgeType)
+	for i := range fz.NumEdges() {
+		if e := graph.EdgeID(i); keepE[fz.EdgeTypeIDOf(e)] && kept[fz.From(e)] && kept[fz.To(e)] {
 			ne++
 		}
-	})
+	}
 	return nv, ne
 }
 

@@ -98,11 +98,12 @@
 //
 // # Frozen CSR storage
 //
-// Execution runs on an immutable, cache-friendly storage layout: a
-// graph's Freeze method derives a Frozen view with flat CSR adjacency
-// arrays, interned type labels, per-vertex edges grouped by edge type
-// (a typed traversal step reads one contiguous pre-filtered slice),
-// and a dense per-type vertex index. Freezing happens automatically —
+// A graph stores each edge once, as flat arrays of endpoints and
+// interned types indexed by edge ID. Execution runs on an immutable,
+// cache-friendly adjacency index over them: a graph's Freeze method
+// derives a Frozen view with flat CSR adjacency arrays and per-vertex
+// edges grouped by edge type (a typed traversal step reads one
+// contiguous pre-filtered slice). Freezing happens automatically —
 // New freezes the base graph, LoadGraph freezes what it loads, and
 // every view landed in the catalog is frozen before it becomes
 // visible — and is memoized, so it costs one O(V+E) build per graph.
