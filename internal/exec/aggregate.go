@@ -3,20 +3,113 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 
 	"kaskade/internal/gql"
 )
 
-// aggregator implements grouped aggregation for both SELECT ... GROUP BY
-// and Cypher-style implicit grouping in RETURN (group by the
-// non-aggregate items). newAggregator returns nil when no aggregation is
-// needed (pure projection).
-type aggregator struct {
-	items    []gql.ReturnItem
+// groupPlan is an aggregation compiled once per query, for SELECT ...
+// GROUP BY and for Cypher-style implicit grouping in RETURN (group by
+// the aggregate-free items). A group is its key values and its
+// accumulators: each item is compiled into an ordinary expression over
+// the group row — the key values, then the accumulator results — which
+// finish evaluates with evalExpr like any other row.
+type groupPlan struct {
 	keyExprs []gql.Expr      // grouping key expressions
-	aggNodes []*gql.FuncCall // aggregate calls across all items
-	groups   map[string]*aggGroup
-	order    []*aggGroup // groups in first-seen order
+	aggNodes []*gql.FuncCall // one per distinct aggregate call across the items
+	outs     []gql.Expr      // the items, compiled over the group row
+	cols     []string        // the group row's names: keys, then aggregates
+}
+
+// compileGroups compiles items grouped by groupBy (nil: implicit
+// grouping). It returns nil when nothing aggregates (a pure
+// projection), and refuses an item that reads a variable neither
+// grouped nor inside an aggregate: no group value answers it.
+func compileGroups(items []gql.ReturnItem, groupBy []gql.Expr) (*groupPlan, error) {
+	if len(groupBy) == 0 && !hasAggregates(items) {
+		return nil, nil
+	}
+	p := &groupPlan{keyExprs: groupBy}
+	if len(groupBy) == 0 {
+		for _, item := range items {
+			if !gql.HasAggregate(item.Expr) {
+				p.keyExprs = append(p.keyExprs, item.Expr)
+			}
+		}
+	}
+	// A key that is a bare variable keeps its name, so a property read
+	// through it (A.pipelineName under GROUP BY A) reads the key value.
+	// Every other slot gets a positional name no identifier can spell.
+	for i, k := range p.keyExprs {
+		name := "#" + strconv.Itoa(i)
+		if id, ok := k.(*gql.Ident); ok {
+			name = id.Name
+		}
+		p.cols = append(p.cols, name)
+	}
+	nk := len(p.keyExprs)
+	var err error
+	// compile rewrites e over the group row: an aggregate call becomes a
+	// reference to its accumulator's slot (one per distinct call), a
+	// subexpression equal to a key a reference to the key's slot. Both
+	// compare trees (gql.Equal), so 1 and 1.0 stay apart.
+	var compile func(e gql.Expr) gql.Expr
+	compile = func(e gql.Expr) gql.Expr {
+		if f, ok := e.(*gql.FuncCall); ok && f.IsAggregate() {
+			j := slices.IndexFunc(p.aggNodes, func(a *gql.FuncCall) bool { return gql.Equal(a, f) })
+			if j < 0 {
+				j = len(p.aggNodes)
+				p.aggNodes = append(p.aggNodes, f)
+				p.cols = append(p.cols, "#"+strconv.Itoa(nk+j))
+			}
+			return &gql.Ident{Name: p.cols[nk+j]}
+		}
+		if i := slices.IndexFunc(p.keyExprs, func(k gql.Expr) bool { return gql.Equal(k, e) }); i >= 0 {
+			return &gql.Ident{Name: p.cols[i]}
+		}
+		var name string
+		switch e := e.(type) {
+		case *gql.Ident:
+			name = e.Name
+		case *gql.PropAccess:
+			if slices.Contains(p.cols, e.Base) {
+				return e
+			}
+			name = e.Base
+		case *gql.UnaryExpr:
+			return &gql.UnaryExpr{Op: e.Op, Operand: compile(e.Operand)}
+		case *gql.BinaryExpr:
+			return &gql.BinaryExpr{Op: e.Op, Left: compile(e.Left), Right: compile(e.Right)}
+		case *gql.FuncCall:
+			args := make([]gql.Expr, len(e.Args))
+			for i, a := range e.Args {
+				args[i] = compile(a)
+			}
+			return &gql.FuncCall{Name: e.Name, Args: args, Star: e.Star}
+		default:
+			return e
+		}
+		if err == nil {
+			err = fmt.Errorf("exec: variable %q is neither grouped nor inside an aggregate", name)
+		}
+		return e
+	}
+	for _, item := range items {
+		p.outs = append(p.outs, compile(item.Expr))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// aggregator is one goroutine's grouping state for a plan: its groups,
+// in first-seen order.
+type aggregator struct {
+	*groupPlan
+	groups map[string]*aggGroup
+	order  []*aggGroup // groups in first-seen order
 
 	// feed-path scratch. feed is goroutine-confined (each chunk owns its
 	// aggregator; an inline match has one), so the per-row key values,
@@ -27,37 +120,39 @@ type aggregator struct {
 	argBuf   []Value
 }
 
+// aggGroup is one group: its key and its group row, whose key values
+// are exported when the group is created and whose accumulator results
+// finish fills in.
 type aggGroup struct {
-	key  string   // its group key (see appendGroupKey)
-	rep  rowScope // environment of the group's first row
+	key  string // its group key (see appendGroupKey)
+	row  Row
 	accs []accumulator
 }
 
-func newAggregator(items []gql.ReturnItem, groupBy []gql.Expr) *aggregator {
-	var aggNodes []*gql.FuncCall
-	for _, item := range items {
-		aggNodes = append(aggNodes, collectAggregates(item.Expr)...)
-	}
-	if len(aggNodes) == 0 && len(groupBy) == 0 {
+// newAggregator starts a grouping for p (nil for a nil plan: no
+// aggregation).
+func (p *groupPlan) newAggregator() *aggregator {
+	if p == nil {
 		return nil
 	}
-	a := &aggregator{
-		items:    items,
-		keyExprs: groupBy,
-		aggNodes: aggNodes,
-		groups:   make(map[string]*aggGroup),
+	return &aggregator{
+		groupPlan: p,
+		groups:    make(map[string]*aggGroup),
+		keyBuf:    make([]Value, len(p.keyExprs)),
+		argBuf:    make([]Value, len(p.aggNodes)),
 	}
-	if len(groupBy) == 0 {
-		// Implicit grouping: key on the aggregate-free items.
-		for _, item := range items {
-			if !gql.HasAggregate(item.Expr) {
-				a.keyExprs = append(a.keyExprs, item.Expr)
-			}
-		}
+}
+
+// newGroup starts the group of the key values in a.keyBuf.
+func (a *aggregator) newGroup(key string) *aggGroup {
+	g := &aggGroup{key: key, row: make(Row, len(a.cols)), accs: make([]accumulator, len(a.aggNodes))}
+	for i, v := range a.keyBuf {
+		g.row[i] = exportValue(v)
 	}
-	a.keyBuf = make([]Value, len(a.keyExprs))
-	a.argBuf = make([]Value, len(a.aggNodes))
-	return a
+	for i, node := range a.aggNodes {
+		g.accs[i] = newAccumulator(node.Name)
+	}
+	return g
 }
 
 // fold is an aggregation a MATCH driver runs in its yield: either the
@@ -66,12 +161,11 @@ func newAggregator(items []gql.ReturnItem, groupBy []gql.Expr) *aggregator {
 // whose input rows are the MATCH's RETURN rows. stage names the profile
 // stage that finishes it.
 type fold struct {
-	items   []gql.ReturnItem
-	groupBy []gql.Expr
-	ret     []gql.ReturnItem // a SELECT's fold: the MATCH's RETURN
-	cols    []string         // and its column names
-	where   gql.Expr         // a SELECT's fold: its WHERE
-	stage   string
+	plan  *groupPlan
+	ret   []gql.ReturnItem // a SELECT's fold: the MATCH's RETURN
+	cols  []string         // and its column names
+	where gql.Expr         // a SELECT's fold: its WHERE
+	stage string
 }
 
 // folder is one goroutine's share of a fold: its aggregator and, for a
@@ -89,7 +183,7 @@ func (fo *fold) newFolder() *folder {
 	if fo == nil {
 		return nil
 	}
-	fd := &folder{fold: fo, agg: newAggregator(fo.items, fo.groupBy)}
+	fd := &folder{fold: fo, agg: fo.plan.newAggregator()}
 	if fo.ret != nil {
 		fd.sc = rowScope{cols: fo.cols, row: make(Row, len(fo.ret))}
 	}
@@ -138,25 +232,6 @@ func (fd *folder) merge(ch *folder) error {
 	return nil
 }
 
-func collectAggregates(e gql.Expr) []*gql.FuncCall {
-	switch e := e.(type) {
-	case *gql.FuncCall:
-		if e.IsAggregate() {
-			return []*gql.FuncCall{e}
-		}
-		var out []*gql.FuncCall
-		for _, a := range e.Args {
-			out = append(out, collectAggregates(a)...)
-		}
-		return out
-	case *gql.BinaryExpr:
-		return append(collectAggregates(e.Left), collectAggregates(e.Right)...)
-	case *gql.UnaryExpr:
-		return collectAggregates(e.Operand)
-	}
-	return nil
-}
-
 // evalKey evaluates the grouping key expressions into a.keyBuf and
 // encodes them into a.keyBytes (see appendGroupKey).
 func (a *aggregator) evalKey(sc scope) error {
@@ -199,13 +274,12 @@ func (a *aggregator) evalArgs(sc scope, buf []Value) error {
 }
 
 // feed routes one input row (as a scope) into its group, materializing
-// the group on first sight with the row's bindings as its
-// representative. feed is goroutine-confined, so it evaluates into the
-// reusable scratch buffers — the accumulators consume argument values
-// immediately (retained ones were exported by evalArgs), never the
-// slice itself — and looks the group up by the scratch key bytes, which
-// the map index does without copying them: a key string is allocated
-// only for a new group.
+// the group on first sight from the row's key values. feed is
+// goroutine-confined, so it evaluates into the reusable scratch buffers
+// — the accumulators consume argument values immediately (retained ones
+// were exported by evalArgs), never the slice itself — and looks the
+// group up by the scratch key bytes, which the map index does without
+// copying them: a key string is allocated only for a new group.
 func (a *aggregator) feed(sc scope) error {
 	if err := a.evalKey(sc); err != nil {
 		return err
@@ -215,10 +289,7 @@ func (a *aggregator) feed(sc scope) error {
 	}
 	g, ok := a.groups[string(a.keyBytes)]
 	if !ok {
-		g = &aggGroup{key: string(a.keyBytes), rep: sc.snapshot(), accs: make([]accumulator, len(a.aggNodes))}
-		for i, node := range a.aggNodes {
-			g.accs[i] = newAccumulator(node.Name)
-		}
+		g = a.newGroup(string(a.keyBytes))
 		a.groups[g.key] = g
 		a.order = append(a.order, g)
 	}
@@ -232,12 +303,10 @@ func (a *aggregator) feed(sc scope) error {
 
 // mergeFrom folds a chunk-local aggregator of the same shape into a, in
 // the chunk's first-seen group order. A group unseen by a is adopted
-// wholesale (its representative row was the chunk's first — and, since
-// no earlier partition saw the key, the global first); a known group
-// merges accumulator states pairwise. Every accumulator's merge is
-// exact and associative, so calling mergeFrom chunk by chunk in
-// partition order reproduces the group order and values of one worker
-// feeding every row. b must not be used afterwards.
+// wholesale; a known group merges accumulator states pairwise. Every
+// accumulator's merge is exact and associative, so calling mergeFrom
+// chunk by chunk in partition order reproduces the group order and
+// values of one worker feeding every row. b must not be used afterwards.
 func (a *aggregator) mergeFrom(b *aggregator) error {
 	for _, bg := range b.order {
 		g, ok := a.groups[bg.key]
@@ -255,27 +324,27 @@ func (a *aggregator) mergeFrom(b *aggregator) error {
 	return nil
 }
 
-// finish produces the grouped output rows in first-seen group order.
+// finish produces the grouped output rows in first-seen group order:
+// each group's accumulator results complete its group row, over which
+// the compiled items evaluate.
 func (a *aggregator) finish() ([]Row, error) {
 	groups := a.order
 	// With no grouping keys, SQL/Cypher aggregation yields exactly one
 	// row even on empty input.
 	if len(a.keyExprs) == 0 && len(groups) == 0 {
-		g := &aggGroup{accs: make([]accumulator, len(a.aggNodes))}
-		for i, node := range a.aggNodes {
-			g.accs[i] = newAccumulator(node.Name)
-		}
-		groups = []*aggGroup{g}
+		groups = []*aggGroup{a.newGroup("")}
 	}
 	var out []Row
-	aggVals := make(map[*gql.FuncCall]Value, len(a.aggNodes))
+	sc := rowScope{cols: a.cols}
+	nk := len(a.keyExprs)
 	for _, g := range groups {
-		for i, node := range a.aggNodes {
-			aggVals[node] = g.accs[i].result()
+		for i, acc := range g.accs {
+			g.row[nk+i] = acc.result()
 		}
-		row := make(Row, len(a.items))
-		for i, item := range a.items {
-			v, err := evalWithAggs(item.Expr, &g.rep, aggVals)
+		sc.row = g.row
+		row := make(Row, len(a.outs))
+		for i, e := range a.outs {
+			v, err := evalExpr(e, &sc)
 			if err != nil {
 				return nil, err
 			}
@@ -284,73 +353,6 @@ func (a *aggregator) finish() ([]Row, error) {
 		out = append(out, row)
 	}
 	return out, nil
-}
-
-// evalWithAggs evaluates an expression where aggregate calls are replaced
-// by their accumulated results; other subexpressions evaluate against the
-// group's representative row.
-func evalWithAggs(e gql.Expr, sc scope, aggVals map[*gql.FuncCall]Value) (Value, error) {
-	switch e := e.(type) {
-	case *gql.FuncCall:
-		if v, ok := aggVals[e]; ok {
-			return v, nil
-		}
-	case *gql.BinaryExpr:
-		if gql.HasAggregate(e.Left) || gql.HasAggregate(e.Right) {
-			l, err := evalWithAggs(e.Left, sc, aggVals)
-			if err != nil {
-				return nil, err
-			}
-			r, err := evalWithAggs(e.Right, sc, aggVals)
-			if err != nil {
-				return nil, err
-			}
-			switch e.Op {
-			case "+", "-", "*", "/":
-				return arith(e.Op, l, r)
-			}
-			c, ok := compareValues(l, r)
-			if !ok {
-				return nil, fmt.Errorf("exec: cannot compare %T and %T", l, r)
-			}
-			switch e.Op {
-			case "=":
-				return c == 0, nil
-			case "<>":
-				return c != 0, nil
-			case "<":
-				return c < 0, nil
-			case "<=":
-				return c <= 0, nil
-			case ">":
-				return c > 0, nil
-			case ">=":
-				return c >= 0, nil
-			}
-		}
-	case *gql.UnaryExpr:
-		if gql.HasAggregate(e.Operand) {
-			v, err := evalWithAggs(e.Operand, sc, aggVals)
-			if err != nil {
-				return nil, err
-			}
-			switch e.Op {
-			case "-":
-				switch v := v.(type) {
-				case int64:
-					return -v, nil
-				case float64:
-					return -v, nil
-				}
-			case "NOT":
-				if b, ok := v.(bool); ok {
-					return !b, nil
-				}
-			}
-			return nil, fmt.Errorf("exec: %s applied to %T", e.Op, v)
-		}
-	}
-	return evalExpr(e, sc)
 }
 
 // --- accumulators ---

@@ -118,11 +118,6 @@ func (m *matcher) prop(base Value, key string) (Value, error) {
 	return readProp(base, key, &m.colReads, &m.mapReads)
 }
 
-// snapshot implements scope: the bound variables, values exported for
-// retention beyond the current match. It runs at a full match, where
-// every pattern variable is bound.
-func (m *matcher) snapshot() rowScope { return retain(m.varNames, m.slots) }
-
 // flushPropReads moves the matcher's property-read tallies into the
 // registry (nil-safe). Called once per match (or worker), not per read,
 // so the hot path stays on plain local ints.

@@ -200,13 +200,17 @@ func returnCols(items []gql.ReturnItem) []string {
 // snapshot is resolved up front, so a vertex property declared after
 // vertices of its type exist fails the query with FreezeChecked's error.
 func (ex *Executor) streamMatch(ctx context.Context, q *gql.MatchQuery) ([]string, iter.Seq2[Row, error], error) {
+	plan, err := compileGroups(q.Return, nil)
+	if err != nil {
+		return nil, nil, err
+	}
 	f, err := ex.G.FreezeChecked()
 	if err != nil {
 		return nil, nil, err
 	}
 	var fo *fold
-	if hasAggregates(q.Return) {
-		fo = &fold{items: q.Return, stage: "aggregate"}
+	if plan != nil {
+		fo = &fold{plan: plan, stage: "aggregate"}
 	}
 	return returnCols(q.Return), ex.matchBody(ctx, q, f, fo), nil
 }
@@ -367,6 +371,9 @@ func (ex *Executor) streamSelect(ctx context.Context, q *gql.SelectQuery) ([]str
 // accumulators — cannot mask an error of the subquery it reads: on the
 // first one the tail stops and the subquery runs on, and the subquery's
 // error (row limit, cancellation, evaluation) is returned if one comes.
+// The one exception is compileGroups' refusal of an item that reads a
+// variable neither grouped nor aggregated: it is made from the
+// statement alone, before the subquery runs, so it comes first.
 func (ex *Executor) evalSelect(ctx context.Context, q *gql.SelectQuery) (*Result, error) {
 	out := &Result{Cols: returnCols(q.Items)}
 	var err error
@@ -400,17 +407,20 @@ func (ex *Executor) evalSelect(ctx context.Context, q *gql.SelectQuery) (*Result
 // match evaluates m's RETURN into a scratch row that q's WHERE and
 // aggregator read, so no row of m is ever built.
 func (ex *Executor) fusedSelect(ctx context.Context, q *gql.SelectQuery, m *gql.MatchQuery) ([]Row, error) {
+	plan, err := compileGroups(q.Items, q.GroupBy)
+	if err != nil {
+		return nil, err
+	}
 	f, err := ex.G.FreezeChecked()
 	if err != nil {
 		return nil, err
 	}
 	fo := &fold{
-		items:   q.Items,
-		groupBy: q.GroupBy,
-		ret:     m.Return,
-		cols:    returnCols(m.Return),
-		where:   q.Where,
-		stage:   "select: aggregate",
+		plan:  plan,
+		ret:   m.Return,
+		cols:  returnCols(m.Return),
+		where: q.Where,
+		stage: "select: aggregate",
 	}
 	var rows []Row
 	for row, err := range ex.matchBody(ctx, m, f, fo) {
@@ -427,11 +437,15 @@ func (ex *Executor) fusedSelect(ctx context.Context, q *gql.SelectQuery, m *gql.
 // times only what runs after the subquery ends (finishing the groups);
 // the per-row work runs inside the subquery's stages.
 func (ex *Executor) streamTail(ctx context.Context, q *gql.SelectQuery) ([]Row, error) {
+	plan, err := compileGroups(q.Items, q.GroupBy)
+	if err != nil {
+		return nil, err
+	}
 	subCols, subBody, err := ex.stream(ctx, q.From)
 	if err != nil {
 		return nil, err
 	}
-	agg := newAggregator(q.Items, q.GroupBy)
+	agg := plan.newAggregator()
 	sc := &rowScope{cols: subCols}
 	var rows []Row
 	var tailErr error

@@ -9,20 +9,14 @@ import (
 // scope is the evaluator's view of a variable environment. The matcher
 // implements it directly over its flat var->slot scratch (no
 // map[string]Value per partition), and rowScope over one positional
-// row: a SELECT's input row, or an aggregation group's representative
-// row. Every scope reads storage through readProp; prop is part of the
-// interface so the matcher can count its reads (column vs map) for the
-// metrics.
+// row: a SELECT's input row, or an aggregation group's row. Every
+// scope reads storage through readProp; prop is part of the interface
+// so the matcher can count its reads (column vs map) for the metrics.
 type scope interface {
 	// lookup resolves a variable, reporting false when unbound.
 	lookup(name string) (Value, bool)
 	// prop reads base.key (see readProp).
 	prop(base Value, key string) (Value, error)
-	// snapshot copies the bound variables into a row for retention
-	// beyond the current one (aggregation representative rows). Values
-	// escaping live bindings are exported (PathRef edge slices copied),
-	// so the snapshot stays valid after backtracking.
-	snapshot() rowScope
 }
 
 // rowScope is the scope over one positional row: the input's column
@@ -32,16 +26,6 @@ type scope interface {
 type rowScope struct {
 	cols []string
 	row  Row
-}
-
-// retain is the snapshot of the values vals named by cols, which the
-// snapshot shares: every owner's names are fixed for its lifetime.
-func retain(cols []string, vals []Value) rowScope {
-	row := make(Row, len(vals))
-	for i, v := range vals {
-		row[i] = exportValue(v)
-	}
-	return rowScope{cols: cols, row: row}
 }
 
 func (s *rowScope) lookup(name string) (Value, bool) {
@@ -56,8 +40,6 @@ func (s *rowScope) lookup(name string) (Value, bool) {
 func (s *rowScope) prop(base Value, key string) (Value, error) {
 	return readProp(base, key, nil, nil)
 }
-
-func (s *rowScope) snapshot() rowScope { return retain(s.cols, s.row) }
 
 // readProp reads one property. A vertex property the schema declares
 // has one read path: its type's column in the graph, two flat array
@@ -100,8 +82,8 @@ func snapshot(g *graph.Graph) (*graph.Frozen, error) {
 // exportValue makes a value safe to retain beyond the binding that
 // produced it. Matcher PathRef bindings alias the walk's scratch path
 // (the per-yield copy the old bindings map paid is gone), so any value
-// that escapes a yield — projected rows, aggregate arguments, snapshot
-// maps — is exported at the escape boundary instead: PathRef edge
+// that escapes a yield — projected rows, aggregate arguments, group
+// keys — is exported at the escape boundary instead: PathRef edge
 // slices are copied (non-nil even for zero-hop paths, matching the old
 // copies byte for byte), everything else is already immutable.
 func exportValue(v Value) Value {

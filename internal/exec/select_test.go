@@ -179,8 +179,9 @@ func renderOutcome(cols []string, rows []Row, err error) string {
 // bufferedSelect is the SELECT tail as it ran before it streamed and
 // before it fused into the match: the subquery is drained into a
 // buffered result, whose rows are then each copied into a map scope to
-// be filtered, grouped and projected, and finally ordered and limited.
-// It is the oracle for evalSelect.
+// be filtered, grouped (by refGroups, not the executor's aggregator)
+// and projected, and finally ordered and limited. It is the oracle for
+// evalSelect.
 func bufferedSelect(ctx context.Context, ex *Executor, q *gql.SelectQuery) (*Result, error) {
 	var sub *Result
 	if from, ok := q.From.(*gql.SelectQuery); ok {
@@ -202,7 +203,7 @@ func bufferedSelect(ctx context.Context, ex *Executor, q *gql.SelectQuery) (*Res
 		}
 	}
 	out := &Result{Cols: returnCols(q.Items)}
-	agg := newAggregator(q.Items, q.GroupBy)
+	agg := newRefGroups(q.Items, q.GroupBy)
 	sc := make(mapScope, len(sub.Cols))
 	for _, row := range sub.Rows {
 		for i, c := range sub.Cols {
@@ -218,7 +219,7 @@ func bufferedSelect(ctx context.Context, ex *Executor, q *gql.SelectQuery) (*Res
 			}
 		}
 		if agg != nil {
-			if err := agg.feed(sc); err != nil {
+			if err := agg.add(sc); err != nil {
 				return nil, err
 			}
 			continue
@@ -235,7 +236,7 @@ func bufferedSelect(ctx context.Context, ex *Executor, q *gql.SelectQuery) (*Res
 	}
 	if agg != nil {
 		var err error
-		if out.Rows, err = agg.finish(); err != nil {
+		if out.Rows, err = agg.rows(); err != nil {
 			return nil, err
 		}
 	}
@@ -248,26 +249,6 @@ func bufferedSelect(ctx context.Context, ex *Executor, q *gql.SelectQuery) (*Res
 		out.Rows = out.Rows[:q.Limit]
 	}
 	return out, nil
-}
-
-// mapScope is the map environment the buffered reference reads.
-type mapScope map[string]Value
-
-func (s mapScope) lookup(name string) (Value, bool) {
-	v, ok := s[name]
-	return v, ok
-}
-
-func (s mapScope) prop(base Value, key string) (Value, error) { return readProp(base, key, nil, nil) }
-
-func (s mapScope) snapshot() rowScope {
-	var cols []string
-	var vals []Value
-	for c, v := range s {
-		cols = append(cols, c)
-		vals = append(vals, v)
-	}
-	return retain(cols, vals)
 }
 
 // bufferedOrderRows is orderRows over a map scope per row.

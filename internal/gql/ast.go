@@ -22,6 +22,7 @@ package gql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -171,6 +172,33 @@ func HasAggregate(e Expr) bool {
 		return HasAggregate(e.Left) || HasAggregate(e.Right)
 	case *UnaryExpr:
 		return HasAggregate(e.Operand)
+	}
+	return false
+}
+
+// Equal reports whether a and b are the same expression tree. Literals
+// compare by type and value, so 1 and 1.0 differ although they render
+// alike.
+func Equal(a, b Expr) bool {
+	switch a := a.(type) {
+	case *Ident:
+		b, ok := b.(*Ident)
+		return ok && *a == *b
+	case *PropAccess:
+		b, ok := b.(*PropAccess)
+		return ok && *a == *b
+	case *Lit:
+		b, ok := b.(*Lit)
+		return ok && a.Value == b.Value
+	case *BinaryExpr:
+		b, ok := b.(*BinaryExpr)
+		return ok && a.Op == b.Op && Equal(a.Left, b.Left) && Equal(a.Right, b.Right)
+	case *UnaryExpr:
+		b, ok := b.(*UnaryExpr)
+		return ok && a.Op == b.Op && Equal(a.Operand, b.Operand)
+	case *FuncCall:
+		b, ok := b.(*FuncCall)
+		return ok && a.Name == b.Name && a.Star == b.Star && slices.EqualFunc(a.Args, b.Args, Equal)
 	}
 	return false
 }

@@ -223,6 +223,35 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEqual checks structural expression equality: the same text parses
+// to equal trees, while literals of different types differ even where
+// they render alike.
+func TestEqual(t *testing.T) {
+	item := func(src string) Expr {
+		return MustParse(`MATCH (v) RETURN ` + src).(*MatchQuery).Return[0].Expr
+	}
+	cases := []struct {
+		a, b string
+		want bool
+	}{
+		{"SUM(v.x * 1) + LENGTH(v.g)", "SUM(v.x * 1) + LENGTH(v.g)", true},
+		{"COUNT(*)", "COUNT(*)", true},
+		{"-v.x", "-v.x", true},
+		{"v.x * 1", "v.x * 1.0", false},
+		{"v.x / 2", "v.x / 2.0", false},
+		{"'1'", "1", false},
+		{"COUNT(*)", "COUNT(v)", false},
+		{"v.x", "v.y", false},
+		{"v.x + 1", "v.x - 1", false},
+		{"NOT v.b", "v.b", false},
+	}
+	for _, c := range cases {
+		if a, b := item(c.a), item(c.b); Equal(a, b) != c.want {
+			t.Errorf("Equal(%s, %s) = %v, want %v", c.a, c.b, !c.want, c.want)
+		}
+	}
+}
+
 func TestReplaceInnermostMatch(t *testing.T) {
 	q := MustParse(blastRadius)
 	repl := MustParse(`MATCH (a:Job)-[:CONN]->(b:Job) RETURN a AS A, b AS B`).(*MatchQuery)

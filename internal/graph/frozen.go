@@ -225,9 +225,6 @@ func (f *Frozen) NumEdges() int { return f.g.NumEdges() }
 // Vertex returns the vertex record (read-only), like Graph.Vertex.
 func (f *Frozen) Vertex(id VertexID) *Vertex { return f.g.Vertex(id) }
 
-// Edge assembles the edge with the given ID, like Graph.Edge.
-func (f *Frozen) Edge(id EdgeID) Edge { return f.g.Edge(id) }
-
 // Out returns the IDs of edges leaving v, in insertion order. With an
 // overlay, a vertex a tail edge touched (or a tail vertex) reads its
 // merged row; every other vertex reads the base CSR row.
